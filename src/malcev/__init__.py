@@ -16,7 +16,6 @@ from .congruence import (
     DEFAULT_CAP,
     EqualityClass,
     equality_class,
-    left_divides,
     partition_agreement,
 )
 from .group_derivation import (
@@ -65,6 +64,7 @@ from .rewriting import (
     enumerate_elements,
     equal,
     is_intersection_base,
+    left_divides,
     left_normal_form,
     reduce_word,
 )

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .congruence import DEFAULT_CAP, equality_class
+from .congruence import equality_class
 from .presentation import Presentation, format_word
 from .rewriting import Element, enumerate_elements, is_intersection_base, reduce_word
 
@@ -60,7 +60,7 @@ def build_ball(root: Element, radius: int, pres: Presentation) -> CayleyBall:
     return CayleyBall(root, radius, tuple(vertices), tuple(edges))
 
 
-def predecessors(v: Element, pres: Presentation, cap: int = DEFAULT_CAP) -> frozenset:
+def predecessors(v: Element, pres: Presentation) -> frozenset:
     """All (u, x) with u x = v, computed from the full equality class of v.
 
     Every word equal to v arises as some word for u followed by x, so
@@ -68,15 +68,15 @@ def predecessors(v: Element, pres: Presentation, cap: int = DEFAULT_CAP) -> froz
     incoming edge of the whole graph, not just of a ball.
     """
     preds = set()
-    for u in equality_class(v.nf, pres, cap):
+    for u in equality_class(v.nf, pres):
         if u:
             preds.add((Element(reduce_word(u[:-1], pres), pres), u[-1]))
     return frozenset(preds)
 
 
-def check_codeterminism(v: Element, pres: Presentation, cap: int = DEFAULT_CAP) -> bool:
+def check_codeterminism(v: Element, pres: Presentation) -> bool:
     """No two distinct predecessors of v share an edge label."""
-    preds = predecessors(v, pres, cap)
+    preds = predecessors(v, pres)
     return len({x for _, x in preds}) == len(preds)
 
 
@@ -105,22 +105,22 @@ def export_dot(ball: CayleyBall) -> str:
     return "\n".join(lines) + "\n"
 
 
-def codeterminism_violations(pres: Presentation, max_len: int, cap: int = DEFAULT_CAP):
+def codeterminism_violations(pres: Presentation, max_len: int):
     """Check co-determinism for every element of length <= max_len."""
     violations = []
     for e in enumerate_elements(pres, max_len):
-        if not check_codeterminism(e, pres, cap):
+        if not check_codeterminism(e, pres):
             violations.append(f"duplicate incoming label at {format_word(e.nf)}")
     return violations
 
 
-def indegree_violations(pres: Presentation, max_len: int, cap: int = DEFAULT_CAP):
+def indegree_violations(pres: Presentation, max_len: int):
     """Check, for every element of length <= max_len, that in-degree >= 2
     holds exactly at intersection bases, that incoming labels of bases lie
     in Q, and that every edge increases length by one."""
     violations = []
     for e in enumerate_elements(pres, max_len):
-        preds = predecessors(e, pres, cap)
+        preds = predecessors(e, pres)
         base = is_intersection_base(e)
         if (len(preds) >= 2) != base:
             violations.append(

@@ -18,7 +18,7 @@ from .cayley import (
     export_dot,
     indegree_violations,
 )
-from .congruence import CapExceeded, left_divides, partition_agreement
+from .congruence import CapExceeded, partition_agreement
 from .group_derivation import (
     OccurrenceMismatch,
     certificate_text,
@@ -36,7 +36,7 @@ from .presentation import (
     format_word,
     parse_word,
 )
-from .rewriting import cancellativity_violations, left_normal_form
+from .rewriting import cancellativity_violations, left_divides, left_normal_form
 
 __all__ = ["main", "run"]
 
@@ -241,6 +241,9 @@ def cmd_ball(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    for flag, value in (("--max-len", args.max_len), ("--samples", args.samples)):
+        if value < 0:
+            raise ValueError(f"{flag} must be nonnegative, got {value}")
     pres = build_presentation(args.n)
     max_len = args.max_len
     seed = args.seed
@@ -307,8 +310,8 @@ def run(argv=None) -> int:
     except (AlignmentViolation, CapExceeded, OccurrenceMismatch) as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
-        # PresentationError, WindowTooSmall, bad radius or seed
+    except (ValueError, OSError) as exc:
+        # PresentationError, WindowTooSmall, bad radius or seed, unwritable path
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -2,9 +2,10 @@
 
 Relations preserve length, so the class of a word under the generated
 congruence is finite and breadth-first search enumerates it exactly.  This
-module is deliberately independent of the normal-form machinery: it serves
-as the oracle the rewriting module is checked against, and it also decides
-left divisibility, which is path existence in the right Cayley graph.
+module is deliberately independent of the normal-form machinery: it is the
+oracle the rewriting module is checked against.  Its search-based left
+divisibility backs the brute-force alignment oracle and its cross-check;
+production callers use the closed form in the rewriting module.
 """
 
 from __future__ import annotations
@@ -88,9 +89,7 @@ def equality_class(w: Word, pres: Presentation, cap: int = DEFAULT_CAP) -> Equal
     return EqualityClass(w, tuple(order))
 
 
-def left_divides(
-    p: Word, q: Word, pres: Presentation, cap: int = DEFAULT_CAP
-) -> Optional[Word]:
+def left_divides(p: Word, q: Word, pres: Presentation) -> Optional[Word]:
     """Witness w with p w = q in the monoid, or None.
 
     Every member of the class of q is split after |p| letters; the first one
@@ -100,15 +99,15 @@ def left_divides(
     """
     if len(p) > len(q):
         return None
-    prefix_class = equality_class(p, pres, cap).member_set
+    prefix_class = equality_class(p, pres).member_set
     k = len(p)
-    for u in equality_class(q, pres, cap):
+    for u in equality_class(q, pres):
         if u[:k] in prefix_class:
             return u[k:]
     return None
 
 
-def partition_agreement(pres: Presentation, max_len: int, cap: int = DEFAULT_CAP):
+def partition_agreement(pres: Presentation, max_len: int):
     """Check that normal forms and BFS classes partition all words of length
     <= max_len identically.  Returns violation strings (empty when they agree)."""
     violations = []
@@ -122,7 +121,7 @@ def partition_agreement(pres: Presentation, max_len: int, cap: int = DEFAULT_CAP
     for w in words:
         if w in seen:
             continue
-        cls = equality_class(w, pres, cap).member_set
+        cls = equality_class(w, pres).member_set
         seen |= cls
         group = by_nf.get(reduce_word(w, pres), frozenset())
         if cls != group:

@@ -2,9 +2,10 @@
 
 For elements p, q of M_n the intersection pM and qM is principal whenever it
 is nonempty and n >= 2; for n = 1 it needs at most two generators.  The fast
-algorithm checks mutual reachability first and otherwise intersects the
-one-letter Q extensions of p and q; a windowed brute-force search over common
-multiples serves as its oracle.
+algorithm checks mutual reachability with the closed-form divisibility of
+the rewriting module and otherwise intersects the one-letter Q extensions of
+p and q.  Its oracle is a windowed brute-force search over common multiples,
+minimised with the search-based divisibility of the congruence module.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import product
 
+from . import rewriting
 from .congruence import DEFAULT_CAP, CapExceeded, left_divides
 from .presentation import Presentation, PresentationError, format_word
 from .rewriting import Element, element_key, enumerate_elements, reduce_word
@@ -66,7 +68,7 @@ class IntersectionResult:
 
 
 def intersect_principal(
-    p: Element, q: Element, pres: Presentation, cap: int = DEFAULT_CAP
+    p: Element, q: Element, pres: Presentation
 ) -> IntersectionResult:
     """Compute pM and qM's intersection via reachability and one-letter
     extensions.
@@ -78,9 +80,9 @@ def intersect_principal(
     """
     if pres.n is None:
         raise PresentationError("ideal intersection needs the indexed family")
-    if left_divides(p.nf, q.nf, pres, cap) is not None:
+    if rewriting.left_divides(p.nf, q.nf, pres) is not None:
         return IntersectionResult(PRINCIPAL, (q,), "reachable-p-to-q")
-    if left_divides(q.nf, p.nf, pres, cap) is not None:
+    if rewriting.left_divides(q.nf, p.nf, pres) is not None:
         return IntersectionResult(PRINCIPAL, (p,), "reachable-q-to-p")
     q_letters = [x for x in pres.generators if x in pres.q_set]
     p_ext = {reduce_word(p.nf + (x,), pres) for x in q_letters}
@@ -99,7 +101,7 @@ def intersect_principal(
     )
 
 
-def _ideal_words(root, window: int, pres: Presentation, cap: int):
+def _ideal_words(root, window: int, pres: Presentation):
     """Every word of length <= window equal to root times some word: the
     transition closure of the literal extensions of root."""
     partners = {}
@@ -118,9 +120,9 @@ def _ideal_words(root, window: int, pres: Presentation, cap: int):
             for repl in partners.get((u[i], u[i + 1]), ()):
                 v = u[:i] + repl + u[i + 2 :]
                 if v not in seen:
-                    if len(seen) >= cap:
+                    if len(seen) >= DEFAULT_CAP:
                         raise CapExceeded(
-                            f"ideal of {format_word(root)} exceeds {cap} words "
+                            f"ideal of {format_word(root)} exceeds {DEFAULT_CAP} words "
                             f"within window {window}"
                         )
                     seen.add(v)
@@ -128,23 +130,19 @@ def _ideal_words(root, window: int, pres: Presentation, cap: int):
     return seen
 
 
-def common_multiples(
-    p: Element, q: Element, window: int, pres: Presentation, cap: int = DEFAULT_CAP
-):
+def common_multiples(p: Element, q: Element, window: int, pres: Presentation):
     """All elements of length <= window divisible by both p and q, sorted."""
     if window < max(len(p.nf), len(q.nf)) + 1:
         raise WindowTooSmall(
             f"window {window} cannot reach a minimal common multiple of "
             f"{p} and {q}"
         )
-    words = _ideal_words(p.nf, window, pres, cap) & _ideal_words(
-        q.nf, window, pres, cap
-    )
+    words = _ideal_words(p.nf, window, pres) & _ideal_words(q.nf, window, pres)
     elements = {Element(reduce_word(w, pres), pres) for w in words}
     return sorted(elements, key=element_key)
 
 
-def minimal_elements(elements, pres: Presentation, cap: int = DEFAULT_CAP):
+def minimal_elements(elements, pres: Presentation):
     """Subset not properly left-divisible by any other member.
 
     Divisibility increases length, so scanning by element_key and testing
@@ -152,19 +150,15 @@ def minimal_elements(elements, pres: Presentation, cap: int = DEFAULT_CAP):
     """
     minimal = []
     for e in sorted(set(elements), key=element_key):
-        if not any(
-            left_divides(m.nf, e.nf, pres, cap) is not None for m in minimal
-        ):
+        if not any(left_divides(m.nf, e.nf, pres) is not None for m in minimal):
             minimal.append(e)
     return minimal
 
 
-def brute_force_intersection(
-    p: Element, q: Element, window: int, pres: Presentation, cap: int = DEFAULT_CAP
-):
+def brute_force_intersection(p: Element, q: Element, window: int, pres: Presentation):
     """Minimal common multiples of p and q within the window; oracle for
     intersect_principal."""
-    return minimal_elements(common_multiples(p, q, window, pres, cap), pres, cap)
+    return minimal_elements(common_multiples(p, q, window, pres), pres)
 
 
 @dataclass(frozen=True)
@@ -215,7 +209,6 @@ def verify_alignment(
     samples: int,
     window: int,
     seed: int = DEFAULT_SEED,
-    cap: int = DEFAULT_CAP,
 ) -> AlignmentReport:
     """Exhaustively intersect all ordered pairs of elements of length
     <= max_len, then validate a seeded sample of pairs against the
@@ -233,7 +226,7 @@ def verify_alignment(
     for p in elements:
         for q in elements:
             try:
-                res = intersect_principal(p, q, pres, cap)
+                res = intersect_principal(p, q, pres)
             except AlignmentViolation as exc:
                 mismatches.append(f"({p}, {q}): {exc}")
                 continue
@@ -253,8 +246,8 @@ def verify_alignment(
         res = results.get((p, q))
         if res is None:
             continue  # already reported above
-        common = common_multiples(p, q, window, pres, cap)
-        minimal = minimal_elements(common, pres, cap)
+        common = common_multiples(p, q, window, pres)
+        minimal = minimal_elements(common, pres)
         if {g.nf for g in res.generators} != {m.nf for m in minimal}:
             mismatches.append(
                 f"({p}, {q}): fast generators "
@@ -264,7 +257,7 @@ def verify_alignment(
             continue
         for w in common:
             if not any(
-                left_divides(g.nf, w.nf, pres, cap) is not None
+                left_divides(g.nf, w.nf, pres) is not None
                 for g in res.generators
             ):
                 mismatches.append(

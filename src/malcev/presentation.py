@@ -5,7 +5,8 @@ The n-th member of the family has generators a, b, c, d, A_1..A_n, B_1..B_n,
 C_1..C_n, D_1..D_n and 2n+1 relations, each pairing two two-letter words.
 Every algorithm downstream consumes the derived structure computed here:
 the first-letter class P, the second-letter class Q, the left/right relation
-word sets L and R, and the rewrite map sending each R word to its L partner.
+word sets L and R, the rewrite map sending each R word to its L partner, and
+the index r_partners listing the R partners of each L word.
 """
 
 from __future__ import annotations
@@ -136,6 +137,9 @@ class Presentation:
     def __post_init__(self):
         object.__setattr__(self, "generator_set", frozenset(self.generators))
         object.__setattr__(self, "by_token", {g.token: g for g in self.generators})
+        object.__setattr__(self, "r_partners", {})
+        for left, right in self.relations:
+            self.r_partners.setdefault(left, []).append(right)
 
     def __repr__(self) -> str:
         return (

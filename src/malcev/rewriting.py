@@ -6,12 +6,15 @@ with a Q letter, P and Q are disjoint, and replacements preserve the letter
 class at each position, so redexes never overlap and a replacement never
 exposes a new one: a single left-to-right scan reaches the normal form, and
 two words are equal in the monoid exactly when their normal forms coincide.
+Left divisibility is likewise a prefix test on normal forms, up to the one
+pair at the boundary.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
+from typing import Optional
 
 from .presentation import (
     Presentation,
@@ -28,6 +31,7 @@ __all__ = [
     "enumerate_elements",
     "equal",
     "is_intersection_base",
+    "left_divides",
     "left_normal_form",
     "reduce_word",
 ]
@@ -81,6 +85,19 @@ def equal(w1: Word, w2: Word, pres: Presentation) -> bool:
     check_letters(w1, pres)
     check_letters(w2, pres)
     return reduce_word(w1, pres) == reduce_word(w2, pres)
+
+
+def left_divides(p: Word, q: Word, pres: Presentation) -> Optional[Word]:
+    """Witness w with p w = q as a normal form, or None; reducing nf(p) w can
+    rewrite only the pair across the boundary, an R word into its L partner."""
+    p, q = reduce_word(p, pres), reduce_word(q, pres)
+    k = len(p)
+    if q[:k] == p:
+        return q[k:]
+    for right in pres.r_partners.get(q[k - 1 : k + 1], ()):
+        if right[0] == p[-1] and q[: k - 1] == p[:-1]:
+            return right[1:] + q[k + 1 :]
+    return None
 
 
 def is_intersection_base(e: Element) -> bool:

@@ -53,6 +53,19 @@ def test_divides(capsys):
     assert out_of(capsys)[0] == "none"
 
 
+def test_divides_witness_is_normal_form(capsys):
+    assert run(["divides", "-n", "1", "-p", "d", "-q", "d b d b"]) == 0
+    assert out_of(capsys)[0] == "b A1 D1"
+
+
+def test_divides_deep_class(capsys):
+    # the class of (d a)^21 has 2^21 words, past the search's cap
+    assert run(["divides", "-n", "1", "-p", "d", "-q", " ".join(["d a"] * 21)]) == 0
+    out, err = out_of(capsys)
+    assert out == " ".join(["a"] + ["d a"] * 20)
+    assert err == ""
+
+
 def test_intersect_json(capsys):
     code = run(["intersect", "-n", "1", "--format", "json", "-p", "A1", "-q", "d"])
     out, _ = out_of(capsys)
@@ -215,6 +228,36 @@ def test_output_file(tmp_path, capsys):
     assert target.read_text() == "d a\n"
 
 
+def test_output_to_missing_directory_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "nf.txt"
+    assert run(["nf", "-n", "1", "-w", "a", "--output", str(target)]) == 2
+    _, err = out_of(capsys)
+    assert err.startswith("error:")
+    assert str(target) in err
+
+
+def test_dot_to_missing_directory_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "ball.dot"
+    assert run(["ball", "-n", "1", "--radius", "1", "--dot", str(target)]) == 2
+    _, err = out_of(capsys)
+    assert err.startswith("error:")
+    assert str(target) in err
+
+
+@pytest.mark.parametrize("suite", ["nf-oracle", "codet", "alignment"])
+def test_verify_negative_max_len_exits_2(suite, capsys):
+    assert run(["verify", "-n", "1", "--suite", suite, "--max-len", "-1"]) == 2
+    out, err = out_of(capsys)
+    assert out == ""
+    assert err == "error: --max-len must be nonnegative, got -1\n"
+
+
+def test_verify_negative_samples_exits_2(capsys):
+    argv = ["verify", "-n", "1", "--suite", "alignment", "--max-len", "1"]
+    assert run(argv + ["--samples", "-1"]) == 2
+    assert out_of(capsys)[1] == "error: --samples must be nonnegative, got -1\n"
+
+
 def test_unknown_token_exits_2(capsys):
     assert run(["nf", "-n", "1", "-w", "e"]) == 2
     _, err = out_of(capsys)
@@ -243,7 +286,7 @@ def test_window_too_small_exits_2(capsys):
 
 
 def test_invariant_violation_exits_3(monkeypatch, capsys):
-    def boom(p, q, pres, cap=None):
+    def boom(p, q, pres):
         raise AlignmentViolation("planted")
 
     monkeypatch.setattr(cli, "intersect_principal", boom)

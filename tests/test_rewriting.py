@@ -1,7 +1,9 @@
+import random
 from itertools import product
 
 import pytest
 
+from malcev import congruence
 from malcev.presentation import (
     ForeignLetter,
     Presentation,
@@ -15,6 +17,7 @@ from malcev.rewriting import (
     enumerate_elements,
     equal,
     is_intersection_base,
+    left_divides,
     left_normal_form,
     reduce_word,
 )
@@ -195,3 +198,42 @@ def test_cancellation_sweep_detects_planted_failure():
     found = cancellativity_violations(broken, 1, 1)
     assert len(found) == 1
     assert found[0].startswith("right:")
+
+
+def assert_divides_like_search(p, q, pres):
+    witness = left_divides(p, q, pres)
+    expected = congruence.left_divides(p, q, pres)
+    assert (witness is None) == (expected is None), (p, q)
+    if witness is not None:
+        assert reduce_word(witness, pres) == witness
+        assert reduce_word(p + witness, pres) == reduce_word(q, pres)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_left_divides_matches_search_on_all_pairs(n):
+    pres = build_presentation(n)
+    elements = [e.nf for e in enumerate_elements(pres, 2)]
+    for p in elements:
+        for q in elements:
+            assert_divides_like_search(p, q, pres)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_left_divides_matches_search_on_random_words(n):
+    pres = build_presentation(n)
+    rng = random.Random(1729 + n)
+
+    def word(max_len):
+        return tuple(rng.choices(pres.generators, k=rng.randint(0, max_len)))
+
+    for i in range(300):
+        p = word(6)
+        q = p + word(6) if i % 2 else word(12)
+        assert_divides_like_search(p, q, pres)
+
+
+def test_left_divides_witness_is_normal_form(m1):
+    d, q = parse_word("d", m1), parse_word("d b d b", m1)
+    assert left_divides(d, q, m1) == parse_word("b A1 D1", m1)
+    assert left_divides((), q, m1) == parse_word("A1 D1 A1 D1", m1)
+    assert left_divides(q, d, m1) is None
