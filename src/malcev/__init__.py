@@ -15,6 +15,7 @@ from .congruence import (
     CapExceeded,
     DEFAULT_CAP,
     EqualityClass,
+    closure,
     equality_class,
     partition_agreement,
 )
@@ -50,7 +51,6 @@ from .presentation import (
     PresentationError,
     Relation,
     UnknownToken,
-    UnstructuredPresentation,
     Word,
     build_presentation,
     format_word,

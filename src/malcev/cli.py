@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success (or predicate true), 1 predicate false or verification
-violations, 2 usage or input errors, 3 internal invariant violations.
+violations, 2 usage or input errors, 3 internal invariant violations, 4 a
+search that ran out of its word budget (CapExceeded).
 """
 
 from __future__ import annotations
@@ -307,9 +308,12 @@ def run(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (AlignmentViolation, CapExceeded, OccurrenceMismatch) as exc:
+    except (AlignmentViolation, OccurrenceMismatch) as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 3
+    except CapExceeded as exc:
+        print(f"resource limit: {exc}", file=sys.stderr)
+        return 4
     except (ValueError, OSError) as exc:
         # PresentationError, WindowTooSmall, bad radius or seed, unwritable path
         print(f"error: {exc}", file=sys.stderr)

@@ -1,19 +1,21 @@
 """Equality classes by exhaustive relation application.
 
 Relations preserve length, so the class of a word under the generated
-congruence is finite and breadth-first search enumerates it exactly.  This
-module is deliberately independent of the normal-form machinery: it is the
-oracle the rewriting module is checked against.  Its search-based left
-divisibility backs the brute-force alignment oracle and its cross-check;
-production callers use the closed form in the rewriting module.
+congruence is finite and breadth-first search enumerates it exactly.  One
+search, closure, serves both equality classes and the ideal oracle of the
+ideals module.  It never reduces a word: this module is deliberately
+independent of the normal-form machinery, the oracle the rewriting module is
+checked against.  Its search-based left divisibility backs the brute-force
+alignment oracle and its cross-check; production callers use the closed form
+in the rewriting module.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import chain, product
 from typing import Optional
 
 from .presentation import Presentation, Word, check_letters, format_word
@@ -23,6 +25,7 @@ __all__ = [
     "CapExceeded",
     "DEFAULT_CAP",
     "EqualityClass",
+    "closure",
     "equality_class",
     "left_divides",
     "partition_agreement",
@@ -33,7 +36,7 @@ DEFAULT_CAP = 10**6
 
 
 class CapExceeded(RuntimeError):
-    """The class enumeration grew past the configured cap."""
+    """A closure grew past its cap on the number of words."""
 
 
 @dataclass(frozen=True)
@@ -57,36 +60,47 @@ class EqualityClass:
         return iter(self.members)
 
 
-def transitions(w: Word, relations):
-    """Words one relation application away from w, both directions, relations
-    in presentation order and positions left to right."""
-    for left, right in relations:
+def _steps(words, pres: Presentation):
+    """Words one relation application away from each of words in turn, both
+    directions, positions left to right and partners in presentation order.
+    words may grow while this runs: closure feeds it its own queue, so the
+    whole search runs in one generator."""
+    swaps_at = pres.partners.get
+    for w in words:
         for i in range(len(w) - 1):
-            pair = (w[i], w[i + 1])
-            if pair == left:
-                yield w[:i] + right + w[i + 2 :]
-            elif pair == right:
-                yield w[:i] + left + w[i + 2 :]
+            swaps = swaps_at((w[i], w[i + 1]))
+            if swaps:
+                for repl in swaps:
+                    yield w[:i] + repl + w[i + 2 :]
+
+
+def transitions(w: Word, pres: Presentation):
+    """Words one relation application away from w."""
+    return _steps((w,), pres)
+
+
+def closure(seeds, pres: Presentation, cap: int = DEFAULT_CAP) -> list:
+    """The deduplicated seeds, then every other word reachable from them by
+    relation applications, in breadth-first discovery order.  Seeds are read
+    lazily and count against cap, so a huge stream of them raises CapExceeded
+    (naming the first seed) before it fills memory."""
+    seen = set()
+    order = []  # also the queue that _steps reads while it grows
+    for v in chain(seeds, _steps(order, pres)):
+        if v not in seen:
+            if len(order) >= cap:
+                raise CapExceeded(
+                    f"closure of {format_word(order[0])} exceeds {cap} words"
+                )
+            seen.add(v)
+            order.append(v)
+    return order
 
 
 def equality_class(w: Word, pres: Presentation, cap: int = DEFAULT_CAP) -> EqualityClass:
     """Enumerate the full equality class of w by breadth-first search."""
     check_letters(w, pres)
-    seen = {w}
-    order = [w]
-    queue = deque((w,))
-    while queue:
-        u = queue.popleft()
-        for v in transitions(u, pres.relations):
-            if v not in seen:
-                if len(seen) >= cap:
-                    raise CapExceeded(
-                        f"class of {format_word(w)} exceeds {cap} words"
-                    )
-                seen.add(v)
-                order.append(v)
-                queue.append(v)
-    return EqualityClass(w, tuple(order))
+    return EqualityClass(w, tuple(closure((w,), pres, cap)))
 
 
 def left_divides(p: Word, q: Word, pres: Presentation) -> Optional[Word]:

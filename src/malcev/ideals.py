@@ -5,19 +5,20 @@ is nonempty and n >= 2; for n = 1 it needs at most two generators.  The fast
 algorithm checks mutual reachability with the closed-form divisibility of
 the rewriting module and otherwise intersects the one-letter Q extensions of
 p and q.  Its oracle is a windowed brute-force search over common multiples,
-minimised with the search-based divisibility of the congruence module.
+minimised with the search-based divisibility of the congruence module.  The
+ideal words come from the same closure that enumerates equality classes,
+seeded with the literal extensions of an element.
 """
 
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass
 from itertools import product
 
 from . import rewriting
-from .congruence import DEFAULT_CAP, CapExceeded, left_divides
-from .presentation import Presentation, PresentationError, format_word
+from .congruence import closure, left_divides
+from .presentation import Presentation, PresentationError
 from .rewriting import Element, element_key, enumerate_elements, reduce_word
 
 __all__ = [
@@ -84,9 +85,8 @@ def intersect_principal(
         return IntersectionResult(PRINCIPAL, (q,), "reachable-p-to-q")
     if rewriting.left_divides(q.nf, p.nf, pres) is not None:
         return IntersectionResult(PRINCIPAL, (p,), "reachable-q-to-p")
-    q_letters = [x for x in pres.generators if x in pres.q_set]
-    p_ext = {reduce_word(p.nf + (x,), pres) for x in q_letters}
-    q_ext = {reduce_word(q.nf + (y,), pres) for y in q_letters}
+    p_ext = {reduce_word(p.nf + (x,), pres) for x in pres.q_letters}
+    q_ext = {reduce_word(q.nf + (y,), pres) for y in pres.q_letters}
     shared = p_ext & q_ext
     if not shared:
         return IntersectionResult(EMPTY, (), "base-search")
@@ -103,31 +103,15 @@ def intersect_principal(
 
 def _ideal_words(root, window: int, pres: Presentation):
     """Every word of length <= window equal to root times some word: the
-    transition closure of the literal extensions of root."""
-    partners = {}
-    for left, right in pres.relations:
-        partners.setdefault(left, []).append(right)
-        partners.setdefault(right, []).append(left)
-    seeds = []
-    for extra in range(window - len(root) + 1):
-        for x in product(pres.generators, repeat=extra):
-            seeds.append(root + x)
-    seen = set(seeds)
-    queue = deque(seeds)
-    while queue:
-        u = queue.popleft()
-        for i in range(len(u) - 1):
-            for repl in partners.get((u[i], u[i + 1]), ()):
-                v = u[:i] + repl + u[i + 2 :]
-                if v not in seen:
-                    if len(seen) >= DEFAULT_CAP:
-                        raise CapExceeded(
-                            f"ideal of {format_word(root)} exceeds {DEFAULT_CAP} words "
-                            f"within window {window}"
-                        )
-                    seen.add(v)
-                    queue.append(v)
-    return seen
+    closure of the literal extensions of root, generated lazily.  The
+    identity's extensions are already every word within the window, and
+    relations preserve length, so they are returned as a stream, unclosed."""
+    seeds = (
+        root + x
+        for extra in range(window - len(root) + 1)
+        for x in product(pres.generators, repeat=extra)
+    )
+    return closure(seeds, pres) if root else seeds
 
 
 def common_multiples(p: Element, q: Element, window: int, pres: Presentation):
@@ -137,7 +121,12 @@ def common_multiples(p: Element, q: Element, window: int, pres: Presentation):
             f"window {window} cannot reach a minimal common multiple of "
             f"{p} and {q}"
         )
-    words = _ideal_words(p.nf, window, pres) & _ideal_words(q.nf, window, pres)
+    if not p.nf:  # the identity's ideal is every word: the meet is qM
+        p, q = q, p
+    words = _ideal_words(p.nf, window, pres)
+    if q.nf:
+        q_words = set(_ideal_words(q.nf, window, pres))
+        words = (w for w in words if w in q_words)
     elements = {Element(reduce_word(w, pres), pres) for w in words}
     return sorted(elements, key=element_key)
 

@@ -6,7 +6,8 @@ C_1..C_n, D_1..D_n and 2n+1 relations, each pairing two two-letter words.
 Every algorithm downstream consumes the derived structure computed here:
 the first-letter class P, the second-letter class Q, the left/right relation
 word sets L and R, the rewrite map sending each R word to its L partner, and
-the index r_partners listing the R partners of each L word.
+the two-way index partners listing, for every relation word, the words it
+can be swapped for.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ __all__ = [
     "PresentationError",
     "Relation",
     "UnknownToken",
-    "UnstructuredPresentation",
     "Word",
     "build_presentation",
     "check_letters",
@@ -72,11 +72,6 @@ class ForeignLetter(PresentationError):
     """A word uses letters outside the presentation's generators."""
 
 
-class UnstructuredPresentation(PresentationError):
-    """The operation needs a presentation produced by build_presentation or
-    validate_generic."""
-
-
 BASE_KINDS = ("a", "b", "c", "d")
 INDEXED_KINDS = ("A", "B", "C", "D")
 
@@ -118,68 +113,64 @@ def letter_from_token(token: str) -> Letter:
 class Presentation:
     """A balanced two-letter presentation together with its derived structure.
 
-    Instances built by :func:`build_presentation` or :func:`validate_generic`
-    are fully validated ("structured"): P and Q are disjoint, L and R are
-    disjoint, and the rewrite map is functional.  Hand-assembled instances
-    are accepted by the congruence search only.
+    Construction validates the relations: every side has length 2, P and Q
+    are disjoint, L and R are disjoint, and the rewrite map is functional.
     """
 
     n: Optional[int]
     generators: tuple
     relations: tuple
-    p_set: frozenset
-    q_set: frozenset
-    l_words: frozenset
-    r_words: frozenset
-    rewrite_map: dict
-    structured: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "generator_set", frozenset(self.generators))
-        object.__setattr__(self, "by_token", {g.token: g for g in self.generators})
-        object.__setattr__(self, "r_partners", {})
         for left, right in self.relations:
-            self.r_partners.setdefault(left, []).append(right)
+            if len(left) != 2 or len(right) != 2:
+                raise NotBalanced(
+                    f"relation sides must have length 2: "
+                    f"{format_word(left)} = {format_word(right)}"
+                )
+        sides = [side for rel in self.relations for side in rel]
+        p_set = frozenset(side[0] for side in sides)
+        q_set = frozenset(side[1] for side in sides)
+        if p_set & q_set:
+            raise PQOverlap(
+                "letters occur in both positions: "
+                + " ".join(sorted(x.token for x in p_set & q_set))
+            )
+        l_words = frozenset(left for left, _ in self.relations)
+        r_words = frozenset(right for _, right in self.relations)
+        if l_words & r_words:
+            raise LROverlap(
+                "words occur on both sides: "
+                + ", ".join(sorted(format_word(w) for w in l_words & r_words))
+            )
+        rewrite_map = {}
+        partners = {}
+        for left, right in self.relations:
+            if rewrite_map.setdefault(right, left) != left:
+                raise AmbiguousRewrite(
+                    f"{format_word(right)} has two distinct left partners"
+                )
+            partners.setdefault(left, []).append(right)
+            partners.setdefault(right, []).append(left)
+        derived = {
+            "generator_set": frozenset(self.generators),
+            "by_token": {g.token: g for g in self.generators},
+            "p_set": p_set,
+            "q_set": q_set,
+            "q_letters": tuple(x for x in self.generators if x in q_set),
+            "l_words": l_words,
+            "r_words": r_words,
+            "rewrite_map": rewrite_map,
+            "partners": {w: tuple(ws) for w, ws in partners.items()},
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     def __repr__(self) -> str:
         return (
             f"Presentation(n={self.n}, {len(self.generators)} generators, "
             f"{len(self.relations)} relations)"
         )
-
-
-def _derive(n: Optional[int], generators: tuple, relations: tuple) -> Presentation:
-    for rel in relations:
-        if len(rel.left) != 2 or len(rel.right) != 2:
-            raise NotBalanced(
-                f"relation sides must have length 2: "
-                f"{format_word(rel.left)} = {format_word(rel.right)}"
-            )
-    p_set = frozenset(side[0] for rel in relations for side in rel)
-    q_set = frozenset(side[1] for rel in relations for side in rel)
-    overlap = p_set & q_set
-    if overlap:
-        raise PQOverlap(
-            "letters occur in both positions: "
-            + " ".join(sorted(x.token for x in overlap))
-        )
-    l_words = frozenset(rel.left for rel in relations)
-    r_words = frozenset(rel.right for rel in relations)
-    if l_words & r_words:
-        raise LROverlap(
-            "words occur on both sides: "
-            + ", ".join(sorted(format_word(w) for w in l_words & r_words))
-        )
-    rewrite_map = {}
-    for rel in relations:
-        if rewrite_map.get(rel.right, rel.left) != rel.left:
-            raise AmbiguousRewrite(
-                f"{format_word(rel.right)} has two distinct left partners"
-            )
-        rewrite_map[rel.right] = rel.left
-    return Presentation(
-        n, generators, relations, p_set, q_set, l_words, r_words, rewrite_map
-    )
 
 
 def build_presentation(n: int) -> Presentation:
@@ -211,25 +202,18 @@ def build_presentation(n: int) -> Presentation:
     relations += [
         Relation((B[i + 1], C[i + 1]), (B[i], D[i])) for i in range(n - 1, 0, -1)
     ]
-    return _derive(n, generators, tuple(relations))
+    return Presentation(n, generators, tuple(relations))
 
 
 def validate_generic(relations) -> Presentation:
-    """Validate a user-supplied list of relations as a structured presentation.
+    """Validate a user-supplied list of relations as a presentation.
 
     Accepts any iterable of (left, right) word pairs.  The generator set is
     the letters occurring in the relations, in order of first appearance.
     """
     rels = tuple(Relation(tuple(left), tuple(right)) for left, right in relations)
-    seen = set()
-    generators = []
-    for rel in rels:
-        for side in rel:
-            for letter in side:
-                if letter not in seen:
-                    seen.add(letter)
-                    generators.append(letter)
-    return _derive(None, tuple(generators), rels)
+    letters = (letter for rel in rels for side in rel for letter in side)
+    return Presentation(None, tuple(dict.fromkeys(letters)), rels)
 
 
 def check_letters(w: Word, pres: Presentation) -> None:

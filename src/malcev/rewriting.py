@@ -16,13 +16,7 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Optional
 
-from .presentation import (
-    Presentation,
-    UnstructuredPresentation,
-    Word,
-    check_letters,
-    format_word,
-)
+from .presentation import Presentation, Word, check_letters, format_word
 
 __all__ = [
     "Element",
@@ -57,8 +51,6 @@ class Element:
 
 def reduce_word(w: Word, pres: Presentation) -> Word:
     """Single left-to-right reduction pass; returns the normal form of w."""
-    if not pres.structured:
-        raise UnstructuredPresentation("normal forms need a validated presentation")
     rewrite = pres.rewrite_map
     out = list(w)
     i, last = 0, len(out) - 1
@@ -89,12 +81,13 @@ def equal(w1: Word, w2: Word, pres: Presentation) -> bool:
 
 def left_divides(p: Word, q: Word, pres: Presentation) -> Optional[Word]:
     """Witness w with p w = q as a normal form, or None; reducing nf(p) w can
-    rewrite only the pair across the boundary, an R word into its L partner."""
+    rewrite only the pair across the boundary, an R word into its L partner.
+    That pair of nf(q) is never an R word, so its partners are R words."""
     p, q = reduce_word(p, pres), reduce_word(q, pres)
     k = len(p)
     if q[:k] == p:
         return q[k:]
-    for right in pres.r_partners.get(q[k - 1 : k + 1], ()):
+    for right in pres.partners.get(q[k - 1 : k + 1], ()):
         if right[0] == p[-1] and q[: k - 1] == p[:-1]:
             return right[1:] + q[k + 1 :]
     return None

@@ -3,6 +3,7 @@ import json
 import pytest
 
 import malcev.cli as cli
+from malcev.congruence import CapExceeded
 from malcev.ideals import AlignmentViolation
 from malcev.cli import run
 
@@ -293,6 +294,17 @@ def test_invariant_violation_exits_3(monkeypatch, capsys):
     assert run(["intersect", "-n", "1", "-p", "a", "-q", "b"]) == 3
     _, err = out_of(capsys)
     assert "invariant violation: planted" in err
+
+
+def test_cap_exceeded_exits_4(monkeypatch, capsys):
+    def boom(pres, max_len):
+        raise CapExceeded("planted")
+
+    monkeypatch.setattr(cli, "partition_agreement", boom)
+    assert run(["verify", "-n", "1", "--suite", "nf-oracle", "--max-len", "1"]) == 4
+    _, err = out_of(capsys)
+    assert "resource limit: planted" in err
+    assert "invariant violation" not in err
 
 
 def test_entry_point_raises_system_exit():

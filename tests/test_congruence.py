@@ -1,21 +1,16 @@
-from itertools import product
+from itertools import count, product
 
 import pytest
 
 from malcev.congruence import (
     CapExceeded,
+    closure,
     equality_class,
     left_divides,
     partition_agreement,
     transitions,
 )
-from malcev.presentation import (
-    ForeignLetter,
-    Presentation,
-    format_word,
-    letter_from_token,
-    parse_word,
-)
+from malcev.presentation import ForeignLetter, format_word, parse_word
 from malcev.rewriting import equal
 
 
@@ -72,9 +67,30 @@ def test_cap_exceeded(m1):
         equality_class(w("d a", m1), m1, cap=1)
 
 
+def test_closure_reads_seeds_lazily_against_cap(m1):
+    a = w("a", m1)
+    endless = (a * k for k in count(1))  # distinct, and no relation applies
+    with pytest.raises(CapExceeded, match="closure of a exceeds 10 words"):
+        closure(endless, m1, cap=10)
+
+
+def test_closure_of_seeds_is_union_of_classes(m1, m2):
+    for pres, texts in (
+        (m1, ["d a", "A1 C1", "d b d b", "c", "d a"]),
+        (m2, ["B2 C2 d", "c b", "B2 C2 d", "1"]),
+    ):
+        seeds = [w(t, pres) for t in texts]
+        words = closure(iter(seeds), pres)
+        assert words[: len(set(seeds))] == list(dict.fromkeys(seeds))
+        assert len(words) == len(set(words))
+        assert set(words) == set().union(
+            *(equality_class(s, pres).member_set for s in seeds)
+        )
+
+
 def test_transitions_order_and_content(m1):
-    # relations scan in presentation order, positions left to right
-    out = list(transitions(w("d a d b", m1), m1.relations))
+    # positions scan left to right, partners in presentation order
+    out = list(transitions(w("d a d b", m1), m1))
     assert out == [
         w("A1 C1 d b", m1),  # (d a, A1 C1) applied at 0
         w("d a A1 D1", m1),  # (A1 D1, d b) applied backwards at 2
@@ -139,24 +155,3 @@ def test_left_divisibility_is_transitive(m1):
 def test_partitions_agree_small(m1, m2):
     assert partition_agreement(m1, 3) == []
     assert partition_agreement(m2, 2) == []
-
-
-def test_bfs_handles_unstructured_presentation():
-    # the congruence search needs no P/Q structure at all
-    def tok(text):
-        return tuple(letter_from_token(t) for t in text.split())
-
-    swap = Presentation(
-        n=None,
-        generators=tok("a b"),
-        relations=((tok("a b"), tok("b a")),),
-        p_set=frozenset(),
-        q_set=frozenset(),
-        l_words=frozenset(),
-        r_words=frozenset(),
-        rewrite_map={},
-        structured=False,
-    )
-    cls = equality_class(tok("a a b"), swap)
-    assert cls.member_set == {tok("a a b"), tok("a b a"), tok("b a a")}
-    assert left_divides(tok("b"), tok("a b"), swap) == tok("a")

@@ -11,6 +11,7 @@ from malcev.ideals import (
     AlignmentViolation,
     WindowTooSmall,
     brute_force_intersection,
+    _ideal_words,
     common_multiples,
     intersect_principal,
     minimal_elements,
@@ -22,6 +23,7 @@ from malcev.presentation import (
     validate_generic,
 )
 from malcev.rewriting import (
+    element_key,
     enumerate_elements,
     is_intersection_base,
     left_normal_form,
@@ -209,3 +211,20 @@ def test_foreign_presentation_trips_alignment_check():
     q = el("A1", fake)
     with pytest.raises(AlignmentViolation):
         intersect_principal(p, q, fake)
+
+
+def test_common_multiples_with_identity(m3):
+    # the identity's ideal holds every word of the window (1,118,481 at n=3,
+    # window 5, over the closure cap), so the meet is the other ideal
+    one, q = el("1", m3), el("d a", m3)
+    expected = sorted(
+        {left_normal_form(w, m3) for w in _ideal_words(q.nf, 5, m3)},
+        key=element_key,
+    )
+    assert common_multiples(one, q, 5, m3) == expected
+    assert common_multiples(q, one, 5, m3) == expected
+
+
+def test_common_multiples_of_identity_with_itself(m1):
+    one = el("1", m1)
+    assert common_multiples(one, one, 3, m1) == enumerate_elements(m1, 3)

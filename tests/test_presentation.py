@@ -7,6 +7,7 @@ from malcev.presentation import (
     LROverlap,
     NotBalanced,
     PQOverlap,
+    Presentation,
     PresentationError,
     UnknownToken,
     build_presentation,
@@ -75,6 +76,18 @@ def test_derived_structure_invariants():
         assert set(pres.rewrite_map.values()) == set(pres.l_words)
         for rel in pres.relations:
             assert pres.rewrite_map[rel.right] == rel.left
+        # partners, against the relations alone: each side of a relation
+        # lists the other, in presentation order, both directions
+        sides = {side for rel in pres.relations for side in rel}
+        assert set(pres.partners) == sides
+        for word in sides:
+            assert list(pres.partners[word]) == [
+                other
+                for rel in pres.relations
+                for side, other in (rel, rel[::-1])
+                if side == word
+            ]
+        assert pres.q_letters == tuple(x for x in pres.generators if x in pres.q_set)
 
 
 @pytest.mark.parametrize("bad", [0, -1, "2", 1.5, None])
@@ -130,6 +143,8 @@ def tok(text):
 def test_validate_generic_rejects_position_overlap():
     with pytest.raises(PQOverlap):
         validate_generic([(tok("a b"), tok("b a"))])
+    with pytest.raises(PQOverlap):  # the constructor itself validates
+        Presentation(None, tok("a b"), ((tok("a b"), tok("b a")),))
 
 
 def test_validate_generic_rejects_unbalanced():

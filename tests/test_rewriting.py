@@ -6,8 +6,6 @@ import pytest
 from malcev import congruence
 from malcev.presentation import (
     ForeignLetter,
-    Presentation,
-    UnstructuredPresentation,
     build_presentation,
     parse_word,
 )
@@ -55,22 +53,6 @@ def test_foreign_letter(m1, m2):
         left_normal_form(w, m1)
     with pytest.raises(ForeignLetter):
         equal(w, w, m1)
-
-
-def test_unstructured_presentation_refused(m1):
-    raw = Presentation(
-        n=None,
-        generators=m1.generators,
-        relations=m1.relations,
-        p_set=frozenset(),
-        q_set=frozenset(),
-        l_words=frozenset(),
-        r_words=frozenset(),
-        rewrite_map={},
-        structured=False,
-    )
-    with pytest.raises(UnstructuredPresentation):
-        reduce_word(parse_word("d a", m1), raw)
 
 
 def all_words(pres, max_len):
@@ -179,22 +161,12 @@ def test_no_cancellation_failures_small(m1, m2):
 def test_cancellation_sweep_detects_planted_failure():
     # sanity-check the checker itself on a system that is not cancellative:
     # the relation x v = z v merges two elements after appending v
-    from malcev.presentation import Relation, letter_from_token
+    from malcev.presentation import letter_from_token, validate_generic
 
     def tok(text):
         return tuple(letter_from_token(t) for t in text.split())
 
-    broken = Presentation(
-        n=None,
-        generators=tok("x z v"),
-        relations=(Relation(tok("x v"), tok("z v")),),
-        p_set=frozenset(tok("x z")),
-        q_set=frozenset(tok("v")),
-        l_words=frozenset({tok("x v")}),
-        r_words=frozenset({tok("z v")}),
-        rewrite_map={tok("z v"): tok("x v")},
-        structured=True,
-    )
+    broken = validate_generic([(tok("x v"), tok("z v"))])
     found = cancellativity_violations(broken, 1, 1)
     assert len(found) == 1
     assert found[0].startswith("right:")
