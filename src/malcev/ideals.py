@@ -4,22 +4,38 @@ For elements p, q of M_n the intersection pM and qM is principal whenever it
 is nonempty and n >= 2; for n = 1 it needs at most two generators.  The fast
 algorithm checks mutual reachability with the closed-form divisibility of
 the rewriting module and otherwise intersects the one-letter Q extensions of
-p and q.  Its oracle is a windowed brute-force search over common multiples,
-minimised with the search-based divisibility of the congruence module.  The
-ideal words come from the same closure that enumerates equality classes,
-seeded with the literal extensions of an element.
+p and q.  Its oracle is a windowed brute-force search over common multiples.
+The ideal of an element within the window comes from the same closure that
+enumerates equality classes, seeded with the element's literal extensions;
+the identity's ideal is every element and is never built.
+
+The alignment sweep does each element's work once.  It computes every
+element's Q extensions once, keyed by normal form, and stores no per-pair
+result.  Its oracle builds each root's ideal once: the sample is drawn
+before the sweep, the uses of each root in it are counted, and an ideal is
+dropped right after its last use.  Common multiples are then the meet of two
+ideals, and the returned generators are checked by membership in their own
+ideals.  The per-pair oracle, brute_force_intersection, is minimised with
+the search-based divisibility of the congruence module and describes any
+pair that fails.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
-from itertools import product
+from itertools import permutations, product
 
-from . import rewriting
-from .congruence import closure, left_divides
-from .presentation import Presentation, PresentationError
-from .rewriting import Element, element_key, enumerate_elements, reduce_word
+from .congruence import DEFAULT_CAP, closure, left_divides
+from .presentation import Presentation, PresentationError, format_word
+from .rewriting import (
+    Element,
+    _left_divides_nf,
+    element_key,
+    enumerate_elements,
+    reduce_word,
+)
 
 __all__ = [
     "AlignmentReport",
@@ -81,37 +97,62 @@ def intersect_principal(
     """
     if pres.n is None:
         raise PresentationError("ideal intersection needs the indexed family")
-    if rewriting.left_divides(p.nf, q.nf, pres) is not None:
-        return IntersectionResult(PRINCIPAL, (q,), "reachable-p-to-q")
-    if rewriting.left_divides(q.nf, p.nf, pres) is not None:
-        return IntersectionResult(PRINCIPAL, (p,), "reachable-q-to-p")
-    p_ext = {reduce_word(p.nf + (x,), pres) for x in pres.q_letters}
-    q_ext = {reduce_word(q.nf + (y,), pres) for y in pres.q_letters}
-    shared = p_ext & q_ext
-    if not shared:
-        return IntersectionResult(EMPTY, (), "base-search")
-    bases = tuple(sorted((Element(w, pres) for w in shared), key=element_key))
-    if len(bases) == 1:
-        return IntersectionResult(PRINCIPAL, bases, "base-search")
-    if len(bases) == 2 and pres.n == 1:
-        return IntersectionResult(GENERATORS, bases, "base-search")
-    raise AlignmentViolation(
-        f"{len(bases)} incomparable bases for p={p}, q={q} at n={pres.n}: "
-        + "; ".join(str(b) for b in bases)
+    provenance, gens = _meet(
+        p.nf, q.nf, _q_extensions(p.nf, pres), _q_extensions(q.nf, pres), pres
     )
+    kind = (EMPTY, PRINCIPAL, GENERATORS)[len(gens)]
+    return IntersectionResult(kind, tuple(_elements(gens, pres)), provenance)
 
 
-def _ideal_words(root, window: int, pres: Presentation):
-    """Every word of length <= window equal to root times some word: the
-    closure of the literal extensions of root, generated lazily.  The
-    identity's extensions are already every word within the window, and
-    relations preserve length, so they are returned as a stream, unclosed."""
+def _q_extensions(nf, pres: Presentation) -> frozenset:
+    """Normal forms of nf times each Q letter."""
+    return frozenset(reduce_word(nf + (x,), pres) for x in pres.q_letters)
+
+
+def _meet(p, q, p_ext, q_ext, pres: Presentation):
+    """Provenance and generator normal forms, unordered, of pM and qM's
+    intersection, for normal forms p and q with Q extensions p_ext and q_ext."""
+    if _left_divides_nf(p, q, pres) is not None:
+        return "reachable-p-to-q", (q,)
+    if _left_divides_nf(q, p, pres) is not None:
+        return "reachable-q-to-p", (p,)
+    shared = p_ext & q_ext
+    if len(shared) > (2 if pres.n == 1 else 1):
+        bases = _elements(shared, pres)
+        raise AlignmentViolation(
+            f"{len(bases)} incomparable bases for p={format_word(p)}, "
+            f"q={format_word(q)} at n={pres.n}: "
+            + "; ".join(str(b) for b in bases)
+        )
+    return "base-search", tuple(shared)
+
+
+def _elements(words, pres: Presentation) -> list:
+    """The elements with normal forms words, sorted by element_key."""
+    return sorted((Element(w, pres) for w in words), key=element_key)
+
+
+def _ideal(root, window: int, pres: Presentation):
+    """Normal forms of the elements of length <= window that root
+    left-divides: the closure of root's literal extensions, reduced.  None
+    for the identity, whose ideal is every element and is never built."""
+    if not root:
+        return None
     seeds = (
         root + x
         for extra in range(window - len(root) + 1)
         for x in product(pres.generators, repeat=extra)
     )
-    return closure(seeds, pres) if root else seeds
+    return frozenset(reduce_word(w, pres) for w in closure(seeds, pres))
+
+
+def _common(p_ideal, q_ideal):
+    """Meet of two ideals from _ideal; None only when both are None."""
+    if p_ideal is None:
+        return q_ideal
+    if q_ideal is None:
+        return p_ideal
+    return p_ideal & q_ideal
 
 
 def common_multiples(p: Element, q: Element, window: int, pres: Presentation):
@@ -121,14 +162,10 @@ def common_multiples(p: Element, q: Element, window: int, pres: Presentation):
             f"window {window} cannot reach a minimal common multiple of "
             f"{p} and {q}"
         )
-    if not p.nf:  # the identity's ideal is every word: the meet is qM
-        p, q = q, p
-    words = _ideal_words(p.nf, window, pres)
-    if q.nf:
-        q_words = set(_ideal_words(q.nf, window, pres))
-        words = (w for w in words if w in q_words)
-    elements = {Element(reduce_word(w, pres), pres) for w in words}
-    return sorted(elements, key=element_key)
+    common = _common(_ideal(p.nf, window, pres), _ideal(q.nf, window, pres))
+    if common is None:  # both are the identity
+        return enumerate_elements(pres, window)
+    return _elements(common, pres)
 
 
 def minimal_elements(elements, pres: Presentation):
@@ -148,6 +185,71 @@ def brute_force_intersection(p: Element, q: Element, window: int, pres: Presenta
     """Minimal common multiples of p and q within the window; oracle for
     intersect_principal."""
     return minimal_elements(common_multiples(p, q, window, pres), pres)
+
+
+def _is_meet(gens, gen_ideals, common) -> bool:
+    """Whether gens are exactly the minimal elements of common, the common
+    multiples within the window (None: every element), given gen_ideals,
+    the ideal of each generator.
+
+    It holds when every generator is a common multiple, none lies in
+    another's ideal, and every common multiple lies in some generator's
+    ideal.  A minimal element then lies in the ideal of a generator, which
+    it must equal.  A generator is minimal: a proper divisor of it in common
+    would lie in the ideal of another generator, which would then divide it.
+    """
+    if not all(common is None or g in common for g in gens):
+        return False
+    pairs = permutations(zip(gens, gen_ideals), 2)
+    if any(h_ideal is None or g in h_ideal for (g, _), (_, h_ideal) in pairs):
+        return False
+    if () in gens:  # the identity divides everything
+        return True
+    return common is not None and not common.difference(*gen_ideals)
+
+
+def _oracle_mismatches(sample, extensions, window: int, pres: Presentation):
+    """Check the meet of each sampled pair against the brute-force oracle.
+
+    Each root's ideal is built once and dropped after its last use: the
+    uses of every root, as a sampled element or as a returned generator,
+    are counted before the first ideal is built.
+    """
+    checks = []
+    for p, q in sample:
+        try:
+            _, gens = _meet(p, q, extensions[p], extensions[q], pres)
+        except AlignmentViolation:
+            continue  # already reported by the sweep
+        checks.append((p, q, gens))
+    uses = Counter(root for p, q, gens in checks for root in (p, q, *gens) if root)
+    ideals = {}
+
+    def ideal(root):
+        if not root:
+            return None
+        found = ideals.get(root)
+        if found is None:
+            found = ideals[root] = _ideal(root, window, pres)
+        uses[root] -= 1
+        if not uses[root]:
+            del ideals[root]
+        return found
+
+    mismatches = []
+    for p, q, gens in checks:
+        common = _common(ideal(p), ideal(q))
+        gen_ideals = [ideal(g) for g in gens]
+        if not _is_meet(gens, gen_ideals, common):
+            minimal = brute_force_intersection(
+                Element(p, pres), Element(q, pres), window, pres
+            )
+            mismatches.append(
+                f"({format_word(p)}, {format_word(q)}): fast generators "
+                f"{[str(g) for g in _elements(gens, pres)]} vs oracle "
+                f"{[str(m) for m in minimal]}"
+            )
+    return mismatches
 
 
 @dataclass(frozen=True)
@@ -201,59 +303,64 @@ def verify_alignment(
 ) -> AlignmentReport:
     """Exhaustively intersect all ordered pairs of elements of length
     <= max_len, then validate a seeded sample of pairs against the
-    brute-force oracle.  Problems are reported, not raised."""
+    brute-force oracle.  Problems are reported, not raised.
+
+    Each piece of per-element work runs once per sweep.  Every element's
+    one-letter Q extensions are computed once, keyed by its normal form.
+    The sample is drawn before the sweep, and no per-pair result is stored:
+    the sampled pairs' meets are recomputed from the cached extensions.  The
+    oracle builds the ideal of each sampled element and returned generator
+    once, and drops it after its last use in the sample.  A window in which
+    some sampled element has more literal extensions than the closure cap
+    is refused up front with a ValueError.
+    """
     if pres.n is None:
         raise PresentationError("alignment verification needs the indexed family")
     if window < max_len + 1:
         raise WindowTooSmall(f"window {window} below element bound {max_len} + 1")
-    elements = enumerate_elements(pres, max_len)
-    total = len(elements) ** 2
+    nfs = [e.nf for e in enumerate_elements(pres, max_len)]
+    total = len(nfs) ** 2
+    rng = random.Random(seed)
+    k = min(samples, total)
+    sample = [
+        (nfs[idx // len(nfs)], nfs[idx % len(nfs)])
+        for idx in rng.sample(range(total), k)
+    ]
+    shortest = min((w for pair in sample for w in pair if w), key=len, default=None)
+    if shortest is not None:
+        seeds = sum(
+            len(pres.generators) ** extra
+            for extra in range(window - len(shortest) + 1)
+        )
+        if seeds > DEFAULT_CAP:
+            raise ValueError(
+                f"window {window} is too large for the oracle: the ideal of "
+                f"{format_word(shortest)} has {seeds} seed words, over the "
+                f"closure cap of {DEFAULT_CAP}"
+            )
+    extensions = {w: _q_extensions(w, pres) for w in nfs}
     max_generators = 0
     non_principal = []
     mismatches = []
-    results = {}
-    for p in elements:
-        for q in elements:
+    for p, p_ext in extensions.items():
+        for q, q_ext in extensions.items():
             try:
-                res = intersect_principal(p, q, pres)
+                _, gens = _meet(p, q, p_ext, q_ext, pres)
             except AlignmentViolation as exc:
-                mismatches.append(f"({p}, {q}): {exc}")
+                mismatches.append(f"({format_word(p)}, {format_word(q)}): {exc}")
                 continue
-            results[(p, q)] = res
-            count = len(res.generators)
+            count = len(gens)
             if count > max_generators:
                 max_generators = count
             if count >= 2:
                 non_principal.append(
-                    (str(p), str(q), tuple(str(g) for g in res.generators))
+                    (
+                        format_word(p),
+                        format_word(q),
+                        tuple(str(g) for g in _elements(gens, pres)),
+                    )
                 )
-    rng = random.Random(seed)
-    k = min(samples, total)
-    for idx in rng.sample(range(total), k):
-        p = elements[idx // len(elements)]
-        q = elements[idx % len(elements)]
-        res = results.get((p, q))
-        if res is None:
-            continue  # already reported above
-        common = common_multiples(p, q, window, pres)
-        minimal = minimal_elements(common, pres)
-        if {g.nf for g in res.generators} != {m.nf for m in minimal}:
-            mismatches.append(
-                f"({p}, {q}): fast generators "
-                f"{[str(g) for g in res.generators]} vs oracle "
-                f"{[str(m) for m in minimal]}"
-            )
-            continue
-        for w in common:
-            if not any(
-                left_divides(g.nf, w.nf, pres) is not None
-                for g in res.generators
-            ):
-                mismatches.append(
-                    f"({p}, {q}): common multiple {w} not divisible by any "
-                    f"returned generator"
-                )
-                break
+    mismatches += _oracle_mismatches(sample, extensions, window, pres)
     return AlignmentReport(
         n=pres.n,
         max_len=max_len,

@@ -113,8 +113,9 @@ def letter_from_token(token: str) -> Letter:
 class Presentation:
     """A balanced two-letter presentation together with its derived structure.
 
-    Construction validates the relations: every side has length 2, P and Q
-    are disjoint, L and R are disjoint, and the rewrite map is functional.
+    Construction validates the relations: every side has length 2 and uses
+    only the generators, P and Q are disjoint, L and R are disjoint, and the
+    rewrite map is functional.
     """
 
     n: Optional[int]
@@ -129,6 +130,13 @@ class Presentation:
                     f"{format_word(left)} = {format_word(right)}"
                 )
         sides = [side for rel in self.relations for side in rel]
+        generator_set = frozenset(self.generators)
+        foreign = {x for side in sides for x in side} - generator_set
+        if foreign:
+            raise ForeignLetter(
+                "relation letters outside the generators: "
+                + " ".join(sorted(x.token for x in foreign))
+            )
         p_set = frozenset(side[0] for side in sides)
         q_set = frozenset(side[1] for side in sides)
         if p_set & q_set:
@@ -153,7 +161,7 @@ class Presentation:
             partners.setdefault(left, []).append(right)
             partners.setdefault(right, []).append(left)
         derived = {
-            "generator_set": frozenset(self.generators),
+            "generator_set": generator_set,
             "by_token": {g.token: g for g in self.generators},
             "p_set": p_set,
             "q_set": q_set,

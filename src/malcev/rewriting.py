@@ -80,10 +80,14 @@ def equal(w1: Word, w2: Word, pres: Presentation) -> bool:
 
 
 def left_divides(p: Word, q: Word, pres: Presentation) -> Optional[Word]:
-    """Witness w with p w = q as a normal form, or None; reducing nf(p) w can
-    rewrite only the pair across the boundary, an R word into its L partner.
-    That pair of nf(q) is never an R word, so its partners are R words."""
-    p, q = reduce_word(p, pres), reduce_word(q, pres)
+    """Witness w with p w = q as a normal form, or None."""
+    return _left_divides_nf(reduce_word(p, pres), reduce_word(q, pres), pres)
+
+
+def _left_divides_nf(p: Word, q: Word, pres: Presentation) -> Optional[Word]:
+    """left_divides for normal forms p and q.  Reducing p w can rewrite only
+    the pair across the boundary, an R word into its L partner.  That pair of
+    q is never an R word, so its partners are R words."""
     k = len(p)
     if q[:k] == p:
         return q[k:]

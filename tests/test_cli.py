@@ -286,6 +286,18 @@ def test_window_too_small_exits_2(capsys):
     assert "window" in err
 
 
+def test_oracle_window_over_cap_exits_2(capsys):
+    # a one-letter root has sum(8^k, k <= 7) = 2,396,745 seeds in window 8
+    argv = ["verify", "-n", "1", "--suite", "alignment", "--max-len", "2"]
+    argv += ["--window", "8"]
+    assert run(argv + ["--samples", "4900"]) == 2
+    out, err = out_of(capsys)
+    assert out == ""
+    assert err.startswith("error: window 8 is too large for the oracle")
+    assert "2396745 seed words" in err
+    assert run(argv + ["--samples", "0"]) == 0  # no oracle, no ideal
+
+
 def test_invariant_violation_exits_3(monkeypatch, capsys):
     def boom(p, q, pres):
         raise AlignmentViolation("planted")

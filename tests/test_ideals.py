@@ -1,17 +1,22 @@
 import dataclasses
+import weakref
+from collections import Counter
+from itertools import chain, permutations, product
 
 import pytest
 
+from malcev import congruence, ideals
 from malcev.cayley import predecessors
 from malcev.congruence import left_divides
 from malcev.ideals import (
+    DEFAULT_SEED,
     EMPTY,
     GENERATORS,
     PRINCIPAL,
+    AlignmentReport,
     AlignmentViolation,
     WindowTooSmall,
     brute_force_intersection,
-    _ideal_words,
     common_multiples,
     intersect_principal,
     minimal_elements,
@@ -27,6 +32,7 @@ from malcev.rewriting import (
     enumerate_elements,
     is_intersection_base,
     left_normal_form,
+    reduce_word,
 )
 
 
@@ -78,10 +84,16 @@ def test_reachable_pairs(m1):
 
 
 def test_generators_are_incomparable(m1):
-    res = intersect_principal(el("A1", m1), el("d", m1), m1)
-    g1, g2 = res.generators
-    assert left_divides(g1.nf, g2.nf, m1) is None
-    assert left_divides(g2.nf, g1.nf, m1) is None
+    # every ordered pair of length <= 2; the search-based divisibility judges
+    elements = enumerate_elements(m1, 2)
+    checked = 0
+    for p in elements:
+        for q in elements:
+            gens = intersect_principal(p, q, m1).generators
+            for g, h in permutations(gens, 2):
+                assert left_divides(g.nf, h.nf, m1) is None, (p, q, g, h)
+                checked += 1
+    assert checked == 2 * 18  # the 18 non-principal pairs of the n = 1 sweep
 
 
 def test_generators_are_bases_with_q_incoming(m1):
@@ -168,6 +180,110 @@ def test_alignment_report_n1(m1):
     assert entry[2] == ("A1 D1", "d a")
 
 
+def test_exhaustive_sweep_matches_per_pair_oracle(m1):
+    elements = enumerate_elements(m1, 1)
+    report = verify_alignment(m1, max_len=1, samples=len(elements) ** 2, window=3)
+    max_generators = 0
+    non_principal, mismatches = [], []
+    for p in elements:
+        for q in elements:
+            gens = list(intersect_principal(p, q, m1).generators)
+            max_generators = max(max_generators, len(gens))
+            if len(gens) >= 2:
+                non_principal.append((str(p), str(q), tuple(map(str, gens))))
+            # minimal generators that divide every common multiple
+            common = common_multiples(p, q, 3, m1)
+            if gens != brute_force_intersection(p, q, 3, m1) or (
+                minimal_elements(common + gens, m1) != gens
+            ):
+                mismatches.append(f"({p}, {q})")
+    assert report == AlignmentReport(
+        n=1,
+        max_len=1,
+        pair_count=len(elements) ** 2,
+        max_generators=max_generators,
+        non_principal=tuple(non_principal),
+        sampled=len(elements) ** 2,
+        window=3,
+        seed=DEFAULT_SEED,
+        mismatches=tuple(mismatches),
+    )
+    assert max_generators == 2 and non_principal
+
+
+@pytest.mark.parametrize(
+    "plant, flagged",
+    [
+        ("drop", "(A1, d): fast generators ['A1 D1'] vs oracle ['A1 D1', 'd a']"),
+        ("add", "(a, b): fast generators ['c c'] vs oracle []"),
+    ],
+)
+def test_oracle_catches_a_planted_extension_fault(m1, monkeypatch, plant, flagged):
+    real = ideals._q_extensions
+    cc = parse_word("c c", m1)
+
+    def planted(nf, pres):
+        if plant == "drop":
+            return real(nf, pres) - {reduce_word(nf + pres.q_letters[:1], pres)}
+        return real(nf, pres) | {cc}
+
+    monkeypatch.setattr(ideals, "_q_extensions", planted)
+    report = verify_alignment(m1, max_len=1, samples=81, window=3)
+    assert flagged in report.mismatches
+
+
+def test_meet_check_rejects_comparable_generators(m1):
+    d, da = el("d", m1).nf, el("d a", m1).nf
+    ideal_d, ideal_da = ideals._ideal(d, 3, m1), ideals._ideal(da, 3, m1)
+    assert ideals._is_meet((d,), [ideal_d], ideal_d)
+    assert not ideals._is_meet((d, da), [ideal_d, ideal_da], ideal_d)
+
+
+def test_oracle_builds_each_ideal_once(m1, monkeypatch):
+    roots = Counter()
+    real = congruence.closure
+
+    def counting(seeds, pres, cap=congruence.DEFAULT_CAP):
+        seeds = iter(seeds)
+        first = next(seeds)  # the root itself, times the empty word
+        roots[first] += 1
+        return real(chain((first,), seeds), pres, cap)
+
+    monkeypatch.setattr(congruence, "closure", counting)
+    monkeypatch.setattr(ideals, "closure", counting)
+    report = verify_alignment(m1, max_len=2, samples=70 * 70, window=4)
+    assert report.ok and report.sampled == 70 * 70
+    assert roots and max(roots.values()) == 1
+    assert () not in roots  # the identity's ideal is never built
+
+
+def test_oracle_drops_each_ideal_after_its_last_use(m1, monkeypatch):
+    class Ideal(frozenset):  # a frozenset that takes a finalizer
+        pass
+
+    alive, seen = set(), []
+    real_ideal, real_is_meet = ideals._ideal, ideals._is_meet
+
+    def tracked(root, window, pres):
+        if not root:
+            return None
+        ideal = Ideal(real_ideal(root, window, pres))
+        alive.add(root)
+        weakref.finalize(ideal, alive.discard, root)
+        return ideal
+
+    def watched(gens, gen_ideals, common):
+        seen.append((set(alive), gens))
+        return real_is_meet(gens, gen_ideals, common)
+
+    monkeypatch.setattr(ideals, "_ideal", tracked)
+    monkeypatch.setattr(ideals, "_is_meet", watched)
+    assert verify_alignment(m1, max_len=1, samples=81, window=3).ok
+    built = set().union(*(live for live, _ in seen))
+    live, gens = seen[-1]  # only the last pair's ideals are still held
+    assert len(live) <= 2 + len(gens) < len(built)
+
+
 def test_alignment_report_n2(m2):
     report = verify_alignment(m2, max_len=2, samples=20, window=4)
     assert report.n == 2
@@ -218,7 +334,11 @@ def test_common_multiples_with_identity(m3):
     # window 5, over the closure cap), so the meet is the other ideal
     one, q = el("1", m3), el("d a", m3)
     expected = sorted(
-        {left_normal_form(w, m3) for w in _ideal_words(q.nf, 5, m3)},
+        {
+            left_normal_form(q.nf + w, m3)
+            for extra in range(4)
+            for w in product(m3.generators, repeat=extra)
+        },
         key=element_key,
     )
     assert common_multiples(one, q, 5, m3) == expected

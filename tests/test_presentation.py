@@ -2,6 +2,7 @@ import pytest
 
 from malcev.presentation import (
     AmbiguousRewrite,
+    ForeignLetter,
     IndexOutOfRange,
     Letter,
     LROverlap,
@@ -145,6 +146,11 @@ def test_validate_generic_rejects_position_overlap():
         validate_generic([(tok("a b"), tok("b a"))])
     with pytest.raises(PQOverlap):  # the constructor itself validates
         Presentation(None, tok("a b"), ((tok("a b"), tok("b a")),))
+
+
+def test_constructor_rejects_relation_letters_outside_generators():
+    with pytest.raises(ForeignLetter):
+        Presentation(None, tok("a c"), ((tok("a b"), tok("c d")),))
 
 
 def test_validate_generic_rejects_unbalanced():
