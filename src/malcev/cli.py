@@ -19,7 +19,7 @@ from .cayley import (
     export_dot,
     indegree_violations,
 )
-from .congruence import CapExceeded, partition_agreement
+from .congruence import DEFAULT_CAP, CapExceeded, partition_agreement, word_count
 from .group_derivation import (
     OccurrenceMismatch,
     certificate_text,
@@ -134,6 +134,22 @@ def _emit(args, command, result, violations, text) -> None:
         print(payload)
 
 
+def _refuse_over_budget(flag: str, length: int, pres) -> None:
+    """Refuse up front a length whose words, all of which the command may
+    iterate over, outnumber the word budget."""
+    if length > 64:  # at least 2^65 words, too many to be worth counting
+        raise ValueError(
+            f"{flag} {length} means more than 2^64 words, over the budget of "
+            f"{DEFAULT_CAP} words"
+        )
+    count = word_count(pres, length)
+    if count > DEFAULT_CAP:
+        raise ValueError(
+            f"{flag} {length} means {count} words of length <= {length} at "
+            f"n={pres.n}, over the budget of {DEFAULT_CAP} words"
+        )
+
+
 def cmd_gen(args) -> int:
     pres = build_presentation(args.n)
     in_order = lambda s: [g.token for g in pres.generators if g in s]
@@ -213,6 +229,7 @@ def cmd_intersect(args) -> int:
 
 def cmd_ball(args) -> int:
     pres = build_presentation(args.n)
+    _refuse_over_budget("--radius", args.radius, pres)
     root = left_normal_form(parse_word(args.root, pres), pres)
     ball = build_ball(root, args.radius, pres)
     dot = export_dot(ball)
@@ -246,10 +263,15 @@ def cmd_verify(args) -> int:
         if value < 0:
             raise ValueError(f"{flag} must be nonnegative, got {value}")
     pres = build_presentation(args.n)
+    _refuse_over_budget("--max-len", args.max_len, pres)
     max_len = args.max_len
     seed = args.seed
     if seed is None:
-        seed = int(os.environ.get("MALCEV_SEED", DEFAULT_SEED))
+        env = os.environ.get("MALCEV_SEED", str(DEFAULT_SEED))
+        try:
+            seed = int(env)
+        except ValueError:
+            raise ValueError(f"MALCEV_SEED must be an integer, got {env!r}") from None
     summary = {"suite": args.suite, "max_len": max_len}
     if args.suite == "nf-oracle":
         violations = partition_agreement(pres, max_len)

@@ -30,9 +30,16 @@ __all__ = [
     "left_divides",
     "partition_agreement",
     "transitions",
+    "word_count",
 ]
 
 DEFAULT_CAP = 10**6
+
+
+def word_count(pres: Presentation, max_len: int) -> int:
+    """Number of words of length <= max_len, the sum of G^k for k <= max_len
+    with G generators: what a sweep over all of them iterates through."""
+    return sum(len(pres.generators) ** k for k in range(max_len + 1))
 
 
 class CapExceeded(RuntimeError):
@@ -79,28 +86,29 @@ def transitions(w: Word, pres: Presentation):
     return _steps((w,), pres)
 
 
-def closure(seeds, pres: Presentation, cap: int = DEFAULT_CAP) -> list:
+def closure(seeds, pres: Presentation) -> list:
     """The deduplicated seeds, then every other word reachable from them by
     relation applications, in breadth-first discovery order.  Seeds are read
-    lazily and count against cap, so a huge stream of them raises CapExceeded
-    (naming the first seed) before it fills memory."""
+    lazily and count against DEFAULT_CAP, read at call time, so a huge stream
+    of them raises CapExceeded (naming the first seed) before it fills
+    memory."""
     seen = set()
     order = []  # also the queue that _steps reads while it grows
     for v in chain(seeds, _steps(order, pres)):
         if v not in seen:
-            if len(order) >= cap:
+            if len(order) >= DEFAULT_CAP:
                 raise CapExceeded(
-                    f"closure of {format_word(order[0])} exceeds {cap} words"
+                    f"closure of {format_word(order[0])} exceeds {DEFAULT_CAP} words"
                 )
             seen.add(v)
             order.append(v)
     return order
 
 
-def equality_class(w: Word, pres: Presentation, cap: int = DEFAULT_CAP) -> EqualityClass:
+def equality_class(w: Word, pres: Presentation) -> EqualityClass:
     """Enumerate the full equality class of w by breadth-first search."""
     check_letters(w, pres)
-    return EqualityClass(w, tuple(closure((w,), pres, cap)))
+    return EqualityClass(w, tuple(closure((w,), pres)))
 
 
 def left_divides(p: Word, q: Word, pres: Presentation) -> Optional[Word]:

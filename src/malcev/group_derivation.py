@@ -4,12 +4,14 @@ In any group satisfying the defining relations of M_n, the equation
 c a = B1 C1 is forced, yet the two words are distinct in the monoid itself.
 This module builds the forcing derivation as an explicit script of free
 insertions, free cancellations and relator substitutions over signed words,
-replays every step, and packages the result with the monoid-side witness.
+and checks it twice: by replaying every step, and by freely reducing
+(B1 C1)(c a)^-1 to the product of the relator conjugates the script uses.
+The result is packaged with the monoid-side witness.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .presentation import (
@@ -34,14 +36,14 @@ __all__ = [
     "POS",
     "RELATOR",
     "RIGHT_TO_LEFT",
-    "abelianized_difference",
     "apply_step",
     "build_obstruction_script",
     "certificate_text",
     "describe_step",
-    "exponent_sums",
     "format_group_word",
     "free_reduce",
+    "is_relator_product",
+    "relator_conjugates",
     "validate_script",
     "verify_obstruction",
 ]
@@ -103,42 +105,26 @@ def free_reduce(g: GroupWord) -> GroupWord:
     return tuple(out)
 
 
-def exponent_sums(g: GroupWord) -> dict:
-    """Nonzero letter exponent sums (the abelianized image)."""
-    sums = {}
-    for letter, sign in g:
-        sums[letter] = sums.get(letter, 0) + sign
-    return {letter: v for letter, v in sums.items() if v}
+def _positive(w: Word) -> GroupWord:
+    return tuple((letter, POS) for letter in w)
 
 
-def abelianized_difference(rel: Relation) -> dict:
-    """Exponent sums of the right side minus the left side."""
-    diff = {}
-    for letter in rel.right:
-        diff[letter] = diff.get(letter, 0) + 1
-    for letter in rel.left:
-        diff[letter] = diff.get(letter, 0) - 1
-    return {letter: v for letter, v in diff.items() if v}
+def _inverse(g: GroupWord) -> GroupWord:
+    return tuple((letter, -sign) for letter, sign in reversed(g))
 
 
-def _apply(
-    g: GroupWord,
-    pres: Presentation,
-    kind: str,
-    position: int,
-    letter: Optional[Letter] = None,
-    sign: int = POS,
-    relation_index: Optional[int] = None,
-    direction: Optional[str] = None,
-    inverted: bool = False,
-) -> GroupWord:
-    if kind == INSERT:
+def apply_step(g: GroupWord, step: DerivationStep, pres: Presentation) -> GroupWord:
+    """Apply one recorded move to g, validating the stated occurrence.  The
+    step's recorded before and after words are not read."""
+    position = step.position
+    if step.kind == INSERT:
         if not 0 <= position <= len(g):
             raise OccurrenceMismatch(
                 f"insert position {position} outside word of length {len(g)}"
             )
-        return g[:position] + ((letter, sign), (letter, -sign)) + g[position:]
-    if kind == CANCEL:
+        pair = ((step.letter, step.sign), (step.letter, -step.sign))
+        return g[:position] + pair + g[position:]
+    if step.kind == CANCEL:
         if position + 2 > len(g):
             raise OccurrenceMismatch(f"no pair at position {position}")
         (x, s), (y, t) = g[position], g[position + 1]
@@ -148,22 +134,20 @@ def _apply(
                 f"{format_group_word(g[position : position + 2])}"
             )
         return g[:position] + g[position + 2 :]
-    if kind == RELATOR:
-        if relation_index is None or not 0 <= relation_index < len(pres.relations):
-            raise OccurrenceMismatch(f"relation index {relation_index!r} out of range")
-        rel = pres.relations[relation_index]
-        if direction == LEFT_TO_RIGHT:
+    if step.kind == RELATOR:
+        index = step.relation_index
+        if index is None or not 0 <= index < len(pres.relations):
+            raise OccurrenceMismatch(f"relation index {index!r} out of range")
+        rel = pres.relations[index]
+        if step.direction == LEFT_TO_RIGHT:
             src, dst = rel.left, rel.right
-        elif direction == RIGHT_TO_LEFT:
+        elif step.direction == RIGHT_TO_LEFT:
             src, dst = rel.right, rel.left
         else:
-            raise OccurrenceMismatch(f"unknown direction {direction!r}")
-        if inverted:
-            occurrence = ((src[1], NEG), (src[0], NEG))
-            replacement = ((dst[1], NEG), (dst[0], NEG))
-        else:
-            occurrence = ((src[0], POS), (src[1], POS))
-            replacement = ((dst[0], POS), (dst[1], POS))
+            raise OccurrenceMismatch(f"unknown direction {step.direction!r}")
+        occurrence, replacement = _positive(src), _positive(dst)
+        if step.inverted:
+            occurrence, replacement = _inverse(occurrence), _inverse(replacement)
         if g[position : position + 2] != occurrence:
             raise OccurrenceMismatch(
                 f"expected {format_group_word(occurrence)} at position "
@@ -171,40 +155,12 @@ def _apply(
                 f"{format_group_word(g[position : position + 2])}"
             )
         return g[:position] + replacement + g[position + 2 :]
-    raise OccurrenceMismatch(f"unknown step kind {kind!r}")
-
-
-def apply_step(g: GroupWord, step: DerivationStep, pres: Presentation) -> GroupWord:
-    """Apply one recorded move to g, validating the stated occurrence."""
-    return _apply(
-        g,
-        pres,
-        step.kind,
-        step.position,
-        letter=step.letter,
-        sign=step.sign,
-        relation_index=step.relation_index,
-        direction=step.direction,
-        inverted=step.inverted,
-    )
-
-
-def _exponent_delta(step: DerivationStep, pres: Presentation) -> dict:
-    if step.kind != RELATOR:
-        return {}
-    diff = abelianized_difference(pres.relations[step.relation_index])
-    flip = 1
-    if step.direction == RIGHT_TO_LEFT:
-        flip = -flip
-    if step.inverted:
-        flip = -flip
-    return {letter: flip * v for letter, v in diff.items()}
+    raise OccurrenceMismatch(f"unknown step kind {step.kind!r}")
 
 
 def validate_script(steps, pres: Presentation, start: GroupWord) -> GroupWord:
-    """Replay a script from start, checking chaining, each occurrence, the
-    recorded results, and per-step exponent-sum bookkeeping; returns the
-    final word."""
+    """Replay a script from start, checking chaining, each occurrence and the
+    recorded results; returns the final word."""
     current = start
     for i, step in enumerate(steps):
         if step.before != current:
@@ -220,18 +176,42 @@ def validate_script(steps, pres: Presentation, start: GroupWord) -> GroupWord:
             raise OccurrenceMismatch(
                 f"step {i}: recorded result differs from replay"
             )
-        before_sums = exponent_sums(current)
-        after_sums = exponent_sums(result)
-        delta = _exponent_delta(step, pres)
-        for letter in set(before_sums) | set(after_sums) | set(delta):
-            if after_sums.get(letter, 0) - before_sums.get(letter, 0) != delta.get(
-                letter, 0
-            ):
-                raise OccurrenceMismatch(
-                    f"step {i}: exponent sums drifted at {letter.token}"
-                )
         current = result
     return current
+
+
+def relator_conjugates(steps, pres: Presentation) -> list:
+    """One (x, i, e) per relator step, in script order: the step multiplies
+    its word on the left by x·ρ_i^e·x⁻¹, where ρ_i = left_i·right_i⁻¹.  x is
+    the word before the occurrence, e is -1 for LR and +1 for RL; an inverted
+    step flips e and appends the inverse of the side it puts in to x."""
+    out = []
+    for step in steps:
+        if step.kind != RELATOR:
+            continue
+        x = step.before[: step.position]
+        e = -1 if step.direction == LEFT_TO_RIGHT else 1
+        if step.inverted:
+            rel = pres.relations[step.relation_index]
+            x += _inverse(_positive(rel.right if e < 0 else rel.left))
+            e = -e
+        out.append((x, step.relation_index, e))
+    return out
+
+
+def is_relator_product(
+    start: GroupWord, target: GroupWord, conjugates, pres: Presentation
+) -> bool:
+    """Whether target·start⁻¹ freely equals the product, latest factor first,
+    of x·ρ_i^e·x⁻¹ over conjugates.  Free reduction is the only tool: every
+    such product is trivial in any group satisfying the relations, so a true
+    answer proves target = start there without replaying a single step."""
+    product = ()
+    for x, i, e in conjugates:
+        rel = pres.relations[i]
+        rho = _positive(rel.left) + _inverse(_positive(rel.right))
+        product = x + (rho if e > 0 else _inverse(rho)) + _inverse(x) + product
+    return free_reduce(target + _inverse(start)) == free_reduce(product)
 
 
 def build_obstruction_script(pres: Presentation):
@@ -253,13 +233,9 @@ def build_obstruction_script(pres: Presentation):
 
     def push(kind, position, **kw):
         nonlocal word
-        after = _apply(word, pres, kind, position, **kw)
-        steps.append(
-            DerivationStep(
-                kind=kind, position=position, before=word, after=after, **kw
-            )
-        )
-        word = after
+        step = DerivationStep(kind=kind, position=position, before=word, after=(), **kw)
+        word = apply_step(word, step, pres)
+        steps.append(replace(step, after=word))
 
     push(INSERT, 1, letter=b, sign=POS)
     push(INSERT, 3, letter=d, sign=NEG)
@@ -371,19 +347,21 @@ def certificate_text(cert: ObstructionCertificate, pres: Presentation) -> str:
 
 
 def verify_obstruction(pres: Presentation) -> ObstructionCertificate:
-    """Build the script, replay it end to end, and confirm the monoid keeps
-    c a and B1 C1 apart."""
+    """Build the script, check it by replay and by its relator product, and
+    confirm the monoid keeps c a and B1 C1 apart."""
     script = build_obstruction_script(pres)
-    c, a = Letter("c"), Letter("a")
-    b1, c1 = Letter("B", 1), Letter("C", 1)
-    start = ((c, POS), (a, POS))
+    ca: Word = (Letter("c"), Letter("a"))
+    bc: Word = (Letter("B", 1), Letter("C", 1))
+    start, target = _positive(ca), _positive(bc)
     final = validate_script(script, pres, start)
-    if free_reduce(final) != ((b1, POS), (c1, POS)):
+    if free_reduce(final) != target:
         raise OccurrenceMismatch(
             f"script ends at {format_group_word(final)}, not B1 C1"
         )
-    ca: Word = (c, a)
-    bc: Word = (b1, c1)
+    if not is_relator_product(start, target, relator_conjugates(script, pres), pres):
+        raise OccurrenceMismatch(
+            "B1 C1 (c a)^-1 is not the product of the script's relator conjugates"
+        )
     if equal(ca, bc, pres):
         raise OccurrenceMismatch(
             "the monoid identifies c a with B1 C1; no obstruction"

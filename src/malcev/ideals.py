@@ -27,7 +27,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import permutations, product
 
-from .congruence import DEFAULT_CAP, closure, left_divides
+from .congruence import DEFAULT_CAP, closure, left_divides, word_count
 from .presentation import Presentation, PresentationError, format_word
 from .rewriting import (
     Element,
@@ -328,10 +328,7 @@ def verify_alignment(
     ]
     shortest = min((w for pair in sample for w in pair if w), key=len, default=None)
     if shortest is not None:
-        seeds = sum(
-            len(pres.generators) ** extra
-            for extra in range(window - len(shortest) + 1)
-        )
+        seeds = word_count(pres, window - len(shortest))
         if seeds > DEFAULT_CAP:
             raise ValueError(
                 f"window {window} is too large for the oracle: the ideal of "

@@ -179,6 +179,15 @@ def test_verify_alignment_json_seed_env(monkeypatch, capsys):
     assert doc["result"]["sampled"] == 5
 
 
+def test_verify_alignment_bad_seed_env(monkeypatch, capsys):
+    monkeypatch.setenv("MALCEV_SEED", "abc")
+    argv = ["verify", "-n", "1", "--suite", "alignment", "--max-len", "1"]
+    assert run(argv + ["--window", "3", "--samples", "5"]) == 2
+    out, err = out_of(capsys)
+    assert out == ""
+    assert err == "error: MALCEV_SEED must be an integer, got 'abc'\n"
+
+
 def test_verify_seed_flag_beats_env(monkeypatch, capsys):
     monkeypatch.setenv("MALCEV_SEED", "42")
     run(
@@ -284,6 +293,31 @@ def test_window_too_small_exits_2(capsys):
     assert code == 2
     _, err = out_of(capsys)
     assert "window" in err
+
+
+def test_ball_radius_over_budget_exits_2(capsys):
+    # sum(24^k, k <= 6) words at n = 5, refused before any vertex is built
+    assert run(["ball", "-n", "5", "--radius", "6"]) == 2
+    out, err = out_of(capsys)
+    assert out == ""
+    assert err == (
+        "error: --radius 6 means 199411801 words of length <= 6 at n=5, "
+        "over the budget of 1000000 words\n"
+    )
+    assert run(["ball", "-n", "3", "--radius", "5"]) == 2
+    assert "--radius 5 means 1118481 words" in out_of(capsys)[1]
+    assert run(["ball", "-n", "1", "--radius", str(10**12)]) == 2
+    assert "more than 2^64 words" in out_of(capsys)[1]
+
+
+def test_verify_max_len_over_budget_exits_2(capsys):
+    # sum(8^k, k <= 7) words at n = 1; every suite iterates over them
+    for suite in ("nf-oracle", "cancellative", "codet", "indegree", "alignment"):
+        assert run(["verify", "-n", "1", "--suite", suite, "--max-len", "7"]) == 2
+        out, err = out_of(capsys)
+        assert out == ""
+        assert err.startswith("error: --max-len 7 means 2396745 words")
+        assert "budget of 1000000 words" in err
 
 
 def test_oracle_window_over_cap_exits_2(capsys):

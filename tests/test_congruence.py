@@ -2,13 +2,16 @@ from itertools import count, product
 
 import pytest
 
+from malcev import congruence
 from malcev.congruence import (
+    DEFAULT_CAP,
     CapExceeded,
     closure,
     equality_class,
     left_divides,
     partition_agreement,
     transitions,
+    word_count,
 )
 from malcev.presentation import ForeignLetter, format_word, parse_word
 from malcev.rewriting import equal
@@ -62,16 +65,32 @@ def test_class_rejects_foreign_letters(m1, m2):
         equality_class(w("A2 D2", m2), m1)
 
 
-def test_cap_exceeded(m1):
+def test_cap_exceeded(m1, monkeypatch):
+    monkeypatch.setattr(congruence, "DEFAULT_CAP", 1)
     with pytest.raises(CapExceeded):
-        equality_class(w("d a", m1), m1, cap=1)
+        equality_class(w("d a", m1), m1)
 
 
-def test_closure_reads_seeds_lazily_against_cap(m1):
+def test_closure_reads_seeds_lazily_against_cap(m1, monkeypatch):
+    monkeypatch.setattr(congruence, "DEFAULT_CAP", 10)
     a = w("a", m1)
     endless = (a * k for k in count(1))  # distinct, and no relation applies
     with pytest.raises(CapExceeded, match="closure of a exceeds 10 words"):
-        closure(endless, m1, cap=10)
+        closure(endless, m1)
+
+
+def test_word_count_against_the_budget(m1, m3, m5):
+    for pres in (m1, m3):
+        for max_len in range(4):
+            lengths = range(max_len + 1)
+            words = [u for k in lengths for u in product(pres.generators, repeat=k)]
+            assert word_count(pres, max_len) == len(words)
+    assert word_count(m1, -1) == 0
+    # G = 16 at n = 3: radius 4 is the largest that fits, 5 is over
+    assert word_count(m3, 4) == 69905 <= DEFAULT_CAP
+    assert word_count(m3, 5) == 1118481 > DEFAULT_CAP
+    assert word_count(m1, 6) == 299593 <= DEFAULT_CAP < word_count(m1, 7) == 2396745
+    assert word_count(m5, 6) == 199411801
 
 
 def test_closure_of_seeds_is_union_of_classes(m1, m2):

@@ -1,7 +1,9 @@
 import dataclasses
+from collections import Counter
 
 import pytest
 
+from malcev import group_derivation
 from malcev.group_derivation import (
     CANCEL,
     INSERT,
@@ -12,13 +14,13 @@ from malcev.group_derivation import (
     RIGHT_TO_LEFT,
     DerivationStep,
     OccurrenceMismatch,
-    abelianized_difference,
     apply_step,
     build_obstruction_script,
     certificate_text,
-    exponent_sums,
     format_group_word,
     free_reduce,
+    is_relator_product,
+    relator_conjugates,
     validate_script,
     verify_obstruction,
 )
@@ -68,27 +70,11 @@ def test_free_reduce():
     assert free_reduce(reduced) == reduced
 
 
-def test_exponent_sums():
-    assert exponent_sums(()) == {}
-    assert exponent_sums(gw("c a c^-1")) == {Letter("a"): 1}
-    assert exponent_sums(gw("d d a^-1")) == {Letter("d"): 2, Letter("a"): -1}
-
-
 def test_abelianized_difference_never_vanishes():
     # no relation of the family holds in a free abelian group
     for n in (1, 2, 3, 5):
         for rel in build_presentation(n).relations:
-            assert abelianized_difference(rel)
-
-
-def test_abelianized_difference_values(m1):
-    diff = abelianized_difference(m1.relations[0])  # d a = A1 C1
-    assert diff == {
-        Letter("A", 1): 1,
-        Letter("C", 1): 1,
-        Letter("d"): -1,
-        Letter("a"): -1,
-    }
+            assert Counter(rel.left) != Counter(rel.right)
 
 
 def step_for(kind, position, **kw):
@@ -208,6 +194,49 @@ def test_validate_script_rejects_broken_chain(m1):
     del script[3]
     with pytest.raises(OccurrenceMismatch, match="step 3"):
         validate_script(script, m1, gw("c a"))
+
+
+def test_relator_conjugates_of_m1(m1):
+    # relator steps 2, 3 and 4: c b -> B1 D1, then b^-1 d^-1 -> D1^-1 A1^-1
+    # (relation 1, A1 D1 = d b, right to left and inverted), then d a -> A1 C1
+    assert relator_conjugates(build_obstruction_script(m1), m1) == [
+        ((), 2, -1),
+        (gw("B1 D1 D1^-1 A1^-1"), 1, -1),
+        (gw("B1 D1 D1^-1 A1^-1"), 0, -1),
+    ]
+
+
+def tampered(conjugates, count):
+    """Every single-factor tamper: flipped exponent, shifted relation index,
+    dropped factor."""
+    for j, (x, i, e) in enumerate(conjugates):
+        yield conjugates[:j] + [(x, i, -e)] + conjugates[j + 1 :]
+        yield conjugates[:j] + [(x, (i + 1) % count, e)] + conjugates[j + 1 :]
+        yield conjugates[:j] + conjugates[j + 1 :]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_relator_product_checks_the_script(n):
+    pres = build_presentation(n)
+    conjugates = relator_conjugates(build_obstruction_script(pres), pres)
+    start, target = gw("c a"), gw("B1 C1")
+    assert len(conjugates) == 2 * n + 1
+    assert is_relator_product(start, target, conjugates, pres)
+    assert not is_relator_product(start, gw("c b"), conjugates, pres)
+    for bad in tampered(conjugates, len(pres.relations)):
+        assert not is_relator_product(start, target, bad, pres)
+
+
+def test_verify_obstruction_runs_the_product_check(m1, monkeypatch):
+    real = group_derivation.relator_conjugates
+
+    def flipped(steps, pres):
+        (x, i, e), *rest = real(steps, pres)
+        return [(x, i, -e), *rest]
+
+    monkeypatch.setattr(group_derivation, "relator_conjugates", flipped)
+    with pytest.raises(OccurrenceMismatch, match="relator conjugates"):
+        verify_obstruction(m1)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
