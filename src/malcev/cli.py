@@ -19,7 +19,12 @@ from .cayley import (
     export_dot,
     indegree_violations,
 )
-from .congruence import DEFAULT_CAP, CapExceeded, partition_agreement, word_count
+from .congruence import (
+    DEFAULT_CAP,
+    CapExceeded,
+    count_over_budget,
+    partition_agreement,
+)
 from .group_derivation import (
     OccurrenceMismatch,
     certificate_text,
@@ -137,13 +142,8 @@ def _emit(args, command, result, violations, text) -> None:
 def _refuse_over_budget(flag: str, length: int, pres) -> None:
     """Refuse up front a length whose words, all of which the command may
     iterate over, outnumber the word budget."""
-    if length > 64:  # at least 2^65 words, too many to be worth counting
-        raise ValueError(
-            f"{flag} {length} means more than 2^64 words, over the budget of "
-            f"{DEFAULT_CAP} words"
-        )
-    count = word_count(pres, length)
-    if count > DEFAULT_CAP:
+    count = count_over_budget(pres, length)
+    if count is not None:
         raise ValueError(
             f"{flag} {length} means {count} words of length <= {length} at "
             f"n={pres.n}, over the budget of {DEFAULT_CAP} words"
@@ -232,7 +232,7 @@ def cmd_ball(args) -> int:
     _refuse_over_budget("--radius", args.radius, pres)
     root = left_normal_form(parse_word(args.root, pres), pres)
     ball = build_ball(root, args.radius, pres)
-    dot = export_dot(ball)
+    dot = export_dot(ball) if args.dot else None
     dot_path = None
     if args.dot and args.dot != "-":
         Path(args.dot).write_text(dot)

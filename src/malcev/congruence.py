@@ -26,6 +26,7 @@ __all__ = [
     "DEFAULT_CAP",
     "EqualityClass",
     "closure",
+    "count_over_budget",
     "equality_class",
     "left_divides",
     "partition_agreement",
@@ -40,6 +41,16 @@ def word_count(pres: Presentation, max_len: int) -> int:
     """Number of words of length <= max_len, the sum of G^k for k <= max_len
     with G generators: what a sweep over all of them iterates through."""
     return sum(len(pres.generators) ** k for k in range(max_len + 1))
+
+
+def count_over_budget(pres: Presentation, max_len: int) -> Optional[str]:
+    """word_count as text when it exceeds DEFAULT_CAP, else None.  Lengths
+    over 64 mean at least 2^65 words and are not counted: the sum would take
+    seconds and print with more digits than int-to-str conversion allows."""
+    if max_len > 64:
+        return "more than 2^64"
+    count = word_count(pres, max_len)
+    return str(count) if count > DEFAULT_CAP else None
 
 
 class CapExceeded(RuntimeError):

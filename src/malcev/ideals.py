@@ -27,7 +27,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import permutations, product
 
-from .congruence import DEFAULT_CAP, closure, left_divides, word_count
+from .congruence import DEFAULT_CAP, closure, count_over_budget, left_divides
 from .presentation import Presentation, PresentationError, format_word
 from .rewriting import (
     Element,
@@ -328,8 +328,8 @@ def verify_alignment(
     ]
     shortest = min((w for pair in sample for w in pair if w), key=len, default=None)
     if shortest is not None:
-        seeds = word_count(pres, window - len(shortest))
-        if seeds > DEFAULT_CAP:
+        seeds = count_over_budget(pres, window - len(shortest))
+        if seeds is not None:
             raise ValueError(
                 f"window {window} is too large for the oracle: the ideal of "
                 f"{format_word(shortest)} has {seeds} seed words, over the "

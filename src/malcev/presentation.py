@@ -115,7 +115,8 @@ class Presentation:
 
     Construction validates the relations: every side has length 2 and uses
     only the generators, P and Q are disjoint, L and R are disjoint, and the
-    rewrite map is functional.
+    rewrite map is functional.  The generators' tokens must be distinct, so
+    that a token names one generator and token order is a total order.
     """
 
     n: Optional[int]
@@ -123,6 +124,9 @@ class Presentation:
     relations: tuple
 
     def __post_init__(self):
+        by_token = {g.token: g for g in self.generators}
+        if len(by_token) != len(self.generators):
+            raise PresentationError("generators must have distinct tokens")
         for left, right in self.relations:
             if len(left) != 2 or len(right) != 2:
                 raise NotBalanced(
@@ -162,7 +166,7 @@ class Presentation:
             partners.setdefault(right, []).append(left)
         derived = {
             "generator_set": generator_set,
-            "by_token": {g.token: g for g in self.generators},
+            "by_token": by_token,
             "p_set": p_set,
             "q_set": q_set,
             "q_letters": tuple(x for x in self.generators if x in q_set),

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -330,6 +331,32 @@ def test_oracle_window_over_cap_exits_2(capsys):
     assert err.startswith("error: window 8 is too large for the oracle")
     assert "2396745 seed words" in err
     assert run(argv + ["--samples", "0"]) == 0  # no oracle, no ideal
+
+
+def test_oversized_window_refused_without_counting(capsys):
+    # summing 8^k up to k = 20000 would take seconds and then fail to print
+    argv = ["verify", "-n", "1", "--suite", "alignment", "--max-len", "1"]
+    start = time.perf_counter()
+    code = run(argv + ["--window", "20000"])
+    elapsed = time.perf_counter() - start
+    out, err = out_of(capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: window 20000 is too large for the oracle")
+    assert "more than 2^64 seed words" in err
+    assert elapsed < 0.5
+
+
+def test_ball_exports_dot_only_when_asked(monkeypatch, capsys):
+    def boom(ball):
+        raise RuntimeError("export_dot called without --dot")
+
+    monkeypatch.setattr(cli, "export_dot", boom)
+    assert run(["ball", "-n", "1", "--radius", "2", "--root", "d"]) == 0
+    assert out_of(capsys)[0] == "root: d\nradius: 2\nvertices: 70\nedges: 72"
+    assert run(["ball", "-n", "1", "--radius", "2", "--format", "json"]) == 0
+    result = json.loads(out_of(capsys)[0])["result"]
+    assert "dot" not in result and result["dot_path"] is None
 
 
 def test_invariant_violation_exits_3(monkeypatch, capsys):

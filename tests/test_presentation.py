@@ -153,6 +153,14 @@ def test_constructor_rejects_relation_letters_outside_generators():
         Presentation(None, tok("a c"), ((tok("a b"), tok("c d")),))
 
 
+def test_constructor_rejects_generators_sharing_a_token():
+    x, v = tok("x v")
+    with pytest.raises(PresentationError, match="distinct tokens"):
+        Presentation(None, (Letter("A", 1), Letter("A1"), x, v), ())
+    with pytest.raises(PresentationError, match="distinct tokens"):
+        Presentation(None, (x, v, x), ())
+
+
 def test_validate_generic_rejects_unbalanced():
     with pytest.raises(NotBalanced):
         validate_generic([(tok("a b c"), tok("d e"))])

@@ -7,9 +7,14 @@ from malcev import congruence
 from malcev.presentation import (
     ForeignLetter,
     build_presentation,
+    format_word,
+    letter_from_token,
     parse_word,
+    validate_generic,
 )
 from malcev.rewriting import (
+    Element,
+    _Codec,
     cancellativity_violations,
     element_key,
     enumerate_elements,
@@ -148,6 +153,24 @@ def test_enumerate_elements_matches_deduplicated_words(m1):
         assert reduce_word(e.nf, m1) == e.nf
 
 
+@pytest.mark.parametrize("n, max_len", [(2, 4), (3, 3)])
+def test_enumerate_elements_already_in_key_order(n, max_len):
+    pres = build_presentation(n)
+    products = [
+        Element(w, pres)
+        for w in all_words(pres, max_len)
+        if all((w[i], w[i + 1]) not in pres.rewrite_map for i in range(len(w) - 1))
+    ]
+    assert enumerate_elements(pres, max_len) == sorted(products, key=element_key)
+    assert enumerate_elements(pres, 0) == [Element((), pres)]
+
+
+def test_element_has_no_instance_dict(m1, m2):
+    e = el("d a", m1)
+    assert not hasattr(e, "__dict__")
+    assert hash(e) == hash(el("A1 C1", m2)) and e == el("A1 C1", m2)
+
+
 def test_element_key_orders_by_length_then_tokens(m1):
     seq = [el("d a", m1), el("d", m1), el("A1 D1", m1)]
     assert [str(e) for e in sorted(seq, key=element_key)] == ["d", "A1 D1", "d a"]
@@ -170,6 +193,58 @@ def test_cancellation_sweep_detects_planted_failure():
     found = cancellativity_violations(broken, 1, 1)
     assert len(found) == 1
     assert found[0].startswith("right:")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 50])
+def test_batch_reduction_matches_reduce_word(n):
+    pres = build_presentation(n)
+    codec = _Codec(pres)
+    rng = random.Random(1729 + n)
+    words = [()] + [
+        tuple(rng.choices(pres.generators, k=length))
+        for length in range(65)
+        for _ in range(8)
+    ]
+    # every R word planted twice at a random spot, so every rule fires
+    for w, right in zip(words[1:], sorted(pres.rewrite_map) * 2):
+        i = rng.randrange(len(w) + 1)
+        words.append(w[:i] + right + w[i:])
+    keys = codec.reduce_joined("\n".join(codec.encode(w) for w in words))
+    assert [codec.decode(k) for k in keys] == [reduce_word(w, pres) for w in words]
+    assert codec.reduce_joined("") == [""]
+
+
+def plain_cancellativity_sweep(pres, max_ab, max_c):
+    """The sweep written out pair by pair with reduce_word."""
+    violations = []
+    sides = [e.nf for e in enumerate_elements(pres, max_ab)]
+    for c in (e.nf for e in enumerate_elements(pres, max_c)):
+        seen_right, seen_left = {}, {}
+        for x in sides:
+            for seen, key, side, verb in (
+                (seen_right, reduce_word(x + c, pres), "right", "appending"),
+                (seen_left, reduce_word(c + x, pres), "left", "prepending"),
+            ):
+                other = seen.setdefault(key, x)
+                if other != x:
+                    violations.append(
+                        f"{side}: {format_word(other)} != {format_word(x)} but "
+                        f"both give {format_word(key)} after {verb} {format_word(c)}"
+                    )
+    return violations
+
+
+def tok(text):
+    return tuple(letter_from_token(t) for t in text.split())
+
+
+def test_cancellation_sweep_two_sided_failures_match_plain_sweep():
+    # x v = z v breaks right cancellation and u y = u w left cancellation
+    broken = validate_generic([(tok("x v"), tok("z v")), (tok("u y"), tok("u w"))])
+    found = cancellativity_violations(broken, 2, 2)
+    assert found == plain_cancellativity_sweep(broken, 2, 2)
+    assert "right: x != z but both give x v after appending v" in found
+    assert "left: w != y but both give u y after prepending u" in found
 
 
 def assert_divides_like_search(p, q, pres):
