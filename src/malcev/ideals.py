@@ -10,14 +10,14 @@ enumerates equality classes, seeded with the element's literal extensions;
 the identity's ideal is every element and is never built.
 
 The alignment sweep does each element's work once.  It computes every
-element's Q extensions once, keyed by normal form, and stores no per-pair
-result.  Its oracle builds each root's ideal once: the sample is drawn
-before the sweep, the uses of each root in it are counted, and an ideal is
-dropped right after its last use.  Common multiples are then the meet of two
-ideals, and the returned generators are checked by membership in their own
-ideals.  The per-pair oracle, brute_force_intersection, is minimised with
-the search-based divisibility of the congruence module and describes any
-pair that fails.
+element's Q extensions once, keyed by normal form, intersects only the
+pairs that share one, and stores no per-pair result.  Its oracle builds
+each root's ideal once: the sample is drawn before the sweep, the uses of
+each root in it are counted, and an ideal is dropped right after its last
+use.  Common multiples are then the meet of two ideals, and the returned
+generators are checked by membership in their own ideals.  The per-pair
+oracle, brute_force_intersection, is minimised with the search-based
+divisibility of the congruence module and describes any pair that fails.
 """
 
 from __future__ import annotations
@@ -301,12 +301,22 @@ def verify_alignment(
     window: int,
     seed: int = DEFAULT_SEED,
 ) -> AlignmentReport:
-    """Exhaustively intersect all ordered pairs of elements of length
-    <= max_len, then validate a seeded sample of pairs against the
+    """Account for the intersection of every ordered pair of elements of
+    length <= max_len, then validate a seeded sample of pairs against the
     brute-force oracle.  Problems are reported, not raised.
 
+    Only pairs of distinct elements that share a one-letter Q extension are
+    intersected, in enumeration order with p outer and q inner.  No other
+    pair can add to the report: _meet returns either the divisible side,
+    one generator, or the shared Q extensions, and it raises only when those
+    exceed the bound.  A pair with no shared extension therefore has at most
+    one generator and cannot raise, and every element divides itself, so
+    the largest generator count starts at 1.  pair_count stays the number
+    of ordered pairs.
+
     Each piece of per-element work runs once per sweep.  Every element's
-    one-letter Q extensions are computed once, keyed by its normal form.
+    one-letter Q extensions are computed once, keyed by its normal form,
+    and indexed by extension to find the pairs that share one.
     The sample is drawn before the sweep, and no per-pair result is stored:
     the sampled pairs' meets are recomputed from the cached extensions.  The
     oracle builds the ideal of each sampled element and returned generator
@@ -336,13 +346,20 @@ def verify_alignment(
                 f"closure cap of {DEFAULT_CAP}"
             )
     extensions = {w: _q_extensions(w, pres) for w in nfs}
-    max_generators = 0
+    sharing = {}  # Q extension -> positions of the elements that have it
+    for i, w in enumerate(nfs):
+        for x in extensions[w]:
+            sharing.setdefault(x, []).append(i)
+    max_generators = 1  # every element divides itself
     non_principal = []
     mismatches = []
-    for p, p_ext in extensions.items():
-        for q, q_ext in extensions.items():
+    for i, p in enumerate(nfs):
+        p_ext = extensions[p]
+        partners = {j for x in p_ext for j in sharing[x] if j != i}
+        for j in sorted(partners):
+            q = nfs[j]
             try:
-                _, gens = _meet(p, q, p_ext, q_ext, pres)
+                _, gens = _meet(p, q, p_ext, extensions[q], pres)
             except AlignmentViolation as exc:
                 mismatches.append(f"({format_word(p)}, {format_word(q)}): {exc}")
                 continue

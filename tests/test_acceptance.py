@@ -138,3 +138,15 @@ def test_criterion_8_obstruction_certificates():
             validate_script(script, pres, start)
 
     timed(60, "criterion 8: group derivations verified for n = 1..5", check)
+
+
+def test_criterion_9_alignment_sweep_sizes(m1, m3):
+    # 17,123,044 and 16,507,969 ordered pairs; only those sharing a Q
+    # extension are intersected
+    for pres, max_len, samples, window in ((m3, 3, 50, 4), (m1, 4, 20, 5)):
+        report = timed(
+            3,
+            f"criterion 9: alignment sweep at n = {pres.n}, max-len {max_len}",
+            lambda: verify_alignment(pres, max_len, samples, window),
+        )
+        assert report.ok

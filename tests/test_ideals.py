@@ -24,6 +24,7 @@ from malcev.ideals import (
 )
 from malcev.presentation import (
     PresentationError,
+    format_word,
     parse_word,
     validate_generic,
 )
@@ -230,6 +231,97 @@ def test_oracle_catches_a_planted_extension_fault(m1, monkeypatch, plant, flagge
     monkeypatch.setattr(ideals, "_q_extensions", planted)
     report = verify_alignment(m1, max_len=1, samples=81, window=3)
     assert flagged in report.mismatches
+
+
+def _all_pairs_report(pres, max_len, window):
+    """Reference sweep: every ordered pair through _meet, p outer and q
+    inner.  With no oracle sample, verify_alignment reports the sweep alone."""
+    nfs = [e.nf for e in enumerate_elements(pres, max_len)]
+    extensions = {w: ideals._q_extensions(w, pres) for w in nfs}
+    max_generators = 0
+    non_principal = []
+    mismatches = []
+    for p, p_ext in extensions.items():
+        for q, q_ext in extensions.items():
+            try:
+                _, gens = ideals._meet(p, q, p_ext, q_ext, pres)
+            except AlignmentViolation as exc:
+                mismatches.append(f"({format_word(p)}, {format_word(q)}): {exc}")
+                continue
+            count = len(gens)
+            if count > max_generators:
+                max_generators = count
+            if count >= 2:
+                non_principal.append(
+                    (
+                        format_word(p),
+                        format_word(q),
+                        tuple(str(g) for g in ideals._elements(gens, pres)),
+                    )
+                )
+    return AlignmentReport(
+        n=pres.n,
+        max_len=max_len,
+        pair_count=len(nfs) ** 2,
+        max_generators=max_generators,
+        non_principal=tuple(non_principal),
+        sampled=0,
+        window=window,
+        seed=DEFAULT_SEED,
+        mismatches=tuple(mismatches),
+    )
+
+
+@pytest.mark.parametrize(
+    "n, max_len",
+    [(1, 0), (1, 1), (1, 2), (1, 3), (2, 0), (2, 1), (2, 2), (3, 0), (3, 1), (3, 2)],
+)
+def test_shared_extension_sweep_matches_all_pairs(request, n, max_len):
+    pres = request.getfixturevalue(f"m{n}")
+    window = max_len + 1
+    report = verify_alignment(pres, max_len=max_len, samples=0, window=window)
+    assert report.to_dict() == _all_pairs_report(pres, max_len, window).to_dict()
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_shared_extension_sweep_matches_all_pairs_under_a_fault(
+    request, monkeypatch, n
+):
+    # elements ending in a P letter all share three planted extensions, more
+    # than either bound, so every incomparable pair of them must be reported
+    pres = request.getfixturevalue(f"m{n}")
+    real = ideals._q_extensions
+    planted = {parse_word("c " * k, pres) for k in (2, 3, 4)}
+
+    def faulty(nf, pres):
+        if nf and nf[-1] in pres.p_set:
+            return real(nf, pres) | planted
+        return real(nf, pres)
+
+    monkeypatch.setattr(ideals, "_q_extensions", faulty)
+    report = verify_alignment(pres, max_len=2, samples=0, window=3)
+    assert any(m.startswith("(A1, d): ") for m in report.mismatches)
+    assert report.to_dict() == _all_pairs_report(pres, 2, 3).to_dict()
+
+
+def test_non_principal_pairs_counted_exactly(m1, m2, m3):
+    # at n = 1 the non-principal ordered pairs of length <= L are the pairs
+    # (u d, u A1) and (u A1, u d) for every u of length < L
+    counts = []
+    for max_len in range(1, 5):
+        report = verify_alignment(m1, max_len=max_len, samples=0, window=max_len + 1)
+        shorter = len(enumerate_elements(m1, max_len - 1))
+        assert len(report.non_principal) == 2 * shorter
+        assert report.max_generators == 2
+        counts.append(len(report.non_principal))
+    assert counts == [2, 18, 140, 1068]
+    for pres in (m2, m3):
+        for max_len in range(4):
+            report = verify_alignment(
+                pres, max_len=max_len, samples=0, window=max_len + 1
+            )
+            assert report.non_principal == () and report.max_generators == 1
+            assert report.mismatches == ()
 
 
 def test_meet_check_rejects_comparable_generators(m1):
