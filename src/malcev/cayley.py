@@ -92,15 +92,23 @@ def export_dot(ball: CayleyBall) -> str:
 
     Node names are quoted ('.'-joined tokens are not bare DOT identifiers);
     vertices appear in BFS order and edges sorted by source name then label,
-    so equal balls export to identical strings.
+    so equal balls export to identical strings.  Tokens come from one table;
+    each edge source is named once, in a dict over the sources only (the
+    vertices short of the radius), and each target once per edge.
     """
+    token = {g: g.token for g in ball.root.pres.generators}
+
+    def name(e: Element) -> str:
+        return ".".join([token[x] for x in e.nf]) if e.nf else "1"
+
     lines = ["digraph cayley {"]
-    for v in ball.vertices:
-        lines.append(f'  "{vertex_name(v)}";')
-    for u, x, v in sorted(
-        ball.edges, key=lambda edge: (vertex_name(edge[0]), edge[1].token)
-    ):
-        lines.append(f'  "{vertex_name(u)}" -> "{vertex_name(v)}" [label="{x.token}"];')
+    lines += [f'  "{name(v)}";' for v in ball.vertices]
+    source = {}
+    for u, _, _ in ball.edges:
+        if u not in source:
+            source[u] = name(u)
+    for u, x, v in sorted(ball.edges, key=lambda e: (source[e[0]], token[e[1]])):
+        lines.append(f'  "{source[u]}" -> "{name(v)}" [label="{token[x]}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

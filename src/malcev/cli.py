@@ -8,6 +8,7 @@ search that ran out of its word budget (CapExceeded).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -42,7 +43,12 @@ from .presentation import (
     format_word,
     parse_word,
 )
-from .rewriting import cancellativity_violations, left_divides, left_normal_form
+from .rewriting import (
+    cancellativity_violations,
+    enumerate_elements,
+    left_divides,
+    left_normal_form,
+)
 
 __all__ = ["main", "run"]
 
@@ -58,6 +64,22 @@ def _add_common(sub):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on the first call and reused after;
+    callers must not modify it.
+
+    Reuse is safe: parse_args makes a fresh Namespace on every call, and
+    eq's append action copies its None default, so -w values do not pile up
+    across calls.  The subcommands' handlers (cmd_*) are bound when the
+    parser is built; the module globals they call, such as export_dot or
+    verify_alignment, are still looked up at call time.  build_parser stays
+    a plain function around the cached builder because bench/tracing.py
+    wraps only plain functions; a functools.cache object would go uncounted.
+    """
+    return _parser()
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="malcev",
         description="Normal forms, Cayley graphs, ideal intersections and "
@@ -148,6 +170,15 @@ def _refuse_over_budget(flag: str, length: int, pres) -> None:
             f"{flag} {length} means {count} words of length <= {length} at "
             f"n={pres.n}, over the budget of {DEFAULT_CAP} words"
         )
+
+
+def _non_principal_count(pres, max_len: int) -> int:
+    """The exact number of ordered pairs of length <= max_len whose meet
+    needs two generators: none for n >= 2, and at n = 1 the pairs
+    (u d, u A1) and (u A1, u d) for every u of length < max_len."""
+    if pres.n != 1 or max_len == 0:
+        return 0
+    return 2 * len(enumerate_elements(pres, max_len - 1))
 
 
 def cmd_gen(args) -> int:
@@ -293,6 +324,12 @@ def cmd_verify(args) -> int:
                 f"max generator count {report.max_generators} exceeds "
                 f"bound {report.bound}"
             )
+        expected = _non_principal_count(pres, max_len)
+        if len(report.non_principal) != expected:
+            violations.append(
+                f"{len(report.non_principal)} non-principal pairs, expected "
+                f"exactly {expected}"
+            )
         summary.update(report.to_dict())
     ok = not violations
     lines = [f"suite: {args.suite}", f"n: {args.n}", f"max_len: {max_len}"]
@@ -322,6 +359,13 @@ def cmd_obstruct(args) -> int:
     return 0
 
 
+def _command_line(args) -> str:
+    """The command and, for verify, the suite and size that ran out."""
+    if args.command == "verify":
+        return f"verify -n {args.n} --suite {args.suite} --max-len {args.max_len}"
+    return f"{args.command} -n {args.n}"
+
+
 def run(argv=None) -> int:
     parser = build_parser()
     try:
@@ -334,7 +378,7 @@ def run(argv=None) -> int:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 3
     except CapExceeded as exc:
-        print(f"resource limit: {exc}", file=sys.stderr)
+        print(f"resource limit: {exc} ({_command_line(args)})", file=sys.stderr)
         return 4
     except (ValueError, OSError) as exc:
         # PresentationError, WindowTooSmall, bad radius or seed, unwritable path

@@ -109,7 +109,8 @@ def closure(seeds, pres: Presentation) -> list:
         if v not in seen:
             if len(order) >= DEFAULT_CAP:
                 raise CapExceeded(
-                    f"closure of {format_word(order[0])} exceeds {DEFAULT_CAP} words"
+                    f"closure of {format_word(order[0])} exceeds {DEFAULT_CAP} "
+                    "words, the fixed word budget congruence.DEFAULT_CAP"
                 )
             seen.add(v)
             order.append(v)

@@ -9,7 +9,7 @@ from malcev.cayley import (
     predecessors,
     vertex_name,
 )
-from malcev.presentation import parse_word
+from malcev.presentation import build_presentation, parse_word
 from malcev.rewriting import left_normal_form, reduce_word
 
 
@@ -105,6 +105,30 @@ def test_export_dot(m1):
     assert len(node_lines) == 9
     assert len(edge_lines) == 8
     assert '  "1" -> "A1" [label="A1"];' in edge_lines
+
+
+def _export_dot_reference(ball):
+    """export_dot as it was before the token table and the source-name dict:
+    every name through vertex_name, three calls per edge."""
+    lines = ["digraph cayley {"]
+    for v in ball.vertices:
+        lines.append(f'  "{vertex_name(v)}";')
+    for u, x, v in sorted(
+        ball.edges, key=lambda edge: (vertex_name(edge[0]), edge[1].token)
+    ):
+        lines.append(f'  "{vertex_name(u)}" -> "{vertex_name(v)}" [label="{x.token}"];')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+# n = 10 has two-digit tokens, so token order differs from index order
+@pytest.mark.parametrize("n, max_radius", [(1, 3), (2, 3), (3, 3), (10, 2)])
+def test_export_dot_matches_reference(n, max_radius):
+    pres = build_presentation(n)
+    for root in ("1", "a", "d", "A1 C1", "c b d a"):
+        for radius in range(max_radius + 1):
+            ball = build_ball(el(root, pres), radius, pres)
+            assert export_dot(ball) == _export_dot_reference(ball), (root, radius)
 
 
 def test_export_dot_edge_order(m1):

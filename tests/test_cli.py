@@ -1,5 +1,10 @@
+import dataclasses
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -378,6 +383,92 @@ def test_cap_exceeded_exits_4(monkeypatch, capsys):
     _, err = out_of(capsys)
     assert "resource limit: planted" in err
     assert "invariant violation" not in err
+
+
+def test_cap_exceeded_names_the_command(monkeypatch, capsys):
+    def boom(*args):
+        raise CapExceeded("planted")
+
+    monkeypatch.setattr(cli, "partition_agreement", boom)
+    assert run(["verify", "-n", "2", "--suite", "nf-oracle", "--max-len", "1"]) == 4
+    assert out_of(capsys) == (
+        "", "resource limit: planted (verify -n 2 --suite nf-oracle --max-len 1)\n"
+    )
+    monkeypatch.setattr(cli, "build_ball", boom)
+    assert run(["ball", "-n", "1", "--radius", "1"]) == 4
+    assert out_of(capsys)[1] == "resource limit: planted (ball -n 1)\n"
+
+
+@pytest.mark.parametrize(
+    "n, plant, found, expected",
+    [
+        (1, lambda pairs: pairs[1:], 17, 18),  # one of the 18 pairs dropped
+        (2, lambda pairs: pairs + (("d", "A1", ("A1 D1", "d a")),), 1, 0),
+    ],
+)
+def test_alignment_checks_the_exact_non_principal_count(
+    n, plant, found, expected, monkeypatch, capsys
+):
+    real = cli.verify_alignment
+
+    def planted(*args, **kwargs):
+        report = real(*args, **kwargs)
+        return dataclasses.replace(report, non_principal=plant(report.non_principal))
+
+    argv = ["verify", "-n", str(n), "--suite", "alignment", "--max-len", "2"]
+    argv += ["--samples", "0"]
+    assert run(argv) == 0
+    out_of(capsys)
+    monkeypatch.setattr(cli, "verify_alignment", planted)
+    assert run(argv) == 1
+    assert out_of(capsys)[0].splitlines()[-2:] == [
+        f"violation: {found} non-principal pairs, expected exactly {expected}",
+        "violations: 1",
+    ]
+
+
+def test_parser_reuse_keeps_calls_independent(capsys):
+    argv = ["eq", "-n", "1", "--format", "json", "-w"]
+    assert run(argv + ["d a", "-w", "A1 C1"]) == 0
+    first = json.loads(out_of(capsys)[0])["result"]
+    assert run(argv + ["c a", "-w", "B1 C1"]) == 1
+    second = json.loads(out_of(capsys)[0])["result"]
+    assert first == {"equal": True, "nf1": "d a", "nf2": "d a"}
+    assert second == {"equal": False, "nf1": "c a", "nf2": "B1 C1"}
+
+
+def test_parser_reuse_after_usage_errors(capsys):
+    assert run(["eq", "-n", "1", "-w", "d a"]) == 2
+    assert run(["nf", "-n", "1"]) == 2
+    out_of(capsys)
+    assert run(["eq", "-n", "1", "-w", "d a", "-w", "A1 C1"]) == 0
+    assert out_of(capsys) == ("true", "")
+    assert run(["--help"]) == 0
+    help_text = out_of(capsys)[0]
+    assert help_text.startswith("usage: malcev")
+    assert run(["--help"]) == 0
+    assert out_of(capsys)[0] == help_text
+
+
+def test_parser_built_once_across_runs(capsys):
+    cli._parser.cache_clear()
+    for word in ("a", "d a", "A1 C1"):
+        assert run(["nf", "-n", "1", "-w", word]) == 0
+    assert run(["gen", "-n", "2"]) == 0
+    assert run(["nf", "-n", "1"]) == 2
+    info = cli._parser.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 4, 1)
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_import_does_not_build_the_parser():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = "import malcev.cli as c; print(c._parser.cache_info().currsize)"
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "0\n", "")
 
 
 def test_entry_point_raises_system_exit():

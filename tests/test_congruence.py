@@ -79,6 +79,16 @@ def test_closure_reads_seeds_lazily_against_cap(m1, monkeypatch):
         closure(endless, m1)
 
 
+def test_cap_exceeded_names_the_fixed_budget(m1, monkeypatch):
+    monkeypatch.setattr(congruence, "DEFAULT_CAP", 1)
+    with pytest.raises(CapExceeded) as info:
+        equality_class(w("d a", m1), m1)
+    assert str(info.value) == (
+        "closure of d a exceeds 1 words, the fixed word budget "
+        "congruence.DEFAULT_CAP"
+    )
+
+
 def test_word_count_against_the_budget(m1, m3, m5):
     for pres in (m1, m3):
         for max_len in range(4):
