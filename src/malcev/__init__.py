@@ -6,7 +6,6 @@ machine-checked group-derivation certificates."""
 from .cayley import (
     CayleyBall,
     build_ball,
-    check_codeterminism,
     export_dot,
     predecessors,
     vertex_name,
@@ -14,7 +13,6 @@ from .cayley import (
 from .congruence import (
     CapExceeded,
     DEFAULT_CAP,
-    EqualityClass,
     closure,
     equality_class,
     partition_agreement,

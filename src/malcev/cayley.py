@@ -4,20 +4,21 @@ Edges are u --x--> ux for generators x.  Relations preserve length, so the
 graph is graded by word length and acyclic; cancellativity makes it
 co-deterministic, and the vertices with in-degree at least two are exactly
 the intersection bases (normal form ending in a left-hand relation word).
+
+Predecessors are read off the normal form, with no search; the codet and
+indegree suites check each one by reduction and their total by a count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .congruence import equality_class
 from .presentation import Presentation, format_word
 from .rewriting import Element, enumerate_elements, is_intersection_base, reduce_word
 
 __all__ = [
     "CayleyBall",
     "build_ball",
-    "check_codeterminism",
     "codeterminism_violations",
     "export_dot",
     "indegree_violations",
@@ -61,23 +62,21 @@ def build_ball(root: Element, radius: int, pres: Presentation) -> CayleyBall:
 
 
 def predecessors(v: Element, pres: Presentation) -> frozenset:
-    """All (u, x) with u x = v, computed from the full equality class of v.
+    """All (u, x) with u x = v, read off the normal form of v.
 
-    Every word equal to v arises as some word for u followed by x, so
-    splitting each class member before its final letter finds every
-    incoming edge of the whole graph, not just of a ball.
+    Reducing u x for a normal form u rewrites at most the pair across the
+    boundary, an R word into its L partner.  So u x = v either leaves the
+    word as it is, u = v[:-1] and x = v[-1], or v ends in an L word and
+    u[-1] x is one of its R partners r: u = v[:-2] + r[:1] and x = r[1].
+    Both u are normal forms: they end in a P letter, and R words end in Q.
     """
-    preds = set()
-    for u in equality_class(v.nf, pres):
-        if u:
-            preds.add((Element(reduce_word(u[:-1], pres), pres), u[-1]))
+    w = v.nf
+    if not w:
+        return frozenset()
+    preds = {(Element(w[:-1], pres), w[-1])}
+    for r in pres.partners.get(w[-2:], ()):
+        preds.add((Element(w[:-2] + r[:1], pres), r[1]))
     return frozenset(preds)
-
-
-def check_codeterminism(v: Element, pres: Presentation) -> bool:
-    """No two distinct predecessors of v share an edge label."""
-    preds = predecessors(v, pres)
-    return len({x for _, x in preds}) == len(preds)
 
 
 def vertex_name(e: Element) -> str:
@@ -113,36 +112,55 @@ def export_dot(ball: CayleyBall) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _predecessor_sweep(pres: Presentation, max_len: int, violations: list):
+    """Yield every element v of length <= max_len with its predecessors,
+    computed once and checked twice, appending to violations.  Sound: each
+    (u, x) reduces to v.  Complete, checked after the last element: they
+    number G per element shorter than max_len, since every edge out of one
+    enters a swept element, and sound predecessors of distinct elements are
+    distinct edges."""
+    found = sources = 0
+    for v in enumerate_elements(pres, max_len):
+        preds = predecessors(v, pres)
+        for u, x in preds:
+            target = reduce_word(u.nf + (x,), pres)
+            if target != v.nf:
+                violations.append(
+                    f"edge {format_word(u.nf)} --{x.token}--> reaches "
+                    f"{format_word(target)}, not {format_word(v.nf)}"
+                )
+        found += len(preds)
+        sources += len(v.nf) < max_len
+        yield v, preds
+    expected = len(pres.generators) * sources
+    if found != expected:
+        violations.append(f"{found} incoming edges found, expected {expected}")
+
+
 def codeterminism_violations(pres: Presentation, max_len: int):
     """Check co-determinism for every element of length <= max_len."""
     violations = []
-    for e in enumerate_elements(pres, max_len):
-        if not check_codeterminism(e, pres):
-            violations.append(f"duplicate incoming label at {format_word(e.nf)}")
+    for v, preds in _predecessor_sweep(pres, max_len, violations):
+        if len({x for _, x in preds}) != len(preds):
+            violations.append(f"duplicate incoming label at {format_word(v.nf)}")
     return violations
 
 
 def indegree_violations(pres: Presentation, max_len: int):
     """Check, for every element of length <= max_len, that in-degree >= 2
-    holds exactly at intersection bases, that incoming labels of bases lie
-    in Q, and that every edge increases length by one."""
+    holds exactly at intersection bases and that incoming labels of bases
+    lie in Q.  Every edge increases length by one, since relations preserve
+    length and every predecessor is checked to reduce to its element."""
     violations = []
-    for e in enumerate_elements(pres, max_len):
-        preds = predecessors(e, pres)
-        base = is_intersection_base(e)
+    for v, preds in _predecessor_sweep(pres, max_len, violations):
+        base = is_intersection_base(v)
         if (len(preds) >= 2) != base:
             violations.append(
-                f"{format_word(e.nf)}: in-degree {len(preds)} but "
+                f"{format_word(v.nf)}: in-degree {len(preds)} but "
                 f"intersection base is {base}"
             )
         if base and any(x not in pres.q_set for _, x in preds):
             violations.append(
-                f"{format_word(e.nf)}: incoming label outside Q at a base"
+                f"{format_word(v.nf)}: incoming label outside Q at a base"
             )
-        for u, _ in preds:
-            if len(u.nf) + 1 != len(e.nf):
-                violations.append(
-                    f"edge {format_word(u.nf)} -> {format_word(e.nf)} does not "
-                    f"increase length by one"
-                )
     return violations

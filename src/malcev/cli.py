@@ -172,6 +172,16 @@ def _refuse_over_budget(flag: str, length: int, pres) -> None:
         )
 
 
+def _refuse_huge_n(n: int) -> None:
+    """Refuse up front an n whose 4+4n generators, the words of length one,
+    outnumber the word budget, before its presentation fills memory."""
+    if 4 + 4 * n > DEFAULT_CAP:
+        raise ValueError(
+            f"-n {n} means {4 + 4 * n} generators, over the budget of "
+            f"{DEFAULT_CAP} words"
+        )
+
+
 def _non_principal_count(pres, max_len: int) -> int:
     """The exact number of ordered pairs of length <= max_len whose meet
     needs two generators: none for n >= 2, and at n = 1 the pairs
@@ -373,6 +383,7 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        _refuse_huge_n(args.n)
         return args.func(args)
     except (AlignmentViolation, OccurrenceMismatch) as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)

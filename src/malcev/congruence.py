@@ -3,18 +3,17 @@
 Relations preserve length, so the class of a word under the generated
 congruence is finite and breadth-first search enumerates it exactly.  One
 search, closure, serves both equality classes and the ideal oracle of the
-ideals module.  It never reduces a word: this module is deliberately
+ideals module.  The search never reduces a word: it is deliberately
 independent of the normal-form machinery, the oracle the rewriting module is
-checked against.  Its search-based left divisibility backs the brute-force
-alignment oracle and its cross-check; production callers use the closed form
-in the rewriting module.
+checked against.  The classes back the nf-oracle suite; the Cayley graph's
+predecessors are read off normal forms instead.  Its search-based left
+divisibility backs the brute-force alignment oracle and its cross-check;
+production callers use the closed form in the rewriting module.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain, product
 from typing import Optional
 
@@ -24,7 +23,6 @@ from .rewriting import reduce_word
 __all__ = [
     "CapExceeded",
     "DEFAULT_CAP",
-    "EqualityClass",
     "closure",
     "count_over_budget",
     "equality_class",
@@ -55,27 +53,6 @@ def count_over_budget(pres: Presentation, max_len: int) -> Optional[str]:
 
 class CapExceeded(RuntimeError):
     """A closure grew past its cap on the number of words."""
-
-
-@dataclass(frozen=True)
-class EqualityClass:
-    """All words equal to the representative, in BFS discovery order."""
-
-    representative: Word
-    members: tuple
-
-    @cached_property
-    def member_set(self) -> frozenset:
-        return frozenset(self.members)
-
-    def __contains__(self, w: Word) -> bool:
-        return w in self.member_set
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __iter__(self):
-        return iter(self.members)
 
 
 def _steps(words, pres: Presentation):
@@ -117,10 +94,10 @@ def closure(seeds, pres: Presentation) -> list:
     return order
 
 
-def equality_class(w: Word, pres: Presentation) -> EqualityClass:
-    """Enumerate the full equality class of w by breadth-first search."""
+def equality_class(w: Word, pres: Presentation) -> tuple:
+    """All words equal to w, w first, in breadth-first discovery order."""
     check_letters(w, pres)
-    return EqualityClass(w, tuple(closure((w,), pres)))
+    return tuple(closure((w,), pres))
 
 
 def left_divides(p: Word, q: Word, pres: Presentation) -> Optional[Word]:
@@ -133,7 +110,7 @@ def left_divides(p: Word, q: Word, pres: Presentation) -> Optional[Word]:
     """
     if len(p) > len(q):
         return None
-    prefix_class = equality_class(p, pres).member_set
+    prefix_class = set(equality_class(p, pres))
     k = len(p)
     for u in equality_class(q, pres):
         if u[:k] in prefix_class:
@@ -155,7 +132,7 @@ def partition_agreement(pres: Presentation, max_len: int):
     for w in words:
         if w in seen:
             continue
-        cls = equality_class(w, pres).member_set
+        cls = set(equality_class(w, pres))
         seen |= cls
         group = by_nf.get(reduce_word(w, pres), frozenset())
         if cls != group:

@@ -137,7 +137,8 @@ def enumerate_elements(pres: Presentation, max_len: int):
 class _Codec:
     r"""Words as strings of one code point per generator, for batch reduction.
 
-    The code points start at U+0100, so the separator "\n" is never a letter.
+    The code points start at U+0100, so the separator "\n" is never a letter;
+    the CLI's bound of 10^6 generators keeps them below U+10FFFF.
     reduce_joined(text) reduces every "\n"-separated word of text at once
     with one str.replace per relation; see the module docstring for why this
     equals reduce_word on each word.

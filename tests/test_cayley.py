@@ -1,16 +1,30 @@
 import pytest
 
+from malcev import cayley
 from malcev.cayley import (
     build_ball,
-    check_codeterminism,
     codeterminism_violations,
     export_dot,
     indegree_violations,
     predecessors,
     vertex_name,
 )
-from malcev.presentation import build_presentation, parse_word
-from malcev.rewriting import left_normal_form, reduce_word
+from malcev.cli import run
+from malcev.congruence import equality_class
+from malcev.presentation import (
+    build_presentation,
+    format_word,
+    letter_from_token,
+    parse_word,
+    validate_generic,
+)
+from malcev.rewriting import (
+    Element,
+    enumerate_elements,
+    is_intersection_base,
+    left_normal_form,
+    reduce_word,
+)
 
 
 def el(text, pres):
@@ -80,9 +94,23 @@ def test_predecessors(m1, m2):
     }
 
 
-def test_codeterminism_samples(m1):
-    for text in ("1", "a", "d a", "c b", "d b b"):
-        assert check_codeterminism(el(text, m1), m1)
+def predecessors_by_search(v, pres):
+    """predecessors from the full equality class of v: every word equal to v
+    is a word for some u followed by x, so splitting each class member
+    before its final letter finds every incoming edge."""
+    preds = set()
+    for u in equality_class(v.nf, pres):
+        if u:
+            preds.add((Element(reduce_word(u[:-1], pres), pres), u[-1]))
+    return frozenset(preds)
+
+
+# n = 10 has two-digit tokens and the longest relation chain of the four
+@pytest.mark.parametrize("n, max_len", [(1, 4), (2, 3), (3, 3), (10, 2)])
+def test_predecessors_match_search(n, max_len):
+    pres = build_presentation(n)
+    for v in enumerate_elements(pres, max_len):
+        assert predecessors(v, pres) == predecessors_by_search(v, pres), v
 
 
 def test_vertex_name(m1):
@@ -144,3 +172,93 @@ def test_no_structure_violations_small(m1, m2):
     assert indegree_violations(m1, 3) == []
     assert codeterminism_violations(m2, 3) == []
     assert indegree_violations(m2, 3) == []
+
+
+def codeterminism_by_search(pres, max_len):
+    violations = []
+    for v in enumerate_elements(pres, max_len):
+        preds = predecessors_by_search(v, pres)
+        if len({x for _, x in preds}) != len(preds):
+            violations.append(f"duplicate incoming label at {format_word(v.nf)}")
+    return violations
+
+
+def indegree_by_search(pres, max_len):
+    violations = []
+    for v in enumerate_elements(pres, max_len):
+        preds = predecessors_by_search(v, pres)
+        base = is_intersection_base(v)
+        if (len(preds) >= 2) != base:
+            violations.append(
+                f"{format_word(v.nf)}: in-degree {len(preds)} but "
+                f"intersection base is {base}"
+            )
+        if base and any(x not in pres.q_set for _, x in preds):
+            violations.append(
+                f"{format_word(v.nf)}: incoming label outside Q at a base"
+            )
+    return violations
+
+
+def test_structure_suites_find_planted_non_codeterminism():
+    # x v = z v is not right cancellative: x and z both reach x v by v
+    tok = lambda text: tuple(letter_from_token(t) for t in text.split())
+    broken = validate_generic([(tok("x v"), tok("z v"))])
+    for max_len in range(4):
+        found = codeterminism_violations(broken, max_len)
+        assert found == codeterminism_by_search(broken, max_len)
+        assert indegree_violations(broken, max_len) == indegree_by_search(
+            broken, max_len
+        )
+    assert "duplicate incoming label at x v" in found
+    assert "duplicate incoming label at z x v" in found
+
+
+def without_partners(v, pres):
+    """predecessors with the partner branch dropped: complete only off the
+    intersection bases."""
+    if not v.nf:
+        return frozenset()
+    return frozenset({(Element(v.nf[:-1], pres), v.nf[-1])})
+
+
+def mislabeled(v, pres):
+    """predecessors with every partner's label replaced by v's last letter."""
+    return frozenset(
+        (u, x if u.nf == v.nf[:-1] else v.nf[-1])
+        for u, x in predecessors_by_search(v, pres)
+    )
+
+
+def test_sweep_counts_missing_predecessors(m2, monkeypatch, capsys):
+    monkeypatch.setattr(cayley, "predecessors", without_partners)
+    count = "1759 incoming edges found, expected 1824"
+    assert codeterminism_violations(m2, 3) == [count]
+    found = indegree_violations(m2, 3)
+    assert found[-1] == count
+    assert "d a: in-degree 1 but intersection base is True" in found
+    for suite in ("codet", "indegree"):
+        argv = ["verify", "-n", "2", "--suite", suite, "--max-len", "3"]
+        assert run(argv) == 1
+        assert f"violation: {count}" in capsys.readouterr().out
+
+
+def test_sweep_catches_unsound_predecessors(m1, monkeypatch, capsys):
+    monkeypatch.setattr(cayley, "predecessors", mislabeled)
+    unsound = "edge A1 --a--> reaches A1 a, not d a"
+    assert unsound in codeterminism_violations(m1, 2)
+    assert unsound in indegree_violations(m1, 2)
+    for suite in ("codet", "indegree"):
+        argv = ["verify", "-n", "1", "--suite", suite, "--max-len", "2"]
+        assert run(argv) == 1
+        assert f"violation: {unsound}" in capsys.readouterr().out
+
+
+def test_sweep_expects_no_edges_at_max_len_zero(m1, monkeypatch):
+    assert codeterminism_violations(m1, 0) == indegree_violations(m1, 0) == []
+    a = m1.generators[0]
+    monkeypatch.setattr(cayley, "predecessors", lambda v, pres: {(v, a)})
+    assert codeterminism_violations(m1, 0) == [
+        "edge 1 --a--> reaches a, not 1",
+        "1 incoming edges found, expected 0",
+    ]

@@ -316,6 +316,23 @@ def test_ball_radius_over_budget_exits_2(capsys):
     assert "more than 2^64 words" in out_of(capsys)[1]
 
 
+@pytest.mark.parametrize("n, generators", [(250000, 1000004), (10**9, 4 * 10**9 + 4)])
+def test_huge_n_refused_before_the_presentation(n, generators, capsys):
+    # the 4+4n generators alone exceed the word budget
+    start = time.perf_counter()
+    code = run(["nf", "-n", str(n), "-w", "a"])
+    elapsed = time.perf_counter() - start
+    assert code == 2
+    assert out_of(capsys) == (
+        "",
+        f"error: -n {n} means {generators} generators, over the budget of "
+        "1000000 words\n",
+    )
+    assert elapsed < 0.5
+    assert run(["verify", "-n", str(n), "--suite", "codet", "--max-len", "0"]) == 2
+    assert out_of(capsys)[1].startswith(f"error: -n {n} means")
+
+
 def test_verify_max_len_over_budget_exits_2(capsys):
     # sum(8^k, k <= 7) words at n = 1; every suite iterates over them
     for suite in ("nf-oracle", "cancellative", "codet", "indegree", "alignment"):

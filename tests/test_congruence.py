@@ -14,7 +14,7 @@ from malcev.congruence import (
     word_count,
 )
 from malcev.presentation import ForeignLetter, format_word, parse_word
-from malcev.rewriting import equal
+from malcev.rewriting import enumerate_elements, equal
 
 
 def w(text, pres):
@@ -27,26 +27,25 @@ def words_set(texts, pres):
 
 def test_class_of_relation_side(m1):
     cls = equality_class(w("d a", m1), m1)
-    assert cls.representative == w("d a", m1)
-    assert cls.members[0] == cls.representative
-    assert cls.member_set == words_set(["d a", "A1 C1"], m1)
+    assert cls[0] == w("d a", m1)
+    assert set(cls) == words_set(["d a", "A1 C1"], m1)
     assert len(cls) == 2
     assert w("A1 C1", m1) in cls
     assert w("c b", m1) not in cls
 
 
 def test_class_of_identity_and_irreducibles(m1):
-    assert equality_class((), m1).member_set == {()}
-    assert equality_class(w("c a", m1), m1).member_set == {w("c a", m1)}
-    assert equality_class(w("d", m1), m1).member_set == {w("d", m1)}
+    assert set(equality_class((), m1)) == {()}
+    assert set(equality_class(w("c a", m1), m1)) == {w("c a", m1)}
+    assert set(equality_class(w("d", m1), m1)) == {w("d", m1)}
 
 
 def test_class_chains_through_relations(m1):
     # d b ~ A1 D1 and c b ~ B1 D1, each a two-step orbit
-    assert equality_class(w("d b", m1), m1).member_set == words_set(
+    assert set(equality_class(w("d b", m1), m1)) == words_set(
         ["d b", "A1 D1"], m1
     )
-    assert equality_class(w("c b", m1), m1).member_set == words_set(
+    assert set(equality_class(w("c b", m1), m1)) == words_set(
         ["c b", "B1 D1"], m1
     )
 
@@ -58,6 +57,31 @@ def test_members_preserve_length_and_position_classes(m2):
     for member in cls:
         assert len(member) == len(start)
         assert tuple(x in m2.p_set for x in member) == pattern
+
+
+def class_size(nf, pres):
+    """The product, over the L-word factors of a normal form, of 1 + its
+    number of R partners: each factor is one slot, and the slots are chosen
+    independently."""
+    size = 1
+    for i in range(len(nf) - 1):
+        if nf[i : i + 2] in pres.l_words:
+            size *= 1 + len(pres.partners[nf[i : i + 2]])
+    return size
+
+
+def test_class_size_is_a_product_over_slots(m1, m2, m3):
+    for pres, max_len in ((m1, 4), (m2, 3), (m3, 3)):
+        for e in enumerate_elements(pres, max_len):
+            assert len(equality_class(e.nf, pres)) == class_size(e.nf, pres), e
+
+
+def test_class_sizes_sum_to_all_words(m1, m2, m3):
+    for pres in (m1, m2, m3):
+        sizes = [0] * 5
+        for e in enumerate_elements(pres, 4):
+            sizes[len(e.nf)] += class_size(e.nf, pres)
+        assert sizes == [len(pres.generators) ** k for k in range(5)]
 
 
 def test_class_rejects_foreign_letters(m1, m2):
@@ -113,7 +137,7 @@ def test_closure_of_seeds_is_union_of_classes(m1, m2):
         assert words[: len(set(seeds))] == list(dict.fromkeys(seeds))
         assert len(words) == len(set(words))
         assert set(words) == set().union(
-            *(equality_class(s, pres).member_set for s in seeds)
+            *(set(equality_class(s, pres)) for s in seeds)
         )
 
 

@@ -284,3 +284,43 @@ def test_left_divides_witness_is_normal_form(m1):
     assert left_divides(d, q, m1) == parse_word("b A1 D1", m1)
     assert left_divides((), q, m1) == parse_word("A1 D1 A1 D1", m1)
     assert left_divides(q, d, m1) is None
+
+
+def random_word(rng, pres, max_len):
+    """A uniform random word, with an R word planted at a random spot in
+    half the draws so that rewrites happen at every n."""
+    w = tuple(rng.choices(pres.generators, k=rng.randint(0, max_len)))
+    if rng.random() < 0.5:
+        i = rng.randrange(len(w) + 1)
+        w = w[:i] + rng.choice(list(pres.rewrite_map)) + w[i:]
+    return w
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 50])
+def test_boundary_lemma_on_random_normal_forms(n):
+    # nf(u v) = u[:-1] + nf(u[-1] v[0]) + v[1:] for nonempty normal forms
+    pres = build_presentation(n)
+    rng = random.Random(1729 + n)
+    rights = list(pres.rewrite_map)
+    for i in range(2000):
+        u = reduce_word(random_word(rng, pres, 31), pres)
+        v = reduce_word(random_word(rng, pres, 31), pres)
+        if i % 2:  # an R word across the boundary; a P letter ends u
+            r = rng.choice(rights)
+            u = reduce_word(u + r[:1], pres)
+            v = reduce_word(r[1:] + v, pres)
+        if u and v:
+            joint = reduce_word(u[-1:] + v[:1], pres)
+            assert reduce_word(u + v, pres) == u[:-1] + joint + v[1:], (u, v)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 50])
+def test_reduction_is_a_homomorphism_on_random_words(n):
+    # nf(a b) = nf(nf(a) nf(b))
+    pres = build_presentation(n)
+    rng = random.Random(1729 + n)
+    for _ in range(2000):
+        a = random_word(rng, pres, 64)
+        b = random_word(rng, pres, 64)
+        expected = reduce_word(reduce_word(a, pres) + reduce_word(b, pres), pres)
+        assert reduce_word(a + b, pres) == expected, (a, b)
