@@ -52,13 +52,10 @@ from .presentation import (
     Word,
     build_presentation,
     format_word,
-    load_presentation,
-    parse_relations,
     parse_word,
     validate_generic,
 )
 from .rewriting import (
-    Element,
     enumerate_elements,
     equal,
     is_intersection_base,

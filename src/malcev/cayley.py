@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .presentation import Presentation, format_word
-from .rewriting import Element, enumerate_elements, is_intersection_base, reduce_word
+from .presentation import Presentation, Word, format_word
+from .rewriting import enumerate_elements, is_intersection_base, reduce_word
 
 __all__ = [
     "CayleyBall",
@@ -30,39 +30,39 @@ __all__ = [
 @dataclass(frozen=True)
 class CayleyBall:
     """All vertices reachable from root in at most radius steps, with every
-    edge of the graph between them.  Vertices are in BFS discovery order."""
+    edge of the graph between them.  Vertices are normal forms, in BFS
+    discovery order."""
 
-    root: Element
+    root: Word
     radius: int
     vertices: tuple
-    edges: tuple  # (source Element, label Letter, target Element)
+    edges: tuple  # (source, label Letter, target)
 
 
-def build_ball(root: Element, radius: int, pres: Presentation) -> CayleyBall:
-    """Breadth-first exploration of the out-ball around root."""
+def build_ball(root: Word, radius: int, pres: Presentation) -> CayleyBall:
+    """Breadth-first exploration of the out-ball around the normal form root."""
     if radius < 0:
         raise ValueError(f"radius must be nonnegative, got {radius}")
     vertices = [root]
-    seen = {root.nf}
+    seen = {root}
     edges = []
     frontier = [root]
     for _ in range(radius):
         next_frontier = []
         for u in frontier:
             for x in pres.generators:
-                target = reduce_word(u.nf + (x,), pres)
-                v = Element(target, pres)
+                v = reduce_word(u + (x,), pres)
                 edges.append((u, x, v))
-                if target not in seen:
-                    seen.add(target)
+                if v not in seen:
+                    seen.add(v)
                     vertices.append(v)
                     next_frontier.append(v)
         frontier = next_frontier
     return CayleyBall(root, radius, tuple(vertices), tuple(edges))
 
 
-def predecessors(v: Element, pres: Presentation) -> frozenset:
-    """All (u, x) with u x = v, read off the normal form of v.
+def predecessors(v: Word, pres: Presentation) -> frozenset:
+    """All (u, x) with u x = v, read off the normal form v.
 
     Reducing u x for a normal form u rewrites at most the pair across the
     boundary, an R word into its L partner.  So u x = v either leaves the
@@ -70,23 +70,22 @@ def predecessors(v: Element, pres: Presentation) -> frozenset:
     u[-1] x is one of its R partners r: u = v[:-2] + r[:1] and x = r[1].
     Both u are normal forms: they end in a P letter, and R words end in Q.
     """
-    w = v.nf
-    if not w:
+    if not v:
         return frozenset()
-    preds = {(Element(w[:-1], pres), w[-1])}
-    for r in pres.partners.get(w[-2:], ()):
-        preds.add((Element(w[:-2] + r[:1], pres), r[1]))
+    preds = {(v[:-1], v[-1])}
+    for r in pres.partners.get(v[-2:], ()):
+        preds.add((v[:-2] + r[:1], r[1]))
     return frozenset(preds)
 
 
-def vertex_name(e: Element) -> str:
+def vertex_name(w: Word) -> str:
     """DOT node name: normal-form tokens joined by '.', identity as '1'."""
-    if not e.nf:
+    if not w:
         return "1"
-    return ".".join(letter.token for letter in e.nf)
+    return ".".join(letter.token for letter in w)
 
 
-def export_dot(ball: CayleyBall) -> str:
+def export_dot(ball: CayleyBall, pres: Presentation) -> str:
     """Serialize a ball in DOT format.
 
     Node names are quoted ('.'-joined tokens are not bare DOT identifiers);
@@ -95,10 +94,10 @@ def export_dot(ball: CayleyBall) -> str:
     each edge source is named once, in a dict over the sources only (the
     vertices short of the radius), and each target once per edge.
     """
-    token = {g: g.token for g in ball.root.pres.generators}
+    token = {g: g.token for g in pres.generators}
 
-    def name(e: Element) -> str:
-        return ".".join([token[x] for x in e.nf]) if e.nf else "1"
+    def name(w: Word) -> str:
+        return ".".join([token[x] for x in w]) if w else "1"
 
     lines = ["digraph cayley {"]
     lines += [f'  "{name(v)}";' for v in ball.vertices]
@@ -123,14 +122,14 @@ def _predecessor_sweep(pres: Presentation, max_len: int, violations: list):
     for v in enumerate_elements(pres, max_len):
         preds = predecessors(v, pres)
         for u, x in preds:
-            target = reduce_word(u.nf + (x,), pres)
-            if target != v.nf:
+            target = reduce_word(u + (x,), pres)
+            if target != v:
                 violations.append(
-                    f"edge {format_word(u.nf)} --{x.token}--> reaches "
-                    f"{format_word(target)}, not {format_word(v.nf)}"
+                    f"edge {format_word(u)} --{x.token}--> reaches "
+                    f"{format_word(target)}, not {format_word(v)}"
                 )
         found += len(preds)
-        sources += len(v.nf) < max_len
+        sources += len(v) < max_len
         yield v, preds
     expected = len(pres.generators) * sources
     if found != expected:
@@ -142,7 +141,7 @@ def codeterminism_violations(pres: Presentation, max_len: int):
     violations = []
     for v, preds in _predecessor_sweep(pres, max_len, violations):
         if len({x for _, x in preds}) != len(preds):
-            violations.append(f"duplicate incoming label at {format_word(v.nf)}")
+            violations.append(f"duplicate incoming label at {format_word(v)}")
     return violations
 
 
@@ -153,14 +152,14 @@ def indegree_violations(pres: Presentation, max_len: int):
     length and every predecessor is checked to reduce to its element."""
     violations = []
     for v, preds in _predecessor_sweep(pres, max_len, violations):
-        base = is_intersection_base(v)
+        base = is_intersection_base(v, pres)
         if (len(preds) >= 2) != base:
             violations.append(
-                f"{format_word(v.nf)}: in-degree {len(preds)} but "
+                f"{format_word(v)}: in-degree {len(preds)} but "
                 f"intersection base is {base}"
             )
         if base and any(x not in pres.q_set for _, x in preds):
             violations.append(
-                f"{format_word(v.nf)}: incoming label outside Q at a base"
+                f"{format_word(v)}: incoming label outside Q at a base"
             )
     return violations

@@ -216,14 +216,8 @@ def cmd_gen(args) -> int:
 
 def cmd_nf(args) -> int:
     pres = build_presentation(args.n)
-    e = left_normal_form(parse_word(args.word, pres), pres)
-    _emit(
-        args,
-        "nf",
-        {"input": args.word, "normal_form": str(e)},
-        [],
-        str(e),
-    )
+    nf = format_word(left_normal_form(parse_word(args.word, pres), pres))
+    _emit(args, "nf", {"input": args.word, "normal_form": nf}, [], nf)
     return 0
 
 
@@ -234,7 +228,7 @@ def cmd_eq(args) -> int:
     nf1 = left_normal_form(parse_word(args.word[0], pres), pres)
     nf2 = left_normal_form(parse_word(args.word[1], pres), pres)
     same = nf1 == nf2
-    result = {"equal": same, "nf1": str(nf1), "nf2": str(nf2)}
+    result = {"equal": same, "nf1": format_word(nf1), "nf2": format_word(nf2)}
     _emit(args, "eq", result, [], "true" if same else "false")
     return 0 if same else 1
 
@@ -258,12 +252,12 @@ def cmd_intersect(args) -> int:
     result = {
         "kind": res.kind,
         "provenance": res.provenance,
-        "generators": [str(g) for g in res.generators],
+        "generators": [format_word(g) for g in res.generators],
     }
     lines = [f"kind: {res.kind}", f"provenance: {res.provenance}"]
     if res.generators:
         lines.append("generators:")
-        lines += [f"  {g}" for g in res.generators]
+        lines += [f"  {g}" for g in result["generators"]]
     _emit(args, "intersect", result, [], "\n".join(lines))
     return 0
 
@@ -273,13 +267,13 @@ def cmd_ball(args) -> int:
     _refuse_over_budget("--radius", args.radius, pres)
     root = left_normal_form(parse_word(args.root, pres), pres)
     ball = build_ball(root, args.radius, pres)
-    dot = export_dot(ball) if args.dot else None
+    dot = export_dot(ball, pres) if args.dot else None
     dot_path = None
     if args.dot and args.dot != "-":
         Path(args.dot).write_text(dot)
         dot_path = args.dot
     result = {
-        "root": str(root),
+        "root": format_word(root),
         "radius": args.radius,
         "vertex_count": len(ball.vertices),
         "edge_count": len(ball.edges),
@@ -290,7 +284,7 @@ def cmd_ball(args) -> int:
         text = dot.rstrip("\n")
     else:
         text = (
-            f"root: {root}\nradius: {args.radius}\n"
+            f"root: {result['root']}\nradius: {args.radius}\n"
             f"vertices: {len(ball.vertices)}\nedges: {len(ball.edges)}"
         )
         if dot_path:

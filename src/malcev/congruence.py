@@ -120,24 +120,24 @@ def left_divides(p: Word, q: Word, pres: Presentation) -> Optional[Word]:
 
 def partition_agreement(pres: Presentation, max_len: int):
     """Check that normal forms and BFS classes partition all words of length
-    <= max_len identically.  Returns violation strings (empty when they agree)."""
-    violations = []
-    words = []
+    <= max_len identically.  Returns violation strings (empty when they agree).
+
+    Words are grouped by normal form and each group is compared with the
+    class of its first word, one search per group.  This is exact: relations
+    preserve length, so each class lies among the swept words; the groups
+    cover every word, so if each group equals the class of its first word,
+    every word's class is its group and the two partitions agree.
+    """
+    by_nf = defaultdict(list)
     for length in range(max_len + 1):
-        words.extend(product(pres.generators, repeat=length))
-    by_nf = defaultdict(set)
-    for w in words:
-        by_nf[reduce_word(w, pres)].add(w)
-    seen = set()
-    for w in words:
-        if w in seen:
-            continue
-        cls = set(equality_class(w, pres))
-        seen |= cls
-        group = by_nf.get(reduce_word(w, pres), frozenset())
-        if cls != group:
+        for w in product(pres.generators, repeat=length):
+            by_nf[reduce_word(w, pres)].append(w)
+    violations = []
+    for group in by_nf.values():
+        cls = set(closure((group[0],), pres))
+        if cls != set(group):
             violations.append(
-                f"class of {format_word(w)} has {len(cls)} words but its "
+                f"class of {format_word(group[0])} has {len(cls)} words but its "
                 f"normal-form group has {len(group)}"
             )
     return violations

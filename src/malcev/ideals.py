@@ -28,14 +28,8 @@ from dataclasses import dataclass
 from itertools import permutations, product
 
 from .congruence import DEFAULT_CAP, closure, count_over_budget, left_divides
-from .presentation import Presentation, PresentationError, format_word
-from .rewriting import (
-    Element,
-    _left_divides_nf,
-    element_key,
-    enumerate_elements,
-    reduce_word,
-)
+from .presentation import Presentation, PresentationError, Word, format_word
+from .rewriting import _left_divides_nf, element_key, enumerate_elements, reduce_word
 
 __all__ = [
     "AlignmentReport",
@@ -73,8 +67,8 @@ class WindowTooSmall(ValueError):
 class IntersectionResult:
     """Outcome of intersecting two principal right ideals.
 
-    kind is one of empty/principal/generators; generators are sorted by
-    element_key and pairwise incomparable under left divisibility.
+    kind is one of empty/principal/generators; generators are normal forms
+    sorted by element_key and pairwise incomparable under left divisibility.
     provenance records which branch decided: reachable-p-to-q,
     reachable-q-to-p, or base-search.
     """
@@ -84,11 +78,9 @@ class IntersectionResult:
     provenance: str
 
 
-def intersect_principal(
-    p: Element, q: Element, pres: Presentation
-) -> IntersectionResult:
-    """Compute pM and qM's intersection via reachability and one-letter
-    extensions.
+def intersect_principal(p: Word, q: Word, pres: Presentation) -> IntersectionResult:
+    """Compute pM and qM's intersection, for normal forms p and q, via
+    reachability and one-letter extensions.
 
     When neither element divides the other, any common multiple forces a
     common one-letter Q extension, so the shared extensions are exactly the
@@ -97,11 +89,9 @@ def intersect_principal(
     """
     if pres.n is None:
         raise PresentationError("ideal intersection needs the indexed family")
-    provenance, gens = _meet(
-        p.nf, q.nf, _q_extensions(p.nf, pres), _q_extensions(q.nf, pres), pres
-    )
+    provenance, gens = _meet(p, q, _q_extensions(p, pres), _q_extensions(q, pres), pres)
     kind = (EMPTY, PRINCIPAL, GENERATORS)[len(gens)]
-    return IntersectionResult(kind, tuple(_elements(gens, pres)), provenance)
+    return IntersectionResult(kind, tuple(sorted(gens, key=element_key)), provenance)
 
 
 def _q_extensions(nf, pres: Presentation) -> frozenset:
@@ -118,18 +108,12 @@ def _meet(p, q, p_ext, q_ext, pres: Presentation):
         return "reachable-q-to-p", (p,)
     shared = p_ext & q_ext
     if len(shared) > (2 if pres.n == 1 else 1):
-        bases = _elements(shared, pres)
         raise AlignmentViolation(
-            f"{len(bases)} incomparable bases for p={format_word(p)}, "
+            f"{len(shared)} incomparable bases for p={format_word(p)}, "
             f"q={format_word(q)} at n={pres.n}: "
-            + "; ".join(str(b) for b in bases)
+            + "; ".join(map(format_word, sorted(shared, key=element_key)))
         )
     return "base-search", tuple(shared)
-
-
-def _elements(words, pres: Presentation) -> list:
-    """The elements with normal forms words, sorted by element_key."""
-    return sorted((Element(w, pres) for w in words), key=element_key)
 
 
 def _ideal(root, window: int, pres: Presentation):
@@ -155,17 +139,18 @@ def _common(p_ideal, q_ideal):
     return p_ideal & q_ideal
 
 
-def common_multiples(p: Element, q: Element, window: int, pres: Presentation):
-    """All elements of length <= window divisible by both p and q, sorted."""
-    if window < max(len(p.nf), len(q.nf)) + 1:
+def common_multiples(p: Word, q: Word, window: int, pres: Presentation):
+    """Normal forms of length <= window divisible by both normal forms p and
+    q, sorted by element_key."""
+    if window < max(len(p), len(q)) + 1:
         raise WindowTooSmall(
             f"window {window} cannot reach a minimal common multiple of "
-            f"{p} and {q}"
+            f"{format_word(p)} and {format_word(q)}"
         )
-    common = _common(_ideal(p.nf, window, pres), _ideal(q.nf, window, pres))
+    common = _common(_ideal(p, window, pres), _ideal(q, window, pres))
     if common is None:  # both are the identity
         return enumerate_elements(pres, window)
-    return _elements(common, pres)
+    return sorted(common, key=element_key)
 
 
 def minimal_elements(elements, pres: Presentation):
@@ -176,12 +161,12 @@ def minimal_elements(elements, pres: Presentation):
     """
     minimal = []
     for e in sorted(set(elements), key=element_key):
-        if not any(left_divides(m.nf, e.nf, pres) is not None for m in minimal):
+        if not any(left_divides(m, e, pres) is not None for m in minimal):
             minimal.append(e)
     return minimal
 
 
-def brute_force_intersection(p: Element, q: Element, window: int, pres: Presentation):
+def brute_force_intersection(p: Word, q: Word, window: int, pres: Presentation):
     """Minimal common multiples of p and q within the window; oracle for
     intersect_principal."""
     return minimal_elements(common_multiples(p, q, window, pres), pres)
@@ -241,13 +226,11 @@ def _oracle_mismatches(sample, extensions, window: int, pres: Presentation):
         common = _common(ideal(p), ideal(q))
         gen_ideals = [ideal(g) for g in gens]
         if not _is_meet(gens, gen_ideals, common):
-            minimal = brute_force_intersection(
-                Element(p, pres), Element(q, pres), window, pres
-            )
+            minimal = brute_force_intersection(p, q, window, pres)
             mismatches.append(
                 f"({format_word(p)}, {format_word(q)}): fast generators "
-                f"{[str(g) for g in _elements(gens, pres)]} vs oracle "
-                f"{[str(m) for m in minimal]}"
+                f"{[format_word(g) for g in sorted(gens, key=element_key)]} vs "
+                f"oracle {[format_word(m) for m in minimal]}"
             )
     return mismatches
 
@@ -328,7 +311,7 @@ def verify_alignment(
         raise PresentationError("alignment verification needs the indexed family")
     if window < max_len + 1:
         raise WindowTooSmall(f"window {window} below element bound {max_len} + 1")
-    nfs = [e.nf for e in enumerate_elements(pres, max_len)]
+    nfs = enumerate_elements(pres, max_len)
     total = len(nfs) ** 2
     rng = random.Random(seed)
     k = min(samples, total)
@@ -367,13 +350,8 @@ def verify_alignment(
             if count > max_generators:
                 max_generators = count
             if count >= 2:
-                non_principal.append(
-                    (
-                        format_word(p),
-                        format_word(q),
-                        tuple(str(g) for g in _elements(gens, pres)),
-                    )
-                )
+                names = tuple(map(format_word, sorted(gens, key=element_key)))
+                non_principal.append((format_word(p), format_word(q), names))
     mismatches += _oracle_mismatches(sample, extensions, window, pres)
     return AlignmentReport(
         n=pres.n,

@@ -33,8 +33,6 @@ __all__ = [
     "check_letters",
     "format_word",
     "letter_from_token",
-    "load_presentation",
-    "parse_relations",
     "parse_word",
     "validate_generic",
 ]
@@ -268,26 +266,3 @@ def format_word(w: Word) -> str:
         return "1"
     return " ".join(letter.token for letter in w)
 
-
-def parse_relations(text: str):
-    """Parse the relation file format: one "w1 = w2" per line, tokens
-    whitespace-separated, lines starting with '#' ignored."""
-    relations = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.count("=") != 1:
-            raise PresentationError(f"line {lineno}: expected one '=' separator")
-        lhs, rhs = line.split("=")
-        left = tuple(letter_from_token(t) for t in lhs.split())
-        right = tuple(letter_from_token(t) for t in rhs.split())
-        if not left or not right:
-            raise PresentationError(f"line {lineno}: empty relation side")
-        relations.append(Relation(left, right))
-    return relations
-
-
-def load_presentation(text: str) -> Presentation:
-    """Parse and validate a relation file."""
-    return validate_generic(parse_relations(text))

@@ -6,8 +6,9 @@ with a Q letter, P and Q are disjoint, and replacements preserve the letter
 class at each position, so redexes never overlap and a replacement never
 exposes a new one: a single left-to-right scan reaches the normal form, and
 two words are equal in the monoid exactly when their normal forms coincide.
-Left divisibility is likewise a prefix test on normal forms, up to the one
-pair at the boundary.
+So every module holds an element as its normal form, a plain Word, and
+passes the presentation alongside it.  Left divisibility is likewise a
+prefix test on normal forms, up to the one pair at the boundary.
 
 The cancellativity sweep reduces a whole batch of words at once.  Each
 generator becomes one code point, the batch is joined into one string with a
@@ -22,13 +23,11 @@ occurrence spans the separator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .presentation import Presentation, Word, check_letters, format_word
 
 __all__ = [
-    "Element",
     "cancellativity_violations",
     "element_key",
     "enumerate_elements",
@@ -38,24 +37,6 @@ __all__ = [
     "left_normal_form",
     "reduce_word",
 ]
-
-
-@dataclass(frozen=True, slots=True)
-class Element:
-    """A monoid element, held as its left normal form.
-
-    Two elements are equal exactly when their normal forms agree letter for
-    letter; the presentation handle takes no part in comparison.
-    """
-
-    nf: Word
-    pres: Presentation = field(compare=False, repr=False)
-
-    def __str__(self) -> str:
-        return format_word(self.nf)
-
-    def __repr__(self) -> str:
-        return f"Element({format_word(self.nf)!r})"
 
 
 def reduce_word(w: Word, pres: Presentation) -> Word:
@@ -75,10 +56,11 @@ def reduce_word(w: Word, pres: Presentation) -> Word:
     return tuple(out)
 
 
-def left_normal_form(w: Word, pres: Presentation) -> Element:
-    """Canonical representative of the word's equality class."""
+def left_normal_form(w: Word, pres: Presentation) -> Word:
+    """Canonical representative of the word's equality class; elements are
+    held as these words throughout the package."""
     check_letters(w, pres)
-    return Element(reduce_word(w, pres), pres)
+    return reduce_word(w, pres)
 
 
 def equal(w1: Word, w2: Word, pres: Presentation) -> bool:
@@ -106,19 +88,19 @@ def _left_divides_nf(p: Word, q: Word, pres: Presentation) -> Optional[Word]:
     return None
 
 
-def is_intersection_base(e: Element) -> bool:
-    """True when the normal form ends in a left-hand relation word; these are
-    exactly the elements with in-degree at least two in the Cayley graph."""
-    return len(e.nf) >= 2 and e.nf[-2:] in e.pres.l_words
+def is_intersection_base(w: Word, pres: Presentation) -> bool:
+    """True when the normal form w ends in a left-hand relation word; these
+    are exactly the elements with in-degree at least two in the Cayley graph."""
+    return len(w) >= 2 and w[-2:] in pres.l_words
 
 
-def element_key(e: Element):
-    """Sort key: normal-form length, then token-lexicographic."""
-    return (len(e.nf), tuple(letter.token for letter in e.nf))
+def element_key(w: Word):
+    """Sort key for normal forms: length, then token-lexicographic."""
+    return (len(w), tuple(letter.token for letter in w))
 
 
 def enumerate_elements(pres: Presentation, max_len: int):
-    """All distinct elements of normal-form length <= max_len, ordered by
+    """The normal forms of length <= max_len, one per element, ordered by
     element_key.  Normal forms are the words with no right-side factor, so
     those of length k are those of length k-1 extended by every letter that
     forms no right side with their last letter.  Extending in token order
@@ -126,11 +108,11 @@ def enumerate_elements(pres: Presentation, max_len: int):
     letters = sorted(pres.generators, key=lambda g: g.token)
     rewrite = pres.rewrite_map
     follow = {x: [g for g in letters if (x, g) not in rewrite] for x in letters}
-    out = [Element((), pres)]
+    out = [()]
     layer = [()]
     for _ in range(max_len):
         layer = [w + (g,) for w in layer for g in (follow[w[-1]] if w else letters)]
-        out += [Element(w, pres) for w in layer]
+        out += layer
     return out
 
 
@@ -178,11 +160,11 @@ def cancellativity_violations(pres: Presentation, max_ab: int, max_c: int):
     collide is walked pair by pair to name the colliding elements.
     """
     codec = _Codec(pres)
-    sides = [e.nf for e in enumerate_elements(pres, max_ab)]
+    sides = enumerate_elements(pres, max_ab)
     encoded = [codec.encode(x) for x in sides]
     violations = []
-    for factor in enumerate_elements(pres, max_c):
-        c, ec = factor.nf, codec.encode(factor.nf)
+    for c in enumerate_elements(pres, max_c):
+        ec = codec.encode(c)
         right_keys = codec.reduce_joined((ec + "\n").join(encoded) + ec)
         left_keys = codec.reduce_joined(ec + ("\n" + ec).join(encoded))
         if len(set(right_keys)) == len(set(left_keys)) == len(sides):

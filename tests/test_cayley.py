@@ -19,7 +19,6 @@ from malcev.presentation import (
     validate_generic,
 )
 from malcev.rewriting import (
-    Element,
     enumerate_elements,
     is_intersection_base,
     left_normal_form,
@@ -43,7 +42,7 @@ def test_ball_radius_one(m1):
     assert len(ball.vertices) == 9
     assert len(ball.edges) == 8
     assert ball.vertices[0] == el("1", m1)
-    assert {str(v) for v in ball.vertices[1:]} == {
+    assert {format_word(v) for v in ball.vertices[1:]} == {
         "a", "b", "c", "d", "A1", "B1", "C1", "D1"
     }
 
@@ -57,10 +56,10 @@ def test_ball_edges_are_consistent(m2):
     ball = build_ball(el("1", m2), 2, m2)
     vertex_set = set(ball.vertices)
     for u, x, v in ball.edges:
-        assert reduce_word(u.nf + (x,), m2) == v.nf
-        assert len(v.nf) == len(u.nf) + 1
+        assert reduce_word(u + (x,), m2) == v
+        assert len(v) == len(u) + 1
         assert v in vertex_set
-    lengths = [len(v.nf) for v in ball.vertices]
+    lengths = [len(v) for v in ball.vertices]
     assert lengths == sorted(lengths)
 
 
@@ -68,7 +67,7 @@ def test_ball_merges_equal_words(m1):
     # d a and A1 C1 are the same vertex, reached by two edge paths
     ball = build_ball(el("1", m1), 2, m1)
     da = el("d a", m1)
-    incoming = {(str(u), x.token) for u, x, v in ball.edges if v == da}
+    incoming = {(format_word(u), x.token) for u, x, v in ball.edges if v == da}
     assert incoming == {("d", "a"), ("A1", "C1")}
     assert sum(1 for v in ball.vertices if v == da) == 1
 
@@ -76,19 +75,21 @@ def test_ball_merges_equal_words(m1):
 def test_ball_from_nonidentity_root(m1):
     ball = build_ball(el("c", m1), 1, m1)
     assert len(ball.vertices) == 9
-    assert all(v.nf[:1] == el("c", m1).nf or v == ball.root for v in ball.vertices)
+    assert all(v[:1] == el("c", m1) or v == ball.root for v in ball.vertices)
+
+
+def named(preds):
+    return {(format_word(u), x.token) for u, x in preds}
 
 
 def test_predecessors(m1, m2):
     assert predecessors(el("1", m1), m1) == frozenset()
-    assert {(str(u), x.token) for u, x in predecessors(el("c a", m1), m1)} == {
-        ("c", "a")
-    }
-    assert {(str(u), x.token) for u, x in predecessors(el("d a", m1), m1)} == {
+    assert named(predecessors(el("c a", m1), m1)) == {("c", "a")}
+    assert named(predecessors(el("d a", m1), m1)) == {
         ("d", "a"),
         ("A1", "C1"),
     }
-    assert {(str(u), x.token) for u, x in predecessors(el("A2 D2", m2), m2)} == {
+    assert named(predecessors(el("A2 D2", m2), m2)) == {
         ("A2", "D2"),
         ("d", "b"),
     }
@@ -99,9 +100,9 @@ def predecessors_by_search(v, pres):
     is a word for some u followed by x, so splitting each class member
     before its final letter finds every incoming edge."""
     preds = set()
-    for u in equality_class(v.nf, pres):
+    for u in equality_class(v, pres):
         if u:
-            preds.add((Element(reduce_word(u[:-1], pres), pres), u[-1]))
+            preds.add((reduce_word(u[:-1], pres), u[-1]))
     return frozenset(preds)
 
 
@@ -121,8 +122,8 @@ def test_vertex_name(m1):
 
 def test_export_dot(m1):
     ball = build_ball(el("1", m1), 1, m1)
-    dot = export_dot(ball)
-    assert dot == export_dot(build_ball(el("1", m1), 1, m1))
+    dot = export_dot(ball, m1)
+    assert dot == export_dot(build_ball(el("1", m1), 1, m1), m1)
     lines = dot.splitlines()
     assert lines[0] == "digraph cayley {"
     assert lines[-1] == "}"
@@ -156,12 +157,12 @@ def test_export_dot_matches_reference(n, max_radius):
     for root in ("1", "a", "d", "A1 C1", "c b d a"):
         for radius in range(max_radius + 1):
             ball = build_ball(el(root, pres), radius, pres)
-            assert export_dot(ball) == _export_dot_reference(ball), (root, radius)
+            assert export_dot(ball, pres) == _export_dot_reference(ball), (root, radius)
 
 
 def test_export_dot_edge_order(m1):
     ball = build_ball(el("1", m1), 2, m1)
-    edge_lines = [l for l in export_dot(ball).splitlines() if "->" in l]
+    edge_lines = [l for l in export_dot(ball, m1).splitlines() if "->" in l]
     quoted = [l.split('"')[1::2] for l in edge_lines]  # [source, target, label]
     keys = [(source, label) for source, _, label in quoted]
     assert keys == sorted(keys)
@@ -179,7 +180,7 @@ def codeterminism_by_search(pres, max_len):
     for v in enumerate_elements(pres, max_len):
         preds = predecessors_by_search(v, pres)
         if len({x for _, x in preds}) != len(preds):
-            violations.append(f"duplicate incoming label at {format_word(v.nf)}")
+            violations.append(f"duplicate incoming label at {format_word(v)}")
     return violations
 
 
@@ -187,15 +188,15 @@ def indegree_by_search(pres, max_len):
     violations = []
     for v in enumerate_elements(pres, max_len):
         preds = predecessors_by_search(v, pres)
-        base = is_intersection_base(v)
+        base = is_intersection_base(v, pres)
         if (len(preds) >= 2) != base:
             violations.append(
-                f"{format_word(v.nf)}: in-degree {len(preds)} but "
+                f"{format_word(v)}: in-degree {len(preds)} but "
                 f"intersection base is {base}"
             )
         if base and any(x not in pres.q_set for _, x in preds):
             violations.append(
-                f"{format_word(v.nf)}: incoming label outside Q at a base"
+                f"{format_word(v)}: incoming label outside Q at a base"
             )
     return violations
 
@@ -217,15 +218,15 @@ def test_structure_suites_find_planted_non_codeterminism():
 def without_partners(v, pres):
     """predecessors with the partner branch dropped: complete only off the
     intersection bases."""
-    if not v.nf:
+    if not v:
         return frozenset()
-    return frozenset({(Element(v.nf[:-1], pres), v.nf[-1])})
+    return frozenset({(v[:-1], v[-1])})
 
 
 def mislabeled(v, pres):
     """predecessors with every partner's label replaced by v's last letter."""
     return frozenset(
-        (u, x if u.nf == v.nf[:-1] else v.nf[-1])
+        (u, x if u == v[:-1] else v[-1])
         for u, x in predecessors_by_search(v, pres)
     )
 

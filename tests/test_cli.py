@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -492,3 +493,42 @@ def test_entry_point_raises_system_exit():
     with pytest.raises(SystemExit) as info:
         cli.main(["eq", "-n", "1", "-w", "a", "-w", "b"])
     assert info.value.code == 1
+
+
+# sha256 of each command's exact --format json stdout: a refactor that keeps
+# these digests keeps the output byte for byte
+GOLDEN_JSON = [
+    (
+        ["ball", "-n", "3", "--root", "a", "--radius", "3", "--dot", "-"],
+        "230386af670d30b46bb6e2e647a81bbfd9d06c6cff9f0e601bc8029bfdcacbbc",
+    ),
+    (
+        ["intersect", "-n", "1", "-p", "A1", "-q", "d"],
+        "b32150f7ee763f9c25948e48dfbfe73b1f515a657726692a1290d02f7b2cbb87",
+    ),
+    (
+        ["verify", "-n", "1", "--suite", "alignment"]
+        + ["--max-len", "2", "--window", "4"],
+        "26a0e6f82f70f1e1c09011772044bfcaca2b184d42de97ede1eff2367bd5ba06",
+    ),
+    (
+        ["verify", "-n", "3", "--suite", "nf-oracle", "--max-len", "3"],
+        "c16f6fb79319539a5875a2d3678925c8debc8c0af42c365a38feabd813755d46",
+    ),
+    (
+        ["nf", "-n", "2", "-w", "a b a C2 d b c A1 B1 D1"],
+        "4d83c96e5c48a4e17dcb23cadc96e5f13b1355985dbb18d9f0dd1becdde887d2",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    GOLDEN_JSON,
+    ids=["ball", "intersect", "alignment", "nf-oracle", "nf"],
+)
+def test_golden_json_output(argv, digest, capsys):
+    assert run(argv + ["--format", "json"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == digest

@@ -1,4 +1,5 @@
 from itertools import count, product
+from types import SimpleNamespace
 
 import pytest
 
@@ -14,7 +15,7 @@ from malcev.congruence import (
     word_count,
 )
 from malcev.presentation import ForeignLetter, format_word, parse_word
-from malcev.rewriting import enumerate_elements, equal
+from malcev.rewriting import enumerate_elements, equal, reduce_word
 
 
 def w(text, pres):
@@ -73,14 +74,14 @@ def class_size(nf, pres):
 def test_class_size_is_a_product_over_slots(m1, m2, m3):
     for pres, max_len in ((m1, 4), (m2, 3), (m3, 3)):
         for e in enumerate_elements(pres, max_len):
-            assert len(equality_class(e.nf, pres)) == class_size(e.nf, pres), e
+            assert len(equality_class(e, pres)) == class_size(e, pres), e
 
 
 def test_class_sizes_sum_to_all_words(m1, m2, m3):
     for pres in (m1, m2, m3):
         sizes = [0] * 5
         for e in enumerate_elements(pres, 4):
-            sizes[len(e.nf)] += class_size(e.nf, pres)
+            sizes[len(e)] += class_size(e, pres)
         assert sizes == [len(pres.generators) ** k for k in range(5)]
 
 
@@ -208,3 +209,19 @@ def test_left_divisibility_is_transitive(m1):
 def test_partitions_agree_small(m1, m2):
     assert partition_agreement(m1, 3) == []
     assert partition_agreement(m2, 2) == []
+
+
+def test_partition_agreement_reports_a_split_class(m1, monkeypatch):
+    # a reduction that never applies A1 C1 -> d a splits the class
+    # {d a, A1 C1} into two normal-form groups
+    skipped = w("A1 C1", m1)
+    stripped = SimpleNamespace(
+        rewrite_map={r: l for r, l in m1.rewrite_map.items() if r != skipped}
+    )
+    monkeypatch.setattr(
+        congruence, "reduce_word", lambda word, pres: reduce_word(word, stripped)
+    )
+    assert partition_agreement(m1, 2) == [
+        "class of d a has 2 words but its normal-form group has 1",
+        "class of A1 C1 has 2 words but its normal-form group has 1",
+    ]

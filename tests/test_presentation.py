@@ -14,8 +14,6 @@ from malcev.presentation import (
     build_presentation,
     format_word,
     letter_from_token,
-    load_presentation,
-    parse_relations,
     parse_word,
     validate_generic,
 )
@@ -135,6 +133,9 @@ def test_validate_generic_accepts_family_relations(m2):
     assert pres.relations == m2.relations
     assert pres.p_set == m2.p_set and pres.q_set == m2.q_set
     assert set(pres.generators) == set(m2.generators)
+    # generators come in order of first appearance in the relations
+    two = validate_generic([(tok("s u"), tok("t v")), (tok("s w"), tok("t x"))])
+    assert [g.token for g in two.generators] == ["s", "u", "t", "v", "w", "x"]
 
 
 def tok(text):
@@ -175,32 +176,3 @@ def test_validate_generic_rejects_ambiguous_rewrite():
     with pytest.raises(AmbiguousRewrite):
         validate_generic([(tok("x u"), tok("z v")), (tok("y w"), tok("z v"))])
 
-
-RELATION_FILE = """\
-# a two-relation system
-s u = t v
-s w = t x
-"""
-
-
-def test_relation_file_round_trip():
-    rels = parse_relations(RELATION_FILE)
-    assert len(rels) == 2
-    assert format_word(rels[0].left) == "s u"
-    pres = load_presentation(RELATION_FILE)
-    assert pres.n is None
-    assert [g.token for g in pres.generators] == ["s", "u", "t", "v", "w", "x"]
-
-
-def test_relation_file_errors():
-    with pytest.raises(PresentationError):
-        parse_relations("s u t v")
-    with pytest.raises(PresentationError):
-        parse_relations("s u = = t v")
-    with pytest.raises(PresentationError):
-        parse_relations(" = t v")
-
-
-def test_load_rejects_bad_structure():
-    with pytest.raises(PQOverlap):
-        load_presentation("a b = b a")
