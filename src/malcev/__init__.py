@@ -56,6 +56,7 @@ from .presentation import (
     validate_generic,
 )
 from .rewriting import (
+    count_elements,
     enumerate_elements,
     equal,
     is_intersection_base,

@@ -40,9 +40,16 @@ class CayleyBall:
 
 
 def build_ball(root: Word, radius: int, pres: Presentation) -> CayleyBall:
-    """Breadth-first exploration of the out-ball around the normal form root."""
+    """Breadth-first exploration of the out-ball around the normal form root.
+
+    Each edge target is one boundary step, not a reduction pass: for a
+    normal form u, the normal form of u x is u[:-1] followed by the pair
+    u[-1] x, or by its L partner when that pair is an R word.  A root that
+    is not a normal form gives a wrong ball.
+    """
     if radius < 0:
         raise ValueError(f"radius must be nonnegative, got {radius}")
+    rewrite = pres.rewrite_map
     vertices = [root]
     seen = {root}
     edges = []
@@ -50,8 +57,10 @@ def build_ball(root: Word, radius: int, pres: Presentation) -> CayleyBall:
     for _ in range(radius):
         next_frontier = []
         for u in frontier:
+            head, tail = u[:-1], u[-1:]
             for x in pres.generators:
-                v = reduce_word(u + (x,), pres)
+                pair = tail + (x,)
+                v = head + rewrite.get(pair, pair)
                 edges.append((u, x, v))
                 if v not in seen:
                     seen.add(v)

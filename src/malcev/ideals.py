@@ -95,8 +95,19 @@ def intersect_principal(p: Word, q: Word, pres: Presentation) -> IntersectionRes
 
 
 def _q_extensions(nf, pres: Presentation) -> frozenset:
-    """Normal forms of nf times each Q letter."""
-    return frozenset(reduce_word(nf + (x,), pres) for x in pres.q_letters)
+    """Normal forms of nf times each Q letter, for a normal form nf.
+
+    Boundary lemma: for a normal form p and a letter x, the normal form of
+    p x is p[:-1] followed by the pair p[-1] x, or by its L partner when
+    that pair is an R word, and is just (x,) when p is the identity.  The
+    L partner starts with a P letter, so it forms no R word with p[-2].
+    The result is wrong when nf is not a normal form; the alignment oracle
+    checks every meet built from it.
+    """
+    rewrite = pres.rewrite_map
+    head, tail = nf[:-1], nf[-1:]
+    pairs = (tail + (x,) for x in pres.q_letters)
+    return frozenset(head + rewrite.get(pair, pair) for pair in pairs)
 
 
 def _meet(p, q, p_ext, q_ext, pres: Presentation):

@@ -29,6 +29,7 @@ from .presentation import Presentation, Word, check_letters, format_word
 
 __all__ = [
     "cancellativity_violations",
+    "count_elements",
     "element_key",
     "enumerate_elements",
     "equal",
@@ -99,21 +100,45 @@ def element_key(w: Word):
     return (len(w), tuple(letter.token for letter in w))
 
 
+def _follow(pres: Presentation):
+    """The generators in token order, and for each the letters that may
+    follow it in a normal form: those that form no right side with it."""
+    letters = sorted(pres.generators, key=lambda g: g.token)
+    rewrite = pres.rewrite_map
+    return letters, {x: [g for g in letters if (x, g) not in rewrite] for x in letters}
+
+
 def enumerate_elements(pres: Presentation, max_len: int):
     """The normal forms of length <= max_len, one per element, ordered by
     element_key.  Normal forms are the words with no right-side factor, so
     those of length k are those of length k-1 extended by every letter that
     forms no right side with their last letter.  Extending in token order
     keeps each length sorted, since generators' tokens are distinct."""
-    letters = sorted(pres.generators, key=lambda g: g.token)
-    rewrite = pres.rewrite_map
-    follow = {x: [g for g in letters if (x, g) not in rewrite] for x in letters}
+    letters, follow = _follow(pres)
     out = [()]
     layer = [()]
     for _ in range(max_len):
         layer = [w + (g,) for w in layer for g in (follow[w[-1]] if w else letters)]
         out += layer
     return out
+
+
+def count_elements(pres: Presentation, max_len: int) -> int:
+    """len(enumerate_elements(pres, max_len)), without building the normal
+    forms: those of length k+1 ending in g number the sum, over every letter
+    x that g may follow, of those of length k ending in x."""
+    letters, follow = _follow(pres)
+    total = 1  # the identity
+    ending = {}  # normal forms of the current length, counted by last letter
+    for _ in range(max_len):
+        # the identity has no last letter, and every letter may follow it
+        longer = dict.fromkeys(letters, 0 if ending else 1)
+        for x, count in ending.items():
+            for g in follow[x]:
+                longer[g] += count
+        ending = longer
+        total += sum(ending.values())
+    return total
 
 
 class _Codec:

@@ -2,6 +2,7 @@ import pytest
 
 from malcev import cayley
 from malcev.cayley import (
+    CayleyBall,
     build_ball,
     codeterminism_violations,
     export_dot,
@@ -150,14 +151,35 @@ def _export_dot_reference(ball):
     return "\n".join(lines) + "\n"
 
 
+def ball_by_reduction(root, radius, pres):
+    """build_ball's breadth-first search with reduce_word on every edge."""
+    vertices, seen, edges, frontier = [root], {root}, [], [root]
+    for _ in range(radius):
+        next_frontier = []
+        for u in frontier:
+            for x in pres.generators:
+                v = reduce_word(u + (x,), pres)
+                edges.append((u, x, v))
+                if v not in seen:
+                    seen.add(v)
+                    vertices.append(v)
+                    next_frontier.append(v)
+        frontier = next_frontier
+    return CayleyBall(root, radius, tuple(vertices), tuple(edges))
+
+
 # n = 10 has two-digit tokens, so token order differs from index order
 @pytest.mark.parametrize("n, max_radius", [(1, 3), (2, 3), (3, 3), (10, 2)])
 def test_export_dot_matches_reference(n, max_radius):
+    # the reference ball reduces every edge, so build_ball's boundary step is
+    # checked too: roots end in a P letter, a Q letter and an L word
     pres = build_presentation(n)
-    for root in ("1", "a", "d", "A1 C1", "c b d a"):
+    for root in ("1", "a", "d", "A1 C1", "c b", "c b d a"):
         for radius in range(max_radius + 1):
             ball = build_ball(el(root, pres), radius, pres)
-            assert export_dot(ball, pres) == _export_dot_reference(ball), (root, radius)
+            reference = ball_by_reduction(el(root, pres), radius, pres)
+            assert ball == reference, (root, radius)
+            assert export_dot(ball, pres) == _export_dot_reference(reference), (root, radius)
 
 
 def test_export_dot_edge_order(m1):

@@ -13,6 +13,7 @@ import malcev.cli as cli
 from malcev.congruence import CapExceeded
 from malcev.ideals import AlignmentViolation
 from malcev.cli import run
+from malcev.presentation import build_presentation
 
 
 def out_of(capsys):
@@ -282,7 +283,11 @@ def test_unknown_token_exits_2(capsys):
 
 
 def test_bad_n_exits_2(capsys):
-    assert run(["gen", "-n", "0"]) == 2
+    # on every call: a failed build leaves nothing in the presentation cache
+    for _ in range(2):
+        for n in ("0", "-1"):
+            assert run(["gen", "-n", n]) == 2
+            assert out_of(capsys) == ("", f"error: n must be a positive integer, got {n}\n")
 
 
 def test_missing_argument_exits_2(capsys):
@@ -479,6 +484,38 @@ def test_parser_built_once_across_runs(capsys):
     assert cli.build_parser() is cli.build_parser()
 
 
+def test_runs_share_one_presentation_per_n(monkeypatch, capsys):
+    # the cache is keyed by the builder too, so this stand-in sees each n once
+    built = []
+
+    def counting(n):
+        built.append(build_presentation(n))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_presentation", counting)
+    assert run(["nf", "-n", "2", "-w", "A1 D1"]) == 0
+    assert run(["nf", "-n", "3", "-w", "A1 D1"]) == 0
+    assert run(["nf", "-n", "2", "-w", "A2 C2"]) == 0
+    assert run(["eq", "-n", "3", "-w", "A2 C2", "-w", "A1 D1"]) == 0
+    assert out_of(capsys) == ("A1 D1\nA1 D1\nA1 D1\ntrue", "")
+    assert [pres.n for pres in built] == [2, 3]
+    assert cli._presentation(2) is built[0]
+    assert cli._presentation(3) is built[1]
+
+
+def test_presentation_cache_is_bounded(capsys):
+    cli._built.cache_clear()
+    bound = cli._built.cache_info().maxsize
+    for n in range(1, bound + 4):
+        assert run(["gen", "-n", str(n)]) == 0
+    info = cli._built.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (bound, bound + 3, 0)
+    assert run(["gen", "-n", str(bound + 3)]) == 0  # the most recent n is kept
+    assert run(["gen", "-n", "1"]) == 0  # the least recent was dropped
+    info = cli._built.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (bound, bound + 4, 1)
+
+
 def test_import_does_not_build_the_parser():
     src = str(Path(cli.__file__).resolve().parents[1])
     code = "import malcev.cli as c; print(c._parser.cache_info().currsize)"
@@ -532,3 +569,16 @@ def test_golden_json_output(argv, digest, capsys):
     captured = capsys.readouterr()
     assert captured.err == ""
     assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
+
+
+def test_golden_json_output_with_warm_presentations(capsys):
+    # the golden commands' n values interleave, so the second round reuses
+    # presentations that other commands have used in between
+    cli._built.cache_clear()
+    for _ in range(2):
+        for argv, digest in GOLDEN_JSON:
+            assert run(argv + ["--format", "json"]) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
+    assert cli._built.cache_info().misses == 3

@@ -213,6 +213,14 @@ def test_exhaustive_sweep_matches_per_pair_oracle(m1):
     assert max_generators == 2 and non_principal
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_q_extensions_match_reduction(n, request):
+    pres = request.getfixturevalue(f"m{n}")
+    for w in enumerate_elements(pres, 3):
+        expected = {reduce_word(w + (x,), pres) for x in pres.q_letters}
+        assert ideals._q_extensions(w, pres) == expected, format_word(w)
+
+
 @pytest.mark.parametrize(
     "plant, flagged",
     [

@@ -15,6 +15,7 @@ from malcev.presentation import (
 from malcev.rewriting import (
     _Codec,
     cancellativity_violations,
+    count_elements,
     element_key,
     enumerate_elements,
     equal,
@@ -160,6 +161,16 @@ def test_enumerate_elements_already_in_key_order(n, max_len):
     ]
     assert enumerate_elements(pres, max_len) == sorted(products, key=element_key)
     assert enumerate_elements(pres, 0) == [()]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_count_elements_matches_enumeration(n):
+    # the elements shorter than L, for L = 0..5; L = 0 asks for max_len -1,
+    # where both give the identity alone
+    pres = build_presentation(n)
+    for shorter_than in range(6):
+        max_len = shorter_than - 1
+        assert count_elements(pres, max_len) == len(enumerate_elements(pres, max_len))
 
 
 def test_element_has_no_instance_dict(m1, m2):
