@@ -8,7 +8,6 @@ from .cayley import (
     build_ball,
     export_dot,
     predecessors,
-    vertex_name,
 )
 from .congruence import (
     CapExceeded,

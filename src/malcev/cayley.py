@@ -23,7 +23,6 @@ __all__ = [
     "export_dot",
     "indegree_violations",
     "predecessors",
-    "vertex_name",
 ]
 
 
@@ -87,26 +86,19 @@ def predecessors(v: Word, pres: Presentation) -> frozenset:
     return frozenset(preds)
 
 
-def vertex_name(w: Word) -> str:
-    """DOT node name: normal-form tokens joined by '.', identity as '1'."""
-    if not w:
-        return "1"
-    return ".".join(letter.token for letter in w)
-
-
 def export_dot(ball: CayleyBall, pres: Presentation) -> str:
     """Serialize a ball in DOT format.
 
     Node names are quoted ('.'-joined tokens are not bare DOT identifiers);
     vertices appear in BFS order and edges sorted by source name then label,
-    so equal balls export to identical strings.  Tokens come from one table;
-    each edge source is named once, in a dict over the sources only (the
-    vertices short of the radius), and each target once per edge.
+    so equal balls export to identical strings.  A vertex is named by its
+    normal form's tokens joined by '.', the identity by '1'; each edge source
+    is named once, in a dict over the sources only (the vertices short of
+    the radius), and each target once per edge.
     """
-    token = {g: g.token for g in pres.generators}
 
     def name(w: Word) -> str:
-        return ".".join([token[x] for x in w]) if w else "1"
+        return ".".join(w) if w else "1"
 
     lines = ["digraph cayley {"]
     lines += [f'  "{name(v)}";' for v in ball.vertices]
@@ -114,8 +106,8 @@ def export_dot(ball: CayleyBall, pres: Presentation) -> str:
     for u, _, _ in ball.edges:
         if u not in source:
             source[u] = name(u)
-    for u, x, v in sorted(ball.edges, key=lambda e: (source[e[0]], token[e[1]])):
-        lines.append(f'  "{source[u]}" -> "{name(v)}" [label="{token[x]}"];')
+    for u, x, v in sorted(ball.edges, key=lambda e: (source[e[0]], e[1])):
+        lines.append(f'  "{source[u]}" -> "{name(v)}" [label="{x}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -134,7 +126,7 @@ def _predecessor_sweep(pres: Presentation, max_len: int, violations: list):
             target = reduce_word(u + (x,), pres)
             if target != v:
                 violations.append(
-                    f"edge {format_word(u)} --{x.token}--> reaches "
+                    f"edge {format_word(u)} --{x}--> reaches "
                     f"{format_word(target)}, not {format_word(v)}"
                 )
         found += len(preds)

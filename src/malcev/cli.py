@@ -220,10 +220,10 @@ def _non_principal_count(pres, max_len: int) -> int:
 
 def cmd_gen(args) -> int:
     pres = _presentation(args.n)
-    in_order = lambda s: [g.token for g in pres.generators if g in s]
+    in_order = lambda s: [g for g in pres.generators if g in s]
     relations = [(format_word(r.left), format_word(r.right)) for r in pres.relations]
     result = {
-        "generators": [g.token for g in pres.generators],
+        "generators": list(pres.generators),
         "relations": [{"left": l, "right": r} for l, r in relations],
         "P": in_order(pres.p_set),
         "Q": in_order(pres.q_set),

@@ -28,7 +28,6 @@ __all__ = [
     "equality_class",
     "left_divides",
     "partition_agreement",
-    "transitions",
     "word_count",
 ]
 
@@ -67,11 +66,6 @@ def _steps(words, pres: Presentation):
             if swaps:
                 for repl in swaps:
                     yield w[:i] + repl + w[i + 2 :]
-
-
-def transitions(w: Word, pres: Presentation):
-    """Words one relation application away from w."""
-    return _steps((w,), pres)
 
 
 def closure(seeds, pres: Presentation) -> list:

@@ -89,9 +89,7 @@ class DerivationStep:
 def format_group_word(g: GroupWord) -> str:
     if not g:
         return "1"
-    return " ".join(
-        letter.token if sign > 0 else f"{letter.token}^-1" for letter, sign in g
-    )
+    return " ".join(letter if sign > 0 else f"{letter}^-1" for letter, sign in g)
 
 
 def free_reduce(g: GroupWord) -> GroupWord:
@@ -221,11 +219,8 @@ def build_obstruction_script(pres: Presentation):
     n = pres.n
     if n is None:
         raise PresentationError("obstruction scripts need the indexed family")
-    a, b, c, d = Letter("a"), Letter("b"), Letter("c"), Letter("d")
-    A = {i: Letter("A", i) for i in range(1, n + 1)}
-    B = {i: Letter("B", i) for i in range(1, n + 1)}
-    C = {i: Letter("C", i) for i in range(1, n + 1)}
-    D = {i: Letter("D", i) for i in range(1, n + 1)}
+    a, b, c, d = "a", "b", "c", "d"
+    A, B, C, D = ({i: f"{k}{i}" for i in range(1, n + 1)} for k in "ABCD")
     index_of = {rel: i for i, rel in enumerate(pres.relations)}
 
     steps = []
@@ -305,7 +300,7 @@ def _step_dict(step: DerivationStep) -> dict:
         "after": format_group_word(step.after),
     }
     if step.kind == INSERT:
-        out["letter"] = step.letter.token
+        out["letter"] = step.letter
         out["sign"] = step.sign
     if step.kind == RELATOR:
         out["relation_index"] = step.relation_index
@@ -316,7 +311,7 @@ def _step_dict(step: DerivationStep) -> dict:
 
 def describe_step(step: DerivationStep, pres: Presentation) -> str:
     if step.kind == INSERT:
-        tok = step.letter.token
+        tok = step.letter
         pair = f"{tok} {tok}^-1" if step.sign > 0 else f"{tok}^-1 {tok}"
         return f"insert {pair} at {step.position}"
     if step.kind == CANCEL:
@@ -350,8 +345,8 @@ def verify_obstruction(pres: Presentation) -> ObstructionCertificate:
     """Build the script, check it by replay and by its relator product, and
     confirm the monoid keeps c a and B1 C1 apart."""
     script = build_obstruction_script(pres)
-    ca: Word = (Letter("c"), Letter("a"))
-    bc: Word = (Letter("B", 1), Letter("C", 1))
+    ca: Word = ("c", "a")
+    bc: Word = ("B1", "C1")
     start, target = _positive(ca), _positive(bc)
     final = validate_script(script, pres, start)
     if free_reduce(final) != target:

@@ -110,6 +110,12 @@ def _q_extensions(nf, pres: Presentation) -> frozenset:
     return frozenset(head + rewrite.get(pair, pair) for pair in pairs)
 
 
+def _bound(n: int) -> int:
+    """The paper's bound on the generators of pM and qM's intersection in
+    M_n: one for n >= 2, two for n = 1."""
+    return 2 if n == 1 else 1
+
+
 def _meet(p, q, p_ext, q_ext, pres: Presentation):
     """Provenance and generator normal forms, unordered, of pM and qM's
     intersection, for normal forms p and q with Q extensions p_ext and q_ext."""
@@ -118,7 +124,7 @@ def _meet(p, q, p_ext, q_ext, pres: Presentation):
     if _left_divides_nf(q, p, pres) is not None:
         return "reachable-q-to-p", (p,)
     shared = p_ext & q_ext
-    if len(shared) > (2 if pres.n == 1 else 1):
+    if len(shared) > _bound(pres.n):
         raise AlignmentViolation(
             f"{len(shared)} incomparable bases for p={format_word(p)}, "
             f"q={format_word(q)} at n={pres.n}: "
@@ -263,7 +269,7 @@ class AlignmentReport:
 
     @property
     def bound(self) -> int:
-        return 1 if self.n >= 2 else 2
+        return _bound(self.n)
 
     @property
     def ok(self) -> bool:

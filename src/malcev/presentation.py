@@ -3,11 +3,12 @@ user-supplied systems.
 
 The n-th member of the family has generators a, b, c, d, A_1..A_n, B_1..B_n,
 C_1..C_n, D_1..D_n and 2n+1 relations, each pairing two two-letter words.
-Every algorithm downstream consumes the derived structure computed here:
-the first-letter class P, the second-letter class Q, the left/right relation
-word sets L and R, the rewrite map sending each R word to its L partner, and
-the two-way index partners listing, for every relation word, the words it
-can be swapped for.
+A generator is its token, the string the paper and the output spell it with
+("a", "A2"), and a word is a tuple of tokens.  Every algorithm downstream
+consumes the derived structure computed here: the first-letter class P, the
+second-letter class Q, the left/right relation word sets L and R, the
+rewrite map sending each R word to its L partner, and the two-way index
+partners listing, for every relation word, the words it can be swapped for.
 """
 
 from __future__ import annotations
@@ -76,20 +77,7 @@ INDEXED_KINDS = ("A", "B", "C", "D")
 _TOKEN_RE = re.compile(r"([A-Za-z]+?)(\d+)?")
 
 
-class Letter(NamedTuple):
-    """A generator symbol: a bare kind ("a") or an indexed family member ("A2")."""
-
-    kind: str
-    index: Optional[int] = None
-
-    @property
-    def token(self) -> str:
-        return self.kind if self.index is None else f"{self.kind}{self.index}"
-
-    def __repr__(self) -> str:
-        return f"Letter({self.token!r})"
-
-
+Letter = str  # a generator's token: a bare kind ("a") or a kind and index ("A2")
 Word = tuple  # tuple of Letter; the empty tuple is the identity
 
 
@@ -99,12 +87,10 @@ class Relation(NamedTuple):
 
 
 def letter_from_token(token: str) -> Letter:
-    """Parse one token: alphabetic kind plus optional decimal index suffix."""
-    m = _TOKEN_RE.fullmatch(token)
-    if m is None:
+    """Validate one token: alphabetic kind plus optional decimal index suffix."""
+    if _TOKEN_RE.fullmatch(token) is None:
         raise UnknownToken(f"malformed token {token!r}")
-    kind, index = m.group(1), m.group(2)
-    return Letter(kind, int(index) if index is not None else None)
+    return token
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,8 +99,8 @@ class Presentation:
 
     Construction validates the relations: every side has length 2 and uses
     only the generators, P and Q are disjoint, L and R are disjoint, and the
-    rewrite map is functional.  The generators' tokens must be distinct, so
-    that a token names one generator and token order is a total order.
+    rewrite map is functional.  The generators must be distinct tokens, so
+    that token order is a total order on them.
     """
 
     n: Optional[int]
@@ -122,8 +108,7 @@ class Presentation:
     relations: tuple
 
     def __post_init__(self):
-        by_token = {g.token: g for g in self.generators}
-        if len(by_token) != len(self.generators):
+        if len(set(self.generators)) != len(self.generators):
             raise PresentationError("generators must have distinct tokens")
         for left, right in self.relations:
             if len(left) != 2 or len(right) != 2:
@@ -137,14 +122,14 @@ class Presentation:
         if foreign:
             raise ForeignLetter(
                 "relation letters outside the generators: "
-                + " ".join(sorted(x.token for x in foreign))
+                + " ".join(sorted(foreign))
             )
         p_set = frozenset(side[0] for side in sides)
         q_set = frozenset(side[1] for side in sides)
         if p_set & q_set:
             raise PQOverlap(
                 "letters occur in both positions: "
-                + " ".join(sorted(x.token for x in p_set & q_set))
+                + " ".join(sorted(p_set & q_set))
             )
         l_words = frozenset(left for left, _ in self.relations)
         r_words = frozenset(right for _, right in self.relations)
@@ -164,7 +149,6 @@ class Presentation:
             partners.setdefault(right, []).append(left)
         derived = {
             "generator_set": generator_set,
-            "by_token": by_token,
             "p_set": p_set,
             "q_set": q_set,
             "q_letters": tuple(x for x in self.generators if x in q_set),
@@ -188,21 +172,9 @@ def build_presentation(n: int) -> Presentation:
     2n+1 relations)."""
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise PresentationError(f"n must be a positive integer, got {n!r}")
-    a, b, c, d = (Letter(k) for k in BASE_KINDS)
-    A = {i: Letter("A", i) for i in range(1, n + 1)}
-    B = {i: Letter("B", i) for i in range(1, n + 1)}
-    C = {i: Letter("C", i) for i in range(1, n + 1)}
-    D = {i: Letter("D", i) for i in range(1, n + 1)}
-    generators = (
-        a,
-        b,
-        c,
-        d,
-        *(A[i] for i in range(1, n + 1)),
-        *(B[i] for i in range(1, n + 1)),
-        *(C[i] for i in range(1, n + 1)),
-        *(D[i] for i in range(1, n + 1)),
-    )
+    A, B, C, D = ({i: f"{k}{i}" for i in range(1, n + 1)} for k in INDEXED_KINDS)
+    a, b, c, d = BASE_KINDS
+    generators = (*BASE_KINDS, *A.values(), *B.values(), *C.values(), *D.values())
     relations = [Relation((d, a), (A[1], C[1]))]
     relations += [
         Relation((A[i], D[i]), (A[i + 1], C[i + 1])) for i in range(1, n)
@@ -229,7 +201,7 @@ def validate_generic(relations) -> Presentation:
 def check_letters(w: Word, pres: Presentation) -> None:
     for letter in w:
         if letter not in pres.generator_set:
-            raise ForeignLetter(f"{letter.token!r} is not a generator of {pres!r}")
+            raise ForeignLetter(f"{letter!r} is not a generator of {pres!r}")
 
 
 def parse_word(text: str, pres: Presentation) -> Word:
@@ -240,29 +212,24 @@ def parse_word(text: str, pres: Presentation) -> Word:
         raise PresentationError("empty word text; write 1 for the identity")
     if tokens == ["1"]:
         return ()
-    letters = []
     for token in tokens:
-        letter = pres.by_token.get(token)
-        if letter is None:
-            try:
-                parsed = letter_from_token(token)
-            except UnknownToken:
-                raise UnknownToken(f"{token!r} is not a generator") from None
+        if token not in pres.generator_set:
+            m = _TOKEN_RE.fullmatch(token)
             if (
-                pres.n is not None
-                and parsed.kind in INDEXED_KINDS
-                and parsed.index is not None
-                and not 1 <= parsed.index <= pres.n
+                m is not None
+                and pres.n is not None
+                and m.group(1) in INDEXED_KINDS
+                and m.group(2) is not None
+                and not 1 <= int(m.group(2)) <= pres.n
             ):
                 raise IndexOutOfRange(f"{token!r}: index outside 1..{pres.n}")
             raise UnknownToken(f"{token!r} is not a generator")
-        letters.append(letter)
-    return tuple(letters)
+    return tuple(tokens)
 
 
 def format_word(w: Word) -> str:
     """Inverse of parse_word; the empty word renders as "1"."""
     if not w:
         return "1"
-    return " ".join(letter.token for letter in w)
+    return " ".join(w)
 

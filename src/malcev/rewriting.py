@@ -97,13 +97,13 @@ def is_intersection_base(w: Word, pres: Presentation) -> bool:
 
 def element_key(w: Word):
     """Sort key for normal forms: length, then token-lexicographic."""
-    return (len(w), tuple(letter.token for letter in w))
+    return (len(w), w)
 
 
 def _follow(pres: Presentation):
     """The generators in token order, and for each the letters that may
     follow it in a normal form: those that form no right side with it."""
-    letters = sorted(pres.generators, key=lambda g: g.token)
+    letters = sorted(pres.generators)
     rewrite = pres.rewrite_map
     return letters, {x: [g for g in letters if (x, g) not in rewrite] for x in letters}
 
@@ -113,7 +113,7 @@ def enumerate_elements(pres: Presentation, max_len: int):
     element_key.  Normal forms are the words with no right-side factor, so
     those of length k are those of length k-1 extended by every letter that
     forms no right side with their last letter.  Extending in token order
-    keeps each length sorted, since generators' tokens are distinct."""
+    keeps each length sorted, since the generators are distinct."""
     letters, follow = _follow(pres)
     out = [()]
     layer = [()]

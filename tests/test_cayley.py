@@ -8,7 +8,6 @@ from malcev.cayley import (
     export_dot,
     indegree_violations,
     predecessors,
-    vertex_name,
 )
 from malcev.cli import run
 from malcev.congruence import equality_class
@@ -68,7 +67,7 @@ def test_ball_merges_equal_words(m1):
     # d a and A1 C1 are the same vertex, reached by two edge paths
     ball = build_ball(el("1", m1), 2, m1)
     da = el("d a", m1)
-    incoming = {(format_word(u), x.token) for u, x, v in ball.edges if v == da}
+    incoming = {(format_word(u), x) for u, x, v in ball.edges if v == da}
     assert incoming == {("d", "a"), ("A1", "C1")}
     assert sum(1 for v in ball.vertices if v == da) == 1
 
@@ -80,7 +79,7 @@ def test_ball_from_nonidentity_root(m1):
 
 
 def named(preds):
-    return {(format_word(u), x.token) for u, x in preds}
+    return {(format_word(u), x) for u, x in preds}
 
 
 def test_predecessors(m1, m2):
@@ -115,6 +114,13 @@ def test_predecessors_match_search(n, max_len):
         assert predecessors(v, pres) == predecessors_by_search(v, pres), v
 
 
+def vertex_name(w):
+    """DOT node name: normal-form tokens joined by '.', identity as '1'."""
+    if not w:
+        return "1"
+    return ".".join(w)
+
+
 def test_vertex_name(m1):
     assert vertex_name(el("1", m1)) == "1"
     assert vertex_name(el("d a", m1)) == "d.a"
@@ -144,9 +150,9 @@ def _export_dot_reference(ball):
     for v in ball.vertices:
         lines.append(f'  "{vertex_name(v)}";')
     for u, x, v in sorted(
-        ball.edges, key=lambda edge: (vertex_name(edge[0]), edge[1].token)
+        ball.edges, key=lambda edge: (vertex_name(edge[0]), edge[1])
     ):
-        lines.append(f'  "{vertex_name(u)}" -> "{vertex_name(v)}" [label="{x.token}"];')
+        lines.append(f'  "{vertex_name(u)}" -> "{vertex_name(v)}" [label="{x}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -123,6 +123,18 @@ def test_gen_json(capsys):
     assert result["R"] == ["A1 C1", "A2 C2", "d b", "B2 D2", "B1 D1"]
 
 
+def test_gen_json_lists_generators_in_index_order(capsys):
+    assert run(["gen", "-n", "12", "--format", "json"]) == 0
+    generators = json.loads(out_of(capsys)[0])["result"]["generators"]
+    assert generators == (
+        "a b c d "
+        "A1 A2 A3 A4 A5 A6 A7 A8 A9 A10 A11 A12 "
+        "B1 B2 B3 B4 B5 B6 B7 B8 B9 B10 B11 B12 "
+        "C1 C2 C3 C4 C5 C6 C7 C8 C9 C10 C11 C12 "
+        "D1 D2 D3 D4 D5 D6 D7 D8 D9 D10 D11 D12"
+    ).split()
+
+
 def test_ball_text_and_dot_file(tmp_path, capsys):
     dot_file = tmp_path / "ball.dot"
     code = run(["ball", "-n", "1", "--radius", "1", "--dot", str(dot_file)])

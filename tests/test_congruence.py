@@ -11,7 +11,6 @@ from malcev.congruence import (
     equality_class,
     left_divides,
     partition_agreement,
-    transitions,
     word_count,
 )
 from malcev.presentation import ForeignLetter, format_word, parse_word
@@ -143,12 +142,14 @@ def test_closure_of_seeds_is_union_of_classes(m1, m2):
 
 
 def test_transitions_order_and_content(m1):
-    # positions scan left to right, partners in presentation order
-    out = list(transitions(w("d a d b", m1), m1))
-    assert out == [
+    # the search lists the seed, then its one-step neighbours: positions
+    # scan left to right, partners in presentation order
+    out = equality_class(w("d a d b", m1), m1)[:3]
+    assert out == (
+        w("d a d b", m1),
         w("A1 C1 d b", m1),  # (d a, A1 C1) applied at 0
         w("d a A1 D1", m1),  # (A1 D1, d b) applied backwards at 2
-    ]
+    )
 
 
 def test_left_divides_witness(m1):

@@ -51,10 +51,10 @@ def test_format_group_word():
 
 def test_gw_round_trips():
     assert gw("B1 D1 D1^-1 A1^-1 d a") == (
-        (Letter("B", 1), POS),
-        (Letter("D", 1), POS),
-        (Letter("D", 1), NEG),
-        (Letter("A", 1), NEG),
+        ("B1", POS),
+        ("D1", POS),
+        ("D1", NEG),
+        ("A1", NEG),
         (Letter("d"), POS),
         (Letter("a"), POS),
     )

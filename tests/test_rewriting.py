@@ -60,6 +60,14 @@ def test_foreign_letter(m1, m2):
         equal(w, w, m1)
 
 
+def test_plain_string_words(m1):
+    # a word is a tuple of tokens; anything else in it is a foreign letter
+    assert left_normal_form(("d", "b"), m1) == ("A1", "D1")
+    for bad in ("zz", 7):
+        with pytest.raises(ForeignLetter, match=f"^{bad!r} is not a generator"):
+            left_normal_form(("a", bad), m1)
+
+
 def all_words(pres, max_len):
     for length in range(max_len + 1):
         yield from product(pres.generators, repeat=length)
@@ -144,7 +152,7 @@ def test_intersection_base(m1, m2):
 def test_enumerate_elements_matches_deduplicated_words(m1):
     elements = enumerate_elements(m1, 3)
     assert len(elements) == len(set(elements))
-    assert elements == sorted(elements, key=lambda w: (len(w), [x.token for x in w]))
+    assert elements == sorted(elements, key=lambda w: (len(w), [x for x in w]))
     from_words = {reduce_word(w, m1) for w in all_words(m1, 3)}
     assert set(elements) == from_words
     for e in elements:
@@ -186,6 +194,13 @@ def test_element_key_orders_by_length_then_tokens(m1):
         "A1 D1",
         "d a",
     ]
+
+
+def test_token_order_differs_from_index_order_at_n12():
+    m12 = build_presentation(12)
+    first = [format_word(e) for e in enumerate_elements(m12, 1)[:7]]
+    assert first == ["1", "A1", "A10", "A11", "A12", "A2", "A3"]
+    assert element_key(("A10",)) < element_key(("A2",))
 
 
 def test_no_cancellation_failures_small(m1, m2):
