@@ -86,7 +86,7 @@ def predecessors(v: Word, pres: Presentation) -> frozenset:
     return frozenset(preds)
 
 
-def export_dot(ball: CayleyBall, pres: Presentation) -> str:
+def export_dot(ball: CayleyBall) -> str:
     """Serialize a ball in DOT format.
 
     Node names are quoted ('.'-joined tokens are not bare DOT identifiers);

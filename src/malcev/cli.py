@@ -294,7 +294,7 @@ def cmd_ball(args) -> int:
     _refuse_over_budget("--radius", args.radius, pres)
     root = left_normal_form(parse_word(args.root, pres), pres)
     ball = build_ball(root, args.radius, pres)
-    dot = export_dot(ball, pres) if args.dot else None
+    dot = export_dot(ball) if args.dot else None
     dot_path = None
     if args.dot and args.dot != "-":
         Path(args.dot).write_text(dot)

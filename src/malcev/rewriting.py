@@ -18,7 +18,9 @@ with one ``str.replace`` per relation, in any order.  This equals
 ones included: an R word is a P letter then a Q letter, so two occurrences
 cannot overlap; an L word is also P then Q and is never an R word, so a
 replacement creates no occurrence inside or across its boundaries; and no
-occurrence spans the separator.
+occurrence spans the separator.  Only the products whose seam, the pair
+where a side meets its factor, is an R word go into a batch: any other
+product of two normal forms is a normal form already.
 """
 
 from __future__ import annotations
@@ -180,20 +182,63 @@ def cancellativity_violations(pres: Presentation, max_ab: int, max_c: int):
     every word of the same bounds.  Returns human-readable violation strings,
     per c and per x, the right failure before the left one.
 
-    For each c, all the products x c are reduced together in one joined
-    string, and so are all the products c x.  Only a c whose products
-    collide is walked pair by pair to name the colliding elements.
+    Only the products whose seam is an R word are reduced.  A two-letter
+    factor of x c lies inside x, inside c or across the seam (x[-1], c[0]).
+    The sides and the factors are R-free, so every other product x c is left
+    unchanged by reduction, and these unchanged products are pairwise
+    distinct because the sides are.  So the products x c collide exactly
+    when two reduced seam products are equal, or when one of them is y c for
+    an unchanged side y: it ends in c and the rest is a side.  The products
+    c x are the mirror image, with the seam (c[-1], x[0]).  For each c the
+    seam products on each side are reduced in one joined string.
+
+    The premise is checked, not assumed: the identity factor's batch reduces
+    every side, and if any side changes, every factor takes the full batch
+    of its products; so does a factor that contains an R word.  A factor
+    whose products collide is walked pair by pair over the full batch, to
+    name the colliding elements.
     """
     codec = _Codec(pres)
+    rewrite = pres.rewrite_map
     sides = enumerate_elements(pres, max_ab)
     encoded = [codec.encode(x) for x in sides]
+    side_set = set(encoded)
+    # the identity factor's batch: its products are the sides themselves
+    sides_r_free = codec.reduce_joined("\n".join(encoded)) == encoded
+    ending, starting = {}, {}
+    for x, s in zip(sides, encoded):
+        if x:
+            ending.setdefault(x[-1], []).append(s)
+            starting.setdefault(x[0], []).append(s)
+    # by the first letter of c, the sides x with an R word across x c; by
+    # its last letter, those with an R word across c x
+    right_seam, left_seam = {}, {}
+    for p, q in rewrite:
+        if p in ending:
+            right_seam.setdefault(q, []).extend(ending[p])
+        if q in starting:
+            left_seam.setdefault(p, []).extend(starting[q])
     violations = []
     for c in enumerate_elements(pres, max_c):
         ec = codec.encode(c)
+        if sides_r_free and not any(pair in rewrite for pair in zip(c, c[1:])):
+            if not c:  # its products are the sides, found R-free above
+                continue
+            k = len(ec)
+            right = left = ()
+            if c[0] in right_seam:
+                right = codec.reduce_joined((ec + "\n").join(right_seam[c[0]]) + ec)
+            if c[-1] in left_seam:
+                left = codec.reduce_joined(ec + ("\n" + ec).join(left_seam[c[-1]]))
+            if (
+                len(set(right)) == len(right)
+                and len(set(left)) == len(left)
+                and side_set.isdisjoint([key[:-k] for key in right if key.endswith(ec)])
+                and side_set.isdisjoint([key[k:] for key in left if key.startswith(ec)])
+            ):
+                continue
         right_keys = codec.reduce_joined((ec + "\n").join(encoded) + ec)
         left_keys = codec.reduce_joined(ec + ("\n" + ec).join(encoded))
-        if len(set(right_keys)) == len(set(left_keys)) == len(sides):
-            continue
         seen_right = {}
         seen_left = {}
         for x, right_key, left_key in zip(sides, right_keys, left_keys):

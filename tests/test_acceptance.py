@@ -80,6 +80,14 @@ def test_criterion_4_cancellativity_sweep(m1):
     timed(300, "criterion 4: no cancellation failures", check)
 
 
+def test_criterion_4_cancellativity_sweep_n2_max_len_4(m2):
+    # 20,361 sides against 1,760 factors; only seam products are reduced
+    def check():
+        assert cancellativity_violations(m2, 4, 3) == []
+
+    timed(60, "criterion 4: no cancellation failures at n = 2, max-len 4", check)
+
+
 def test_criterion_5_cayley_structure(m1, m2):
     def check():
         for pres in (m1, m2):

@@ -129,8 +129,8 @@ def test_vertex_name(m1):
 
 def test_export_dot(m1):
     ball = build_ball(el("1", m1), 1, m1)
-    dot = export_dot(ball, m1)
-    assert dot == export_dot(build_ball(el("1", m1), 1, m1), m1)
+    dot = export_dot(ball)
+    assert dot == export_dot(build_ball(el("1", m1), 1, m1))
     lines = dot.splitlines()
     assert lines[0] == "digraph cayley {"
     assert lines[-1] == "}"
@@ -185,12 +185,12 @@ def test_export_dot_matches_reference(n, max_radius):
             ball = build_ball(el(root, pres), radius, pres)
             reference = ball_by_reduction(el(root, pres), radius, pres)
             assert ball == reference, (root, radius)
-            assert export_dot(ball, pres) == _export_dot_reference(reference), (root, radius)
+            assert export_dot(ball) == _export_dot_reference(reference), (root, radius)
 
 
 def test_export_dot_edge_order(m1):
     ball = build_ball(el("1", m1), 2, m1)
-    edge_lines = [l for l in export_dot(ball, m1).splitlines() if "->" in l]
+    edge_lines = [l for l in export_dot(ball).splitlines() if "->" in l]
     quoted = [l.split('"')[1::2] for l in edge_lines]  # [source, target, label]
     keys = [(source, label) for source, _, label in quoted]
     assert keys == sorted(keys)

@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from malcev import congruence
+from malcev import congruence, rewriting
 from malcev.presentation import (
     ForeignLetter,
     build_presentation,
@@ -241,11 +241,11 @@ def test_batch_reduction_matches_reduce_word(n):
     assert codec.reduce_joined("") == [""]
 
 
-def plain_cancellativity_sweep(pres, max_ab, max_c):
+def plain_cancellativity_sweep(pres, max_ab, max_c, elements=enumerate_elements):
     """The sweep written out pair by pair with reduce_word."""
     violations = []
-    sides = enumerate_elements(pres, max_ab)
-    for c in enumerate_elements(pres, max_c):
+    sides = elements(pres, max_ab)
+    for c in elements(pres, max_c):
         seen_right, seen_left = {}, {}
         for x in sides:
             for seen, key, side, verb in (
@@ -272,6 +272,100 @@ def test_cancellation_sweep_two_sided_failures_match_plain_sweep():
     assert found == plain_cancellativity_sweep(broken, 2, 2)
     assert "right: x != z but both give x v after appending v" in found
     assert "left: w != y but both give u y after prepending u" in found
+
+
+def make_presentation(relations):
+    if isinstance(relations, int):
+        return build_presentation(relations)
+    return validate_generic([(tok(l), tok(r)) for l, r in relations])
+
+
+# x v = z v: the changed product z v collides with the unchanged x v
+RIGHT_COLLISION = [("x v", "z v")]
+# c d and e d share the L partner a b: two changed products collide
+SHARED_PARTNER = [("a b", "c d"), ("a b", "e d")]
+# u y = u w: u w collides with the unchanged u y, on the left only
+LEFT_COLLISION = [("u y", "u w")]
+
+
+@pytest.mark.parametrize(
+    "relations, max_ab, max_c",
+    [
+        (1, 3, 2),
+        (2, 2, 2),
+        (3, 2, 1),
+        (RIGHT_COLLISION, 2, 2),
+        (SHARED_PARTNER, 2, 2),
+        (LEFT_COLLISION, 2, 2),
+        # sides of length 0 with factors of length 1: verify --max-len 0
+        (1, 0, 1),
+        (RIGHT_COLLISION, 0, 1),
+        (LEFT_COLLISION, 0, 1),
+    ],
+)
+def test_seam_sweep_matches_plain_sweep(relations, max_ab, max_c):
+    pres = make_presentation(relations)
+    found = cancellativity_violations(pres, max_ab, max_c)
+    assert found == plain_cancellativity_sweep(pres, max_ab, max_c)
+    if relations is SHARED_PARTNER and max_ab:
+        assert "right: c != e but both give a b after appending d" in found
+    if relations is LEFT_COLLISION and max_ab:
+        assert found and all(v.startswith("left:") for v in found)
+
+
+@pytest.mark.parametrize(
+    "relations, max_ab, max_c, planted",
+    [
+        pytest.param(
+            1, 2, 1, "right: A1 C1 != d a but both give d a after appending 1",
+            id="sides",
+        ),
+        pytest.param(
+            RIGHT_COLLISION, 1, 3,
+            "right: x != z but both give x v x v after appending v z v",
+            id="factor",
+        ),
+    ],
+)
+def test_sweep_checks_its_premise(monkeypatch, relations, max_ab, max_c, planted):
+    # words that are not normal forms take full batches, so the sweep still
+    # equals the plain one: as sides, d a and A1 C1 collide already under the
+    # identity factor; as a factor, v z v reduces inside z v z v and x v z v
+    # alike, and z, a seam side, collides with x, an unchanged one
+    def words(pres, max_len):
+        return sorted(all_words(pres, max_len), key=element_key)
+
+    pres = make_presentation(relations)
+    monkeypatch.setattr(rewriting, "enumerate_elements", words)
+    found = cancellativity_violations(pres, max_ab, max_c)
+    assert found == plain_cancellativity_sweep(pres, max_ab, max_c, words)
+    assert planted in found
+
+
+@pytest.mark.parametrize(
+    "n, max_ab, max_c", [(1, 3, 2), (2, 2, 2), (3, 2, 1), (1, 0, 1)]
+)
+def test_sweep_reduces_only_seam_products(monkeypatch, n, max_ab, max_c):
+    # one batch of every side for the identity factor, then one product per
+    # (x, c, side) whose seam pair is an R word, counted here pair by pair
+    pres = build_presentation(n)
+    reduced = []
+    reduce_joined = _Codec.reduce_joined
+
+    def counting(self, text):
+        reduced.append(text.count("\n") + 1)
+        return reduce_joined(self, text)
+
+    monkeypatch.setattr(_Codec, "reduce_joined", counting)
+    assert cancellativity_violations(pres, max_ab, max_c) == []
+    sides = enumerate_elements(pres, max_ab)
+    seams = sum(
+        (x[-1:] + c[:1] in pres.rewrite_map) + (c[-1:] + x[:1] in pres.rewrite_map)
+        for x in sides
+        for c in enumerate_elements(pres, max_c)
+    )
+    assert sum(reduced) == len(sides) + seams
+    assert seams or max_ab == 0
 
 
 def assert_divides_like_search(p, q, pres):
