@@ -9,15 +9,19 @@ The ideal of an element within the window comes from the same closure that
 enumerates equality classes, seeded with the element's literal extensions;
 the identity's ideal is every element and is never built.
 
-The alignment sweep does each element's work once.  It computes every
-element's Q extensions once, keyed by normal form, intersects only the
-pairs that share one, and stores no per-pair result.  Its oracle builds
-each root's ideal once: the sample is drawn before the sweep, the uses of
-each root in it are counted, and an ideal is dropped right after its last
-use.  Common multiples are then the meet of two ideals, and the returned
-generators are checked by membership in their own ideals.  The per-pair
-oracle, brute_force_intersection, is minimised with the search-based
-divisibility of the congruence module and describes any pair that fails.
+The alignment sweep reads each element's partners, the other elements that
+share a Q extension with it, off its normal form.  The Q extensions of p are
+p[:-1] followed by a two-letter tail that depends only on p[-1], so p and q
+share one exactly when they have the same length and prefix and their last
+letters share one.  A table over the letters gives those partner letters.
+The sweep intersects only the pairs of partners and stores no per-pair
+result.  Its oracle builds each root's ideal once: the sample is drawn
+before the sweep, the uses of each root in it are counted, and an ideal is
+dropped right after its last use.  Common multiples are then the meet of
+two ideals, and the returned generators are checked by membership in their
+own ideals.  The per-pair oracle, brute_force_intersection, is minimised
+with the search-based divisibility of the congruence module and describes
+any pair that fails.
 """
 
 from __future__ import annotations
@@ -29,7 +33,13 @@ from itertools import permutations, product
 
 from .congruence import DEFAULT_CAP, closure, count_over_budget, left_divides
 from .presentation import Presentation, PresentationError, Word, format_word
-from .rewriting import _left_divides_nf, element_key, enumerate_elements, reduce_word
+from .rewriting import (
+    _left_divides_nf,
+    count_elements,
+    element_key,
+    enumerate_elements,
+    reduce_word,
+)
 
 __all__ = [
     "AlignmentReport",
@@ -114,6 +124,33 @@ def _bound(n: int) -> int:
     """The paper's bound on the generators of pM and qM's intersection in
     M_n: one for n >= 2, two for n = 1."""
     return 2 if n == 1 else 1
+
+
+def _non_principal_count(pres: Presentation, max_len: int) -> int:
+    """The exact number of ordered pairs of length <= max_len whose meet
+    needs two generators: none for n >= 2, and at n = 1 the pairs
+    (u d, u A1) and (u A1, u d) for every u of length < max_len."""
+    if pres.n != 1 or max_len == 0:
+        return 0
+    return 2 * count_elements(pres, max_len - 1)
+
+
+def _letter_partners(pres: Presentation) -> dict:
+    """Each letter a that shares a one-letter Q extension with another
+    letter, mapped to those other letters b in token order: the b for which
+    _q_extensions((b,)) meets _q_extensions((a,)).  They are found through
+    an index from each two-letter extension to the letters that have it."""
+    letters = sorted(pres.generators)
+    having = {}  # two-letter Q extension -> letters that have it, in token order
+    for b in letters:
+        for x in _q_extensions((b,), pres):
+            having.setdefault(x, []).append(b)
+    partners = {}
+    for a in letters:
+        shared = {b for x in _q_extensions((a,), pres) for b in having[x] if b != a}
+        if shared:
+            partners[a] = sorted(shared)
+    return partners
 
 
 def _meet(p, q, p_ext, q_ext, pres: Presentation):
@@ -210,13 +247,16 @@ def _is_meet(gens, gen_ideals, common) -> bool:
     return common is not None and not common.difference(*gen_ideals)
 
 
-def _oracle_mismatches(sample, extensions, window: int, pres: Presentation):
+def _oracle_mismatches(sample, window: int, pres: Presentation):
     """Check the meet of each sampled pair against the brute-force oracle.
 
+    The Q extensions of each distinct sampled element are computed once.
     Each root's ideal is built once and dropped after its last use: the
     uses of every root, as a sampled element or as a returned generator,
     are counted before the first ideal is built.
     """
+    distinct = {w for pair in sample for w in pair}
+    extensions = {w: _q_extensions(w, pres) for w in distinct}
     checks = []
     for p, q in sample:
         try:
@@ -255,7 +295,11 @@ def _oracle_mismatches(sample, extensions, window: int, pres: Presentation):
 @dataclass(frozen=True)
 class AlignmentReport:
     """Sweep summary: exhaustive generator counts plus spot checks against
-    the brute-force oracle.  mismatches is empty on a clean run."""
+    the brute-force oracle.  violations is empty on a clean run.
+
+    expected_non_principal is the exact number of non-principal pairs the
+    paper gives for these bounds; it is checked, not serialised.
+    """
 
     n: int
     max_len: int
@@ -266,14 +310,32 @@ class AlignmentReport:
     window: int
     seed: int
     mismatches: tuple
+    expected_non_principal: int
 
     @property
     def bound(self) -> int:
         return _bound(self.n)
 
     @property
+    def violations(self) -> tuple:
+        """The mismatches, then a generator count over the bound, then a
+        non-principal pair count other than the exact one."""
+        found = list(self.mismatches)
+        if self.max_generators > self.bound:
+            found.append(
+                f"max generator count {self.max_generators} exceeds "
+                f"bound {self.bound}"
+            )
+        if len(self.non_principal) != self.expected_non_principal:
+            found.append(
+                f"{len(self.non_principal)} non-principal pairs, expected "
+                f"exactly {self.expected_non_principal}"
+            )
+        return tuple(found)
+
+    @property
     def ok(self) -> bool:
-        return not self.mismatches and self.max_generators <= self.bound
+        return not self.violations
 
     def to_dict(self) -> dict:
         return {
@@ -314,15 +376,24 @@ def verify_alignment(
     the largest generator count starts at 1.  pair_count stays the number
     of ordered pairs.
 
-    Each piece of per-element work runs once per sweep.  Every element's
-    one-letter Q extensions are computed once, keyed by its normal form,
-    and indexed by extension to find the pairs that share one.
-    The sample is drawn before the sweep, and no per-pair result is stored:
-    the sampled pairs' meets are recomputed from the cached extensions.  The
-    oracle builds the ideal of each sampled element and returned generator
-    once, and drops it after its last use in the sample.  A window in which
-    some sampled element has more literal extensions than the closure cap
-    is refused up front with a ValueError.
+    The pairs that share an extension are read off the normal forms.  The
+    Q extensions of a nonempty p are p[:-1] followed by a two-letter tail
+    that depends only on p[-1], and those of the identity are single
+    letters.  So p and q share one exactly when they have the same length
+    and prefix and their last letters share one, and the partners of p are
+    p[:-1] + (b,) for each letter b that _letter_partners gives p[-1].
+    They follow p's enumeration order, since they differ from each other
+    only in the last letter.  Each is an element: a letter that shares an
+    extension with another letter is a P letter, and a P letter never ends
+    an R word.  Only the identity is swept at max_len 0, so the letter
+    table is not built there.
+
+    No per-pair result is stored, and each element's extensions are
+    computed when _meet needs them.  The sample is drawn before the sweep.
+    The oracle builds the ideal of each sampled element and returned
+    generator once, and drops it after its last use in the sample.  A
+    window in which some sampled element has more literal extensions than
+    the closure cap is refused up front with a ValueError.
     """
     if pres.n is None:
         raise PresentationError("alignment verification needs the indexed family")
@@ -345,21 +416,19 @@ def verify_alignment(
                 f"{format_word(shortest)} has {seeds} seed words, over the "
                 f"closure cap of {DEFAULT_CAP}"
             )
-    extensions = {w: _q_extensions(w, pres) for w in nfs}
-    sharing = {}  # Q extension -> positions of the elements that have it
-    for i, w in enumerate(nfs):
-        for x in extensions[w]:
-            sharing.setdefault(x, []).append(i)
+    letter_partners = _letter_partners(pres) if max_len else {}
     max_generators = 1  # every element divides itself
     non_principal = []
     mismatches = []
-    for i, p in enumerate(nfs):
-        p_ext = extensions[p]
-        partners = {j for x in p_ext for j in sharing[x] if j != i}
-        for j in sorted(partners):
-            q = nfs[j]
+    for p in nfs[1:]:  # the identity shares no Q extension
+        letters = letter_partners.get(p[-1])
+        if letters is None:
+            continue
+        p_ext = _q_extensions(p, pres)
+        for b in letters:
+            q = p[:-1] + (b,)
             try:
-                _, gens = _meet(p, q, p_ext, extensions[q], pres)
+                _, gens = _meet(p, q, p_ext, _q_extensions(q, pres), pres)
             except AlignmentViolation as exc:
                 mismatches.append(f"({format_word(p)}, {format_word(q)}): {exc}")
                 continue
@@ -369,7 +438,7 @@ def verify_alignment(
             if count >= 2:
                 names = tuple(map(format_word, sorted(gens, key=element_key)))
                 non_principal.append((format_word(p), format_word(q), names))
-    mismatches += _oracle_mismatches(sample, extensions, window, pres)
+    mismatches += _oracle_mismatches(sample, window, pres)
     return AlignmentReport(
         n=pres.n,
         max_len=max_len,
@@ -380,4 +449,5 @@ def verify_alignment(
         window=window,
         seed=seed,
         mismatches=tuple(mismatches),
+        expected_non_principal=_non_principal_count(pres, max_len),
     )

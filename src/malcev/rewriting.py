@@ -102,10 +102,15 @@ def element_key(w: Word):
     return (len(w), w)
 
 
-def _follow(pres: Presentation):
+def _follow(pres: Presentation, max_len: int):
     """The generators in token order, and for each the letters that may
-    follow it in a normal form: those that form no right side with it."""
+    follow it in a normal form: those that form no right side with it.
+    Those sets take all G^2 pairs of the G generators to build and are
+    read only for normal forms of length >= 2, so they are left empty
+    when max_len < 2."""
     letters = sorted(pres.generators)
+    if max_len < 2:
+        return letters, {}
     rewrite = pres.rewrite_map
     return letters, {x: [g for g in letters if (x, g) not in rewrite] for x in letters}
 
@@ -116,7 +121,7 @@ def enumerate_elements(pres: Presentation, max_len: int):
     those of length k are those of length k-1 extended by every letter that
     forms no right side with their last letter.  Extending in token order
     keeps each length sorted, since the generators are distinct."""
-    letters, follow = _follow(pres)
+    letters, follow = _follow(pres, max_len)
     out = [()]
     layer = [()]
     for _ in range(max_len):
@@ -129,7 +134,7 @@ def count_elements(pres: Presentation, max_len: int) -> int:
     """len(enumerate_elements(pres, max_len)), without building the normal
     forms: those of length k+1 ending in g number the sum, over every letter
     x that g may follow, of those of length k ending in x."""
-    letters, follow = _follow(pres)
+    letters, follow = _follow(pres, max_len)
     total = 1  # the identity
     ending = {}  # normal forms of the current length, counted by last letter
     for _ in range(max_len):

@@ -158,3 +158,11 @@ def test_criterion_9_alignment_sweep_sizes(m1, m3):
             lambda: verify_alignment(pres, max_len, samples, window),
         )
         assert report.ok
+    # 41,720 elements, whose partners are read off their normal forms
+    m50 = build_presentation(50)
+    report = timed(
+        10,
+        "criterion 9: alignment sweep at n = 50, max-len 2",
+        lambda: verify_alignment(m50, 2, 20, 3),
+    )
+    assert report.ok

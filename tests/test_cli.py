@@ -434,6 +434,19 @@ def test_cap_exceeded_names_the_command(monkeypatch, capsys):
     assert out_of(capsys)[1] == "resource limit: planted (ball -n 1)\n"
 
 
+def test_memory_error_exits_4(monkeypatch, capsys):
+    def boom(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "verify_alignment", boom)
+    assert run(["verify", "-n", "2", "--suite", "alignment", "--max-len", "1"]) == 4
+    assert out_of(capsys) == (
+        "",
+        "resource limit: out of memory "
+        "(verify -n 2 --suite alignment --max-len 1)\n",
+    )
+
+
 @pytest.mark.parametrize(
     "n, plant, found, expected",
     [
@@ -460,6 +473,8 @@ def test_alignment_checks_the_exact_non_principal_count(
         f"violation: {found} non-principal pairs, expected exactly {expected}",
         "violations: 1",
     ]
+    assert run(argv + ["--format", "json"]) == 1
+    assert json.loads(out_of(capsys)[0])["result"]["ok"] is False
 
 
 def test_parser_reuse_keeps_calls_independent(capsys):

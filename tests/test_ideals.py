@@ -209,6 +209,7 @@ def test_exhaustive_sweep_matches_per_pair_oracle(m1):
         window=3,
         seed=DEFAULT_SEED,
         mismatches=tuple(mismatches),
+        expected_non_principal=ideals._non_principal_count(m1, 1),
     )
     assert max_generators == 2 and non_principal
 
@@ -219,6 +220,17 @@ def test_q_extensions_match_reduction(n, request):
     for w in enumerate_elements(pres, 3):
         expected = {reduce_word(w + (x,), pres) for x in pres.q_letters}
         assert ideals._q_extensions(w, pres) == expected, format_word(w)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_q_extensions_are_the_last_letters_under_the_prefix(n, request):
+    # the form the alignment sweep reads partners from: p[:-1] followed by
+    # a two-letter tail that depends only on p[-1]
+    pres = request.getfixturevalue(f"m{n}")
+    for p in enumerate_elements(pres, 3)[1:]:
+        tails = ideals._q_extensions(p[-1:], pres)
+        assert all(len(e) == 2 for e in tails)
+        assert ideals._q_extensions(p, pres) == {p[:-1] + e for e in tails}
 
 
 @pytest.mark.parametrize(
@@ -278,39 +290,51 @@ def _all_pairs_report(pres, max_len, window):
         window=window,
         seed=DEFAULT_SEED,
         mismatches=tuple(mismatches),
+        expected_non_principal=ideals._non_principal_count(pres, max_len),
     )
 
 
 @pytest.mark.parametrize(
     "n, max_len",
-    [(1, 0), (1, 1), (1, 2), (1, 3), (2, 0), (2, 1), (2, 2), (3, 0), (3, 1), (3, 2)],
+    [(1, 0), (1, 1), (1, 2), (1, 3), (2, 0), (2, 1), (2, 2), (3, 0), (3, 1), (3, 2)]
+    + [("skew", max_len) for max_len in range(4)],
 )
 def test_shared_extension_sweep_matches_all_pairs(request, n, max_len):
-    pres = request.getfixturevalue(f"m{n}")
+    # "skew" is the foreign presentation labelled n = 2, whose letters d and
+    # A1 share two extensions: every pair (u d, u A1) is reported
+    if n == "skew":
+        pres = dataclasses.replace(validate_generic(_skew_relations()), n=2)
+    else:
+        pres = request.getfixturevalue(f"m{n}")
     window = max_len + 1
     report = verify_alignment(pres, max_len=max_len, samples=0, window=window)
     assert report.to_dict() == _all_pairs_report(pres, max_len, window).to_dict()
+    if n == "skew":
+        assert len(report.mismatches) == (0, 2, 14, 82)[max_len]
 
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_shared_extension_sweep_matches_all_pairs_under_a_fault(
     request, monkeypatch, n
 ):
-    # elements ending in a P letter all share three planted extensions, more
-    # than either bound, so every incomparable pair of them must be reported
+    # elements ending in a P letter gain three planted extensions, p[:-1]
+    # followed by a fixed two-letter word, so those with the same prefix
+    # share more than either bound and every incomparable pair of them must
+    # be reported; the plant keeps the form the sweep reads partners from
     pres = request.getfixturevalue(f"m{n}")
     real = ideals._q_extensions
-    planted = {parse_word("c " * k, pres) for k in (2, 3, 4)}
+    planted = [parse_word(w, pres) for w in ("c c", "b b", "a a")]
 
     def faulty(nf, pres):
         if nf and nf[-1] in pres.p_set:
-            return real(nf, pres) | planted
+            return real(nf, pres) | {nf[:-1] + w for w in planted}
         return real(nf, pres)
 
     monkeypatch.setattr(ideals, "_q_extensions", faulty)
     report = verify_alignment(pres, max_len=2, samples=0, window=3)
     assert any(m.startswith("(A1, d): ") for m in report.mismatches)
     assert report.to_dict() == _all_pairs_report(pres, 2, 3).to_dict()
+    assert len(report.mismatches) == {1: 108, 2: 390}[n]
 
 
 def test_non_principal_pairs_counted_exactly(m1, m2, m3):

@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import product
 
 import pytest
@@ -179,6 +180,19 @@ def test_count_elements_matches_enumeration(n):
     for shorter_than in range(6):
         max_len = shorter_than - 1
         assert count_elements(pres, max_len) == len(enumerate_elements(pres, max_len))
+
+
+def test_short_enumerations_skip_the_follow_table():
+    # the G^2 pairs that decide which letter may follow which are tested
+    # only for normal forms of length >= 2
+    pres = build_presentation(3000)
+    g = len(pres.generators)
+    start = time.perf_counter()
+    assert enumerate_elements(pres, 0) == [()]
+    assert len(enumerate_elements(pres, 1)) == 1 + g
+    assert count_elements(pres, 0) == 1
+    assert count_elements(pres, 1) == 1 + g
+    assert time.perf_counter() - start < 2
 
 
 def test_element_has_no_instance_dict(m1, m2):
