@@ -314,13 +314,6 @@ def cmd_verify(args) -> int:
     pres = _presentation(args.n)
     _refuse_over_budget("--max-len", args.max_len, pres)
     max_len = args.max_len
-    seed = args.seed
-    if seed is None:
-        env = os.environ.get("MALCEV_SEED", str(DEFAULT_SEED))
-        try:
-            seed = int(env)
-        except ValueError:
-            raise ValueError(f"MALCEV_SEED must be an integer, got {env!r}") from None
     summary = {"suite": args.suite, "max_len": max_len}
     if args.suite == "nf-oracle":
         violations = partition_agreement(pres, max_len)
@@ -332,6 +325,15 @@ def cmd_verify(args) -> int:
     elif args.suite == "indegree":
         violations = indegree_violations(pres, max_len)
     else:
+        seed = args.seed
+        if seed is None:  # only the alignment suite samples
+            env = os.environ.get("MALCEV_SEED", str(DEFAULT_SEED))
+            try:
+                seed = int(env)
+            except ValueError:
+                raise ValueError(
+                    f"MALCEV_SEED must be an integer, got {env!r}"
+                ) from None
         window = args.window if args.window is not None else max_len + 3
         report = verify_alignment(
             pres, max_len, args.samples, window, seed=seed
@@ -362,7 +364,8 @@ def cmd_verify(args) -> int:
 def cmd_obstruct(args) -> int:
     pres = _presentation(args.n)
     cert = verify_obstruction(pres)
-    _emit(args, "obstruct", cert.to_dict(), [], certificate_text(cert, pres))
+    text = certificate_text(cert, pres) if args.format == "text" else None
+    _emit(args, "obstruct", cert.to_dict(), [], text)
     return 0
 
 

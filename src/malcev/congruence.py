@@ -5,7 +5,10 @@ congruence is finite and breadth-first search enumerates it exactly.  One
 search, closure, serves both equality classes and the ideal oracle of the
 ideals module.  The search never reduces a word: it is deliberately
 independent of the normal-form machinery, the oracle the rewriting module is
-checked against.  The classes back the nf-oracle suite; the Cayley graph's
+checked against.  The classes back the nf-oracle suite, which searches
+only the classes some relation acts on: a word with no relation side among
+its two-letter factors is alone in its class, since the search reads the
+same partner index and finds nothing to apply.  The Cayley graph's
 predecessors are read off normal forms instead.  Its search-based left
 divisibility backs the brute-force alignment oracle and its cross-check;
 production callers use the closed form in the rewriting module.
@@ -13,7 +16,6 @@ production callers use the closed form in the rewriting module.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from itertools import chain, product
 from typing import Optional
 
@@ -121,17 +123,34 @@ def partition_agreement(pres: Presentation, max_len: int):
     preserve length, so each class lies among the swept words; the groups
     cover every word, so if each group equals the class of its first word,
     every word's class is its group and the two partitions agree.
+
+    A group of one word w is not searched when no two-letter factor of w is
+    a key of pres.partners, the index the search reads: no relation applies
+    to w, so closure((w,)) is [w] and agrees with the group.  The test reads
+    only the relations, never the rewriting code.  Only normal forms that
+    two or more words share keep a list of words.
     """
-    by_nf = defaultdict(list)
+    first = {}  # normal form -> its first word, in sweep order
+    shared = {}  # normal form -> its words, when two or more words have it
     for length in range(max_len + 1):
         for w in product(pres.generators, repeat=length):
-            by_nf[reduce_word(w, pres)].append(w)
+            nf = reduce_word(w, pres)
+            if nf in first:
+                shared.setdefault(nf, [first[nf]]).append(w)
+            else:
+                first[nf] = w
+    sides = pres.partners.keys()  # every relation side
     violations = []
-    for group in by_nf.values():
-        cls = set(closure((group[0],), pres))
+    for nf, w in first.items():
+        group = shared.get(nf)
+        if group is None:
+            if sides.isdisjoint(zip(w, w[1:])):
+                continue
+            group = (w,)
+        cls = set(closure((w,), pres))
         if cls != set(group):
             violations.append(
-                f"class of {format_word(group[0])} has {len(cls)} words but its "
+                f"class of {format_word(w)} has {len(cls)} words but its "
                 f"normal-form group has {len(group)}"
             )
     return violations

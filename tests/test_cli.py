@@ -208,6 +208,13 @@ def test_verify_alignment_bad_seed_env(monkeypatch, capsys):
     assert err == "error: MALCEV_SEED must be an integer, got 'abc'\n"
 
 
+def test_verify_seed_env_read_only_by_alignment(monkeypatch, capsys):
+    monkeypatch.setenv("MALCEV_SEED", "abc")
+    for suite in ("nf-oracle", "codet"):
+        assert run(["verify", "-n", "1", "--suite", suite, "--max-len", "1"]) == 0
+        assert out_of(capsys)[0].splitlines()[-1] == "violations: 0"
+
+
 def test_verify_seed_flag_beats_env(monkeypatch, capsys):
     monkeypatch.setenv("MALCEV_SEED", "42")
     run(
@@ -241,6 +248,15 @@ def test_obstruct_json(capsys):
     assert doc["result"]["step_count"] == 7
     assert doc["result"]["monoid_witness"] == ["c a", "B1 C1"]
     assert doc["result"]["steps"][0]["kind"] == "insert"
+
+
+def test_obstruct_json_builds_no_text(monkeypatch, capsys):
+    def boom(cert, pres):
+        raise RuntimeError("certificate_text called for --format json")
+
+    monkeypatch.setattr(cli, "certificate_text", boom)
+    assert run(["obstruct", "-n", "3", "--format", "json"]) == 0
+    assert json.loads(out_of(capsys)[0])["command"] == "obstruct"
 
 
 def test_obstruct_text(capsys):

@@ -1,3 +1,4 @@
+from collections import defaultdict
 from itertools import count, product
 from types import SimpleNamespace
 
@@ -226,3 +227,78 @@ def test_partition_agreement_reports_a_split_class(m1, monkeypatch):
         "class of d a has 2 words but its normal-form group has 1",
         "class of A1 C1 has 2 words but its normal-form group has 1",
     ]
+
+
+def _per_group_partition_agreement(pres, max_len):
+    """Reference: one class search per normal-form group, lone words too."""
+    by_nf = defaultdict(list)
+    for length in range(max_len + 1):
+        for u in product(pres.generators, repeat=length):
+            by_nf[congruence.reduce_word(u, pres)].append(u)
+    violations = []
+    for group in by_nf.values():
+        cls = set(closure((group[0],), pres))
+        if cls != set(group):
+            violations.append(
+                f"class of {format_word(group[0])} has {len(cls)} words but its "
+                f"normal-form group has {len(group)}"
+            )
+    return violations
+
+
+def _skip_one_rewrite(pres):
+    # never rewrites the first R word: its class splits into two groups
+    skipped = pres.relations[0].right
+    stripped = SimpleNamespace(
+        rewrite_map={r: l for r, l in pres.rewrite_map.items() if r != skipped}
+    )
+    return lambda word, pres: reduce_word(word, stripped)
+
+
+def _merge_two_lone_forms(pres):
+    # c and c c are lone normal forms; both land in one shared group
+    def merged(word, pres):
+        nf = reduce_word(word, pres)
+        return ("c",) if nf == ("c", "c") else nf
+
+    return merged
+
+
+def _identity_reduction(pres):
+    # every word is its own lone group, including those a relation acts on
+    return lambda word, pres: word
+
+
+@pytest.mark.parametrize(
+    "fault",
+    [None, _skip_one_rewrite, _merge_two_lone_forms, _identity_reduction],
+    ids=["clean", "skip", "merge", "identity"],
+)
+@pytest.mark.parametrize(
+    "n, max_len",
+    [(1, k) for k in range(5)] + [(2, k) for k in range(4)] + [(3, k) for k in range(4)],
+)
+def test_partition_agreement_matches_one_search_per_group(
+    request, monkeypatch, fault, n, max_len
+):
+    pres = request.getfixturevalue(f"m{n}")
+    if fault is not None:
+        monkeypatch.setattr(congruence, "reduce_word", fault(pres))
+    expected = _per_group_partition_agreement(pres, max_len)
+    assert partition_agreement(pres, max_len) == expected
+    if fault is not None and max_len >= 2:
+        assert expected
+
+
+def test_partition_agreement_searches_only_shared_groups(m3, monkeypatch):
+    # at n = 3, max-len 4: 64,347 normal forms, of which 5,460 are shared by
+    # two or more words; no relation acts on any lone word
+    calls = []
+
+    def counted(seeds, pres):
+        calls.append(None)
+        return closure(seeds, pres)
+
+    monkeypatch.setattr(congruence, "closure", counted)
+    assert partition_agreement(m3, 4) == []
+    assert len(calls) == 5460

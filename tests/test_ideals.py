@@ -24,6 +24,7 @@ from malcev.ideals import (
 )
 from malcev.presentation import (
     PresentationError,
+    build_presentation,
     format_word,
     parse_word,
     validate_generic,
@@ -442,6 +443,33 @@ def _skew_relations():
         return tuple(letter_from_token(t) for t in text.split())
 
     return [(word("d a"), word("A1 C1")), (word("d b"), word("A1 D1"))]
+
+
+def _relation_letter_partners(pres):
+    """The letter table read off the relation list: letters a != b share a
+    one-letter Q extension exactly when both begin sides of relations with
+    the same L word, that is, one side each of a relation, or two R words
+    with the same L partner."""
+    firsts = {}  # L word -> first letters of it and of its R partners
+    for left, right in pres.relations:
+        firsts.setdefault(left, {left[0]}).add(right[0])
+    shared = {}
+    for letters in firsts.values():
+        for a, b in permutations(letters, 2):
+            shared.setdefault(a, set()).add(b)
+    return {a: sorted(bs) for a, bs in sorted(shared.items())}
+
+
+@pytest.mark.parametrize("n", list(range(1, 31)) + ["skew", "fork"])
+def test_letter_partners_read_off_the_relations(n):
+    # "fork" gives the L word a b two R partners, so c and e share it
+    if n == "skew":
+        pres = validate_generic(_skew_relations())
+    elif n == "fork":
+        pres = validate_generic([("ab", "cd"), ("ab", "ef")])
+    else:
+        pres = build_presentation(n)
+    assert _relation_letter_partners(pres) == ideals._letter_partners(pres)
 
 
 def test_foreign_presentation_trips_alignment_check():
