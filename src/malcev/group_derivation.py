@@ -22,7 +22,7 @@ from .presentation import (
     Word,
     format_word,
 )
-from .rewriting import equal, reduce_word
+from .rewriting import reduce_word
 
 __all__ = [
     "CANCEL",
@@ -204,11 +204,11 @@ def is_relator_product(
     of x·ρ_i^e·x⁻¹ over conjugates.  Free reduction is the only tool: every
     such product is trivial in any group satisfying the relations, so a true
     answer proves target = start there without replaying a single step."""
-    product = ()
-    for x, i, e in conjugates:
+    product = []
+    for x, i, e in reversed(conjugates):
         rel = pres.relations[i]
         rho = _positive(rel.left) + _inverse(_positive(rel.right))
-        product = x + (rho if e > 0 else _inverse(rho)) + _inverse(x) + product
+        product += x + (rho if e > 0 else _inverse(rho)) + _inverse(x)
     return free_reduce(target + _inverse(start)) == free_reduce(product)
 
 
@@ -357,9 +357,9 @@ def verify_obstruction(pres: Presentation) -> ObstructionCertificate:
         raise OccurrenceMismatch(
             "B1 C1 (c a)^-1 is not the product of the script's relator conjugates"
         )
-    if equal(ca, bc, pres):
+    witness = (reduce_word(ca, pres), reduce_word(bc, pres))
+    if witness[0] == witness[1]:
         raise OccurrenceMismatch(
             "the monoid identifies c a with B1 C1; no obstruction"
         )
-    witness = (reduce_word(ca, pres), reduce_word(bc, pres))
     return ObstructionCertificate(pres.n, script, witness)

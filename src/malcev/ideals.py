@@ -10,18 +10,18 @@ enumerates equality classes, seeded with the element's literal extensions;
 the identity's ideal is every element and is never built.
 
 The alignment sweep reads each element's partners, the other elements that
-share a Q extension with it, off its normal form.  The Q extensions of p are
-p[:-1] followed by a two-letter tail that depends only on p[-1], so p and q
-share one exactly when they have the same length and prefix and their last
-letters share one.  A table over the letters gives those partner letters.
-The sweep intersects only the pairs of partners and stores no per-pair
-result.  Its oracle builds each root's ideal once: the sample is drawn
-before the sweep, the uses of each root in it are counted, and an ideal is
-dropped right after its last use.  Common multiples are then the meet of
-two ideals, and the returned generators are checked by membership in their
-own ideals.  The per-pair oracle, brute_force_intersection, is minimised
-with the search-based divisibility of the congruence module and describes
-any pair that fails.
+share a Q extension with it, off its normal form.  Prefix lemma: the Q
+extensions of u a are u followed by those of the letter a.  So two nonempty
+elements share one only as u a and u b, and they then share u followed by
+what a and b share, which a table over the letters holds once per letter
+pair.  The sweep intersects only the pairs of partners and stores no
+per-pair result.  Its oracle builds each root's ideal once: the sample is
+drawn before the sweep, the uses of each root in it are counted, and an
+ideal is dropped right after its last use.  Common multiples are then the
+meet of two ideals, and the returned generators are checked by membership
+in their own ideals.  The per-pair oracle, brute_force_intersection, is
+minimised with the search-based divisibility of the congruence module and
+describes any pair that fails.
 """
 
 from __future__ import annotations
@@ -99,7 +99,8 @@ def intersect_principal(p: Word, q: Word, pres: Presentation) -> IntersectionRes
     """
     if pres.n is None:
         raise PresentationError("ideal intersection needs the indexed family")
-    provenance, gens = _meet(p, q, _q_extensions(p, pres), _q_extensions(q, pres), pres)
+    shared = _q_extensions(p, pres) & _q_extensions(q, pres)
+    provenance, gens = _meet(p, q, shared, pres)
     kind = (EMPTY, PRINCIPAL, GENERATORS)[len(gens)]
     return IntersectionResult(kind, tuple(sorted(gens, key=element_key)), provenance)
 
@@ -137,30 +138,29 @@ def _non_principal_count(pres: Presentation, max_len: int) -> int:
 
 def _letter_partners(pres: Presentation) -> dict:
     """Each letter a that shares a one-letter Q extension with another
-    letter, mapped to those other letters b in token order: the b for which
-    _q_extensions((b,)) meets _q_extensions((a,)).  They are found through
-    an index from each two-letter extension to the letters that have it."""
-    letters = sorted(pres.generators)
-    having = {}  # two-letter Q extension -> letters that have it, in token order
-    for b in letters:
+    letter, mapped to (b, tails) pairs in token order: the letters b whose
+    _q_extensions((b,)) meets _q_extensions((a,)), each with the set of
+    two-letter extensions the two share.  By the prefix lemma, u a and u b
+    share exactly u followed by those tails.  They are found through an
+    index from each two-letter extension to the letters that have it."""
+    having = {}  # two-letter Q extension -> letters that have it
+    for b in pres.generators:
         for x in _q_extensions((b,), pres):
             having.setdefault(x, []).append(b)
     partners = {}
-    for a in letters:
-        shared = {b for x in _q_extensions((a,), pres) for b in having[x] if b != a}
-        if shared:
-            partners[a] = sorted(shared)
-    return partners
+    for x, letters in having.items():
+        for a, b in permutations(letters, 2):
+            partners.setdefault(a, {}).setdefault(b, set()).add(x)
+    return {a: sorted(bs.items()) for a, bs in sorted(partners.items())}
 
 
-def _meet(p, q, p_ext, q_ext, pres: Presentation):
+def _meet(p, q, shared, pres: Presentation):
     """Provenance and generator normal forms, unordered, of pM and qM's
-    intersection, for normal forms p and q with Q extensions p_ext and q_ext."""
+    intersection, for normal forms p and q sharing the Q extensions shared."""
     if _left_divides_nf(p, q, pres) is not None:
         return "reachable-p-to-q", (q,)
     if _left_divides_nf(q, p, pres) is not None:
         return "reachable-q-to-p", (p,)
-    shared = p_ext & q_ext
     if len(shared) > _bound(pres.n):
         raise AlignmentViolation(
             f"{len(shared)} incomparable bases for p={format_word(p)}, "
@@ -260,7 +260,7 @@ def _oracle_mismatches(sample, window: int, pres: Presentation):
     checks = []
     for p, q in sample:
         try:
-            _, gens = _meet(p, q, extensions[p], extensions[q], pres)
+            _, gens = _meet(p, q, extensions[p] & extensions[q], pres)
         except AlignmentViolation:
             continue  # already reported by the sweep
         checks.append((p, q, gens))
@@ -376,20 +376,18 @@ def verify_alignment(
     the largest generator count starts at 1.  pair_count stays the number
     of ordered pairs.
 
-    The pairs that share an extension are read off the normal forms.  The
-    Q extensions of a nonempty p are p[:-1] followed by a two-letter tail
-    that depends only on p[-1], and those of the identity are single
-    letters.  So p and q share one exactly when they have the same length
-    and prefix and their last letters share one, and the partners of p are
-    p[:-1] + (b,) for each letter b that _letter_partners gives p[-1].
-    They follow p's enumeration order, since they differ from each other
-    only in the last letter.  Each is an element: a letter that shares an
-    extension with another letter is a P letter, and a P letter never ends
-    an R word.  Only the identity is swept at max_len 0, so the letter
-    table is not built there.
+    The pairs that share an extension are read off the normal forms by the
+    prefix lemma: the Q extensions of p = u a are u followed by those of
+    the letter a, and those of the identity are single letters.  So the
+    partners of p are u + (b,) for each letter b that _letter_partners gives
+    a, and p shares with u + (b,) exactly u followed by the tails it gives
+    the pair; no element's own extensions are computed.  The partners follow
+    p's enumeration order, since they differ only in the last letter.  Each
+    is an element: a letter that shares an extension with another letter is
+    a P letter, and a P letter never ends an R word.  Only the identity is
+    swept at max_len 0, so the letter table is not built there.
 
-    No per-pair result is stored, and each element's extensions are
-    computed when _meet needs them.  The sample is drawn before the sweep.
+    No per-pair result is stored.  The sample is drawn before the sweep.
     The oracle builds the ideal of each sampled element and returned
     generator once, and drops it after its last use in the sample.  A
     window in which some sampled element has more literal extensions than
@@ -421,14 +419,11 @@ def verify_alignment(
     non_principal = []
     mismatches = []
     for p in nfs[1:]:  # the identity shares no Q extension
-        letters = letter_partners.get(p[-1])
-        if letters is None:
-            continue
-        p_ext = _q_extensions(p, pres)
-        for b in letters:
-            q = p[:-1] + (b,)
+        u = p[:-1]
+        for b, tails in letter_partners.get(p[-1], ()):
+            q = u + (b,)
             try:
-                _, gens = _meet(p, q, p_ext, _q_extensions(q, pres), pres)
+                _, gens = _meet(p, q, {u + t for t in tails}, pres)
             except AlignmentViolation as exc:
                 mismatches.append(f"({format_word(p)}, {format_word(q)}): {exc}")
                 continue

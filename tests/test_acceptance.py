@@ -148,6 +148,18 @@ def test_criterion_8_obstruction_certificates():
     timed(60, "criterion 8: group derivations verified for n = 1..5", check)
 
 
+def test_criterion_8_obstruction_certificate_n10000():
+    # 40,003 steps; the relator product is built in one pass, not by
+    # prepending each conjugate to the whole product
+    pres = build_presentation(10000)
+    cert = timed(
+        5,
+        "criterion 8: group derivation verified for n = 10000",
+        lambda: verify_obstruction(pres),
+    )
+    assert len(cert.steps) == 4 * 10000 + 3
+
+
 def test_criterion_9_alignment_sweep_sizes(m1, m3):
     # 17,123,044 and 16,507,969 ordered pairs; only those sharing a Q
     # extension are intersected
@@ -164,5 +176,14 @@ def test_criterion_9_alignment_sweep_sizes(m1, m3):
         10,
         "criterion 9: alignment sweep at n = 50, max-len 2",
         lambda: verify_alignment(m50, 2, 20, 3),
+    )
+    assert report.ok
+    # about 646,000 elements; each partner pair's shared extensions come
+    # from the letter table, so no element's extensions are built
+    m200 = build_presentation(200)
+    report = timed(
+        30,
+        "criterion 9: alignment sweep at n = 200, max-len 2",
+        lambda: verify_alignment(m200, 2, 1, 3),
     )
     assert report.ok

@@ -24,7 +24,7 @@ from malcev.group_derivation import (
     validate_script,
     verify_obstruction,
 )
-from malcev.presentation import Letter, build_presentation, format_word
+from malcev.presentation import Letter, Relation, build_presentation, format_word
 
 
 def gw(text):
@@ -237,6 +237,16 @@ def test_verify_obstruction_runs_the_product_check(m1, monkeypatch):
     monkeypatch.setattr(group_derivation, "relator_conjugates", flipped)
     with pytest.raises(OccurrenceMismatch, match="relator conjugates"):
         verify_obstruction(m1)
+
+
+def test_verify_obstruction_refuses_a_monoid_that_identifies_the_witness(m1):
+    # the script still replays and the product check still holds, since
+    # the added relation comes after the ones the script uses
+    fused = dataclasses.replace(
+        m1, relations=m1.relations + (Relation(("c", "a"), ("B1", "C1")),)
+    )
+    with pytest.raises(OccurrenceMismatch, match="identifies c a with B1 C1"):
+        verify_obstruction(fused)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])

@@ -266,7 +266,7 @@ def _all_pairs_report(pres, max_len, window):
     for p, p_ext in extensions.items():
         for q, q_ext in extensions.items():
             try:
-                _, gens = ideals._meet(p, q, p_ext, q_ext, pres)
+                _, gens = ideals._meet(p, q, p_ext & q_ext, pres)
             except AlignmentViolation as exc:
                 mismatches.append(f"({format_word(p)}, {format_word(q)}): {exc}")
                 continue
@@ -336,6 +336,24 @@ def test_shared_extension_sweep_matches_all_pairs_under_a_fault(
     assert any(m.startswith("(A1, d): ") for m in report.mismatches)
     assert report.to_dict() == _all_pairs_report(pres, 2, 3).to_dict()
     assert len(report.mismatches) == {1: 108, 2: 390}[n]
+
+
+@pytest.mark.parametrize("n, max_len", [(1, 4), (3, 3), (50, 2)])
+def test_sweep_reads_extensions_once_per_letter(monkeypatch, n, max_len):
+    # the letter table takes each letter's extensions once, and the sweep
+    # takes every pair's shared extensions from it; no oracle sample
+    pres = build_presentation(n)
+    calls = Counter()
+    real = ideals._q_extensions
+
+    def counting(nf, pres):
+        calls[len(nf)] += 1
+        return real(nf, pres)
+
+    monkeypatch.setattr(ideals, "_q_extensions", counting)
+    report = verify_alignment(pres, max_len=max_len, samples=0, window=max_len + 1)
+    assert report.ok
+    assert calls == {1: len(pres.generators)}
 
 
 def test_non_principal_pairs_counted_exactly(m1, m2, m3):
@@ -449,15 +467,15 @@ def _relation_letter_partners(pres):
     """The letter table read off the relation list: letters a != b share a
     one-letter Q extension exactly when both begin sides of relations with
     the same L word, that is, one side each of a relation, or two R words
-    with the same L partner."""
+    with the same L partner.  The extensions they share are those L words."""
     firsts = {}  # L word -> first letters of it and of its R partners
     for left, right in pres.relations:
         firsts.setdefault(left, {left[0]}).add(right[0])
     shared = {}
-    for letters in firsts.values():
+    for word, letters in firsts.items():
         for a, b in permutations(letters, 2):
-            shared.setdefault(a, set()).add(b)
-    return {a: sorted(bs) for a, bs in sorted(shared.items())}
+            shared.setdefault(a, {}).setdefault(b, set()).add(word)
+    return {a: sorted(bs.items()) for a, bs in sorted(shared.items())}
 
 
 @pytest.mark.parametrize("n", list(range(1, 31)) + ["skew", "fork"])
