@@ -5,9 +5,14 @@ is nonempty and n >= 2; for n = 1 it needs at most two generators.  The fast
 algorithm checks mutual reachability with the closed-form divisibility of
 the rewriting module and otherwise intersects the one-letter Q extensions of
 p and q.  Its oracle is a windowed brute-force search over common multiples.
-The ideal of an element within the window comes from the same closure that
-enumerates equality classes, seeded with the element's literal extensions;
-the identity's ideal is every element and is never built.
+The ideal of an element within the window is the word set of the same
+closure that enumerates equality classes, seeded with the element's literal
+extensions; the identity's ideal is every element and is never built.  No
+word of it is reduced: the closure is closed under the relations, so an
+ideal is a union of whole equality classes, each holding its normal form,
+and membership, meets and differences of ideals decide the same as on
+normal forms.  So the oracle's verdict does not depend on the rewriting
+code; only the description of a failing pair reduces words.
 
 The alignment sweep reads each element's partners, the other elements that
 share a Q extension with it, off its normal form.  Prefix lemma: the Q
@@ -17,11 +22,13 @@ what a and b share, which a table over the letters holds once per letter
 pair.  The sweep intersects only the pairs of partners and stores no
 per-pair result.  Its oracle builds each root's ideal once: the sample is
 drawn before the sweep, the uses of each root in it are counted, and an
-ideal is dropped right after its last use.  Common multiples are then the
-meet of two ideals, and the returned generators are checked by membership
-in their own ideals.  The per-pair oracle, brute_force_intersection, is
-minimised with the search-based divisibility of the congruence module and
-describes any pair that fails.
+ideal is dropped right after its last use.  The sampled pairs are checked
+grouped by their shorter root, so each large ideal lives for one block of
+the sample, and mismatches are reported in sample order.  Common multiples
+are then the meet of two ideals, and the returned generators are checked
+by membership in their own ideals.  The per-pair oracle,
+brute_force_intersection, is minimised with the search-based divisibility
+of the congruence module and describes any pair that fails.
 """
 
 from __future__ import annotations
@@ -171,9 +178,14 @@ def _meet(p, q, shared, pres: Presentation):
 
 
 def _ideal(root, window: int, pres: Presentation):
-    """Normal forms of the elements of length <= window that root
-    left-divides: the closure of root's literal extensions, reduced.  None
-    for the identity, whose ideal is every element and is never built."""
+    """The elements of length <= window that root left-divides, as the
+    words of the closure of root's literal extensions.  None for the
+    identity, whose ideal is every element and is never built.
+
+    No word is reduced.  The closure is closed under the relations, so it
+    is a union of whole equality classes, each holding its element's normal
+    form, and an element lies in it exactly when any word of its class
+    does.  Meets and differences of ideals are again unions of classes."""
     if not root:
         return None
     seeds = (
@@ -181,7 +193,7 @@ def _ideal(root, window: int, pres: Presentation):
         for extra in range(window - len(root) + 1)
         for x in product(pres.generators, repeat=extra)
     )
-    return frozenset(reduce_word(w, pres) for w in closure(seeds, pres))
+    return frozenset(closure(seeds, pres))
 
 
 def _common(p_ideal, q_ideal):
@@ -204,7 +216,7 @@ def common_multiples(p: Word, q: Word, window: int, pres: Presentation):
     common = _common(_ideal(p, window, pres), _ideal(q, window, pres))
     if common is None:  # both are the identity
         return enumerate_elements(pres, window)
-    return sorted(common, key=element_key)
+    return sorted({reduce_word(w, pres) for w in common}, key=element_key)
 
 
 def minimal_elements(elements, pres: Presentation):
@@ -236,6 +248,10 @@ def _is_meet(gens, gen_ideals, common) -> bool:
     ideal.  A minimal element then lies in the ideal of a generator, which
     it must equal.  A generator is minimal: a proper divisor of it in common
     would lie in the ideal of another generator, which would then divide it.
+    The ideals are unions of whole equality classes, so the membership
+    tests and the difference decide the same on their raw words as on
+    normal forms: a generator, itself a normal form, is in an ideal exactly
+    when its class is.
     """
     if not all(common is None or g in common for g in gens):
         return False
@@ -253,17 +269,25 @@ def _oracle_mismatches(sample, window: int, pres: Presentation):
     The Q extensions of each distinct sampled element are computed once.
     Each root's ideal is built once and dropped after its last use: the
     uses of every root, as a sampled element or as a returned generator,
-    are counted before the first ideal is built.
+    are counted before the first ideal is built.  The pairs are checked
+    grouped by the shorter nonempty root of the pair, whose ideal is the
+    larger, so each large ideal is held for one block of the sample: the
+    key is the root's rank by element_key among the sampled elements, the
+    identity last, and ties keep sample order.  Mismatches are reported in
+    sample order.
     """
     distinct = {w for pair in sample for w in pair}
     extensions = {w: _q_extensions(w, pres) for w in distinct}
-    checks = []
+    rank = {w: i for i, w in enumerate(sorted(distinct - {()}, key=element_key))}
+    rank[()] = len(rank)  # the identity's ideal is never built
+    checks, keys = [], []
     for p, q in sample:
         try:
             _, gens = _meet(p, q, extensions[p] & extensions[q], pres)
         except AlignmentViolation:
             continue  # already reported by the sweep
         checks.append((p, q, gens))
+        keys.append(min(rank[p], rank[q]))
     uses = Counter(root for p, q, gens in checks for root in (p, q, *gens) if root)
     ideals = {}
 
@@ -278,18 +302,19 @@ def _oracle_mismatches(sample, window: int, pres: Presentation):
             del ideals[root]
         return found
 
-    mismatches = []
-    for p, q, gens in checks:
+    mismatches = {}  # position in checks -> description
+    for i in sorted(range(len(checks)), key=keys.__getitem__):
+        p, q, gens = checks[i]
         common = _common(ideal(p), ideal(q))
         gen_ideals = [ideal(g) for g in gens]
         if not _is_meet(gens, gen_ideals, common):
             minimal = brute_force_intersection(p, q, window, pres)
-            mismatches.append(
+            mismatches[i] = (
                 f"({format_word(p)}, {format_word(q)}): fast generators "
                 f"{[format_word(g) for g in sorted(gens, key=element_key)]} vs "
                 f"oracle {[format_word(m) for m in minimal]}"
             )
-    return mismatches
+    return [mismatches[i] for i in sorted(mismatches)]
 
 
 @dataclass(frozen=True)
@@ -389,9 +414,10 @@ def verify_alignment(
 
     No per-pair result is stored.  The sample is drawn before the sweep.
     The oracle builds the ideal of each sampled element and returned
-    generator once, and drops it after its last use in the sample.  A
-    window in which some sampled element has more literal extensions than
-    the closure cap is refused up front with a ValueError.
+    generator once, checks the pairs grouped by their shorter root, and
+    drops each ideal after its last use.  A window in which some sampled
+    element has more literal extensions than the closure cap is refused up
+    front with a ValueError.
     """
     if pres.n is None:
         raise PresentationError("alignment verification needs the indexed family")

@@ -170,6 +170,14 @@ def test_criterion_9_alignment_sweep_sizes(m1, m3):
             lambda: verify_alignment(pres, max_len, samples, window),
         )
         assert report.ok
+    # 50 sampled pairs checked by the brute-force oracle; at window 5 the
+    # ideal of a one-letter root is the closure of 69,905 seed words
+    report = timed(
+        5,
+        "criterion 9: alignment oracle at n = 3, max-len 2, window 5",
+        lambda: verify_alignment(m3, 2, 50, 5),
+    )
+    assert report.ok
     # 41,720 elements, whose partners are read off their normal forms
     m50 = build_presentation(50)
     report = timed(
