@@ -184,14 +184,15 @@ def _emit(args, command, result, violations, text) -> None:
         print(payload)
 
 
-def _refuse_over_budget(flag: str, length: int, pres) -> None:
+def _refuse_over_budget(flag: str, length: int, n: int) -> None:
     """Refuse up front a length whose words, all of which the command may
-    iterate over, outnumber the word budget."""
-    count = count_over_budget(pres, length)
+    iterate over, outnumber the word budget.  It needs only the 4+4n
+    generators, so it runs before the build, which refuses an n below 1."""
+    count = count_over_budget(4 + 4 * n, length) if n >= 1 else None
     if count is not None:
         raise ValueError(
             f"{flag} {length} means {count} words of length <= {length} at "
-            f"n={pres.n}, over the budget of {DEFAULT_CAP} words"
+            f"n={n}, over the budget of {DEFAULT_CAP} words"
         )
 
 
@@ -277,8 +278,8 @@ def cmd_intersect(args) -> int:
 
 
 def cmd_ball(args) -> int:
+    _refuse_over_budget("--radius", args.radius, args.n)
     pres = _presentation(args.n)
-    _refuse_over_budget("--radius", args.radius, pres)
     root = left_normal_form(parse_word(args.root, pres), pres)
     ball = build_ball(root, args.radius, pres)
     dot = export_dot(ball) if args.dot else None
@@ -311,8 +312,8 @@ def cmd_verify(args) -> int:
     for flag, value in (("--max-len", args.max_len), ("--samples", args.samples)):
         if value < 0:
             raise ValueError(f"{flag} must be nonnegative, got {value}")
+    _refuse_over_budget("--max-len", args.max_len, args.n)
     pres = _presentation(args.n)
-    _refuse_over_budget("--max-len", args.max_len, pres)
     max_len = args.max_len
     summary = {"suite": args.suite, "max_len": max_len}
     if args.suite == "nf-oracle":

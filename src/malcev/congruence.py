@@ -42,13 +42,14 @@ def word_count(pres: Presentation, max_len: int) -> int:
     return sum(len(pres.generators) ** k for k in range(max_len + 1))
 
 
-def count_over_budget(pres: Presentation, max_len: int) -> Optional[str]:
-    """word_count as text when it exceeds DEFAULT_CAP, else None.  Lengths
-    over 64 mean at least 2^65 words and are not counted: the sum would take
-    seconds and print with more digits than int-to-str conversion allows."""
+def count_over_budget(generators: int, max_len: int) -> Optional[str]:
+    """The number of words of length <= max_len over that many generators,
+    as text, when it exceeds DEFAULT_CAP, else None.  Lengths over 64 mean
+    at least 2^65 words and are not counted: the sum would take seconds and
+    print with more digits than int-to-str conversion allows."""
     if max_len > 64:
         return "more than 2^64"
-    count = word_count(pres, max_len)
+    count = sum(generators**k for k in range(max_len + 1))
     return str(count) if count > DEFAULT_CAP else None
 
 

@@ -3,30 +3,26 @@
 For elements p, q of M_n the intersection pM and qM is principal whenever it
 is nonempty and n >= 2; for n = 1 it needs at most two generators.  The fast
 algorithm checks mutual reachability with the closed-form divisibility of
-the rewriting module and otherwise intersects the one-letter Q extensions of
-p and q.  Its oracle is a windowed brute-force search over common multiples.
-The ideal of an element within the window is the word set of the same
-closure that enumerates equality classes, seeded with the element's literal
+the rewriting module and otherwise takes the one-letter Q extensions that p
+and q share.  Prefix lemma: those of a normal form u a are u followed by the
+letter a's, as the L partner of an R word a x begins with a P letter, which
+forms no R word with the last letter of u.  So elements share extensions
+only as u a and u b: u followed by what the letters a and b share, which
+one letter table, read off the relation list, holds for the alignment
+sweep, intersect_principal and the oracle alike.
+
+The oracle is a windowed brute-force search over common multiples.  The
+ideal of an element within the window is the word set of the same closure
+that enumerates equality classes, seeded with the element's literal
 extensions; the identity's ideal is every element and is never built.  No
 word of it is reduced: the closure is closed under the relations, so an
 ideal is a union of whole equality classes, each holding its normal form,
 and membership, meets and differences of ideals decide the same as on
 normal forms.  So the oracle's verdict does not depend on the rewriting
-code; only the description of a failing pair reduces words.
-
-The alignment sweep reads each element's partners, the other elements that
-share a Q extension with it, off its normal form.  Prefix lemma: the Q
-extensions of u a are u followed by those of the letter a.  So two nonempty
-elements share one only as u a and u b, and they then share u followed by
-what a and b share, which a table over the letters holds once per letter
-pair.  The sweep intersects only the pairs of partners and stores no
-per-pair result.  Its oracle builds each root's ideal once: the sample is
-drawn before the sweep, the uses of each root in it are counted, and an
-ideal is dropped right after its last use.  The sampled pairs are checked
-grouped by their shorter root, so each large ideal lives for one block of
-the sample, and mismatches are reported in sample order.  Common multiples
-are then the meet of two ideals, and the returned generators are checked
-by membership in their own ideals.  The per-pair oracle,
+code; only the description of a failing pair reduces words.  Each root's
+ideal is built once and dropped after its last use in the sample, and the
+sampled pairs are checked grouped by their shorter root, so each large
+ideal lives for one block of the sample.  The per-pair oracle,
 brute_force_intersection, is minimised with the search-based divisibility
 of the congruence module and describes any pair that fails.
 """
@@ -102,30 +98,22 @@ def intersect_principal(p: Word, q: Word, pres: Presentation) -> IntersectionRes
     When neither element divides the other, any common multiple forces a
     common one-letter Q extension, so the shared extensions are exactly the
     candidate generators; there is at most one for n >= 2 and at most two
-    for n = 1.
+    for n = 1.  Only for distinct nonempty elements with the same prefix is
+    the letter table built, from the relations its entry for their last
+    letters reads.
     """
     if pres.n is None:
         raise PresentationError("ideal intersection needs the indexed family")
-    shared = _q_extensions(p, pres) & _q_extensions(q, pres)
-    provenance, gens = _meet(p, q, shared, pres)
+    partners = {}
+    if p and q and p != q and p[:-1] == q[:-1]:
+        ends = {p[-1], q[-1]}
+        partners = _letter_partners(
+            (left, right) for left, right in pres.relations
+            if left[0] in ends or right[0] in ends
+        )
+    provenance, gens = _meet(p, q, _shared(p, q, partners), pres)
     kind = (EMPTY, PRINCIPAL, GENERATORS)[len(gens)]
     return IntersectionResult(kind, tuple(sorted(gens, key=element_key)), provenance)
-
-
-def _q_extensions(nf, pres: Presentation) -> frozenset:
-    """Normal forms of nf times each Q letter, for a normal form nf.
-
-    Boundary lemma: for a normal form p and a letter x, the normal form of
-    p x is p[:-1] followed by the pair p[-1] x, or by its L partner when
-    that pair is an R word, and is just (x,) when p is the identity.  The
-    L partner starts with a P letter, so it forms no R word with p[-2].
-    The result is wrong when nf is not a normal form; the alignment oracle
-    checks every meet built from it.
-    """
-    rewrite = pres.rewrite_map
-    head, tail = nf[:-1], nf[-1:]
-    pairs = (tail + (x,) for x in pres.q_letters)
-    return frozenset(head + rewrite.get(pair, pair) for pair in pairs)
 
 
 def _bound(n: int) -> int:
@@ -143,22 +131,35 @@ def _non_principal_count(pres: Presentation, max_len: int) -> int:
     return 2 * count_elements(pres, max_len - 1)
 
 
-def _letter_partners(pres: Presentation) -> dict:
-    """Each letter a that shares a one-letter Q extension with another
-    letter, mapped to (b, tails) pairs in token order: the letters b whose
-    _q_extensions((b,)) meets _q_extensions((a,)), each with the set of
-    two-letter extensions the two share.  By the prefix lemma, u a and u b
-    share exactly u followed by those tails.  They are found through an
-    index from each two-letter extension to the letters that have it."""
-    having = {}  # two-letter Q extension -> letters that have it
-    for b in pres.generators:
-        for x in _q_extensions((b,), pres):
-            having.setdefault(x, []).append(b)
+def _letter_partners(relations) -> dict:
+    """The letter table read off a relation list: a -> {b: tails} in token
+    order, for letters a != b whose one-letter Q extensions meet, tails
+    being the two-letter extensions they share.  Those of a are the pairs
+    a x for x in Q, each R word replaced by its L partner, and every
+    relation side ends in a Q letter; so a and b share exactly the L words
+    both begin, as the word's own first letter or an R partner's.  The
+    entry for a and b reads only the relations with a side beginning with
+    a or b."""
+    firsts = {}  # L word -> first letters of it and of its R partners
+    for left, right in relations:
+        firsts.setdefault(left, {left[0]}).add(right[0])
     partners = {}
-    for x, letters in having.items():
+    for word, letters in firsts.items():
         for a, b in permutations(letters, 2):
-            partners.setdefault(a, {}).setdefault(b, set()).add(x)
-    return {a: sorted(bs.items()) for a, bs in sorted(partners.items())}
+            partners.setdefault(a, {}).setdefault(b, set()).add(word)
+    return {a: dict(sorted(bs.items())) for a, bs in sorted(partners.items())}
+
+
+def _shared(p, q, partners) -> set:
+    """The Q extensions that normal forms p and q share, by the prefix
+    lemma: p[:-1] followed by the letter table's tails for p[-1] and q[-1]
+    when p and q are nonempty with the same prefix, else none.  The table
+    pairs no letter with itself, so p shares none with itself; it divides
+    itself, and _meet returns it first."""
+    if not p or not q or p[:-1] != q[:-1]:
+        return set()
+    u = p[:-1]
+    return {u + t for t in partners.get(p[-1], {}).get(q[-1], ())}
 
 
 def _meet(p, q, shared, pres: Presentation):
@@ -263,29 +264,28 @@ def _is_meet(gens, gen_ideals, common) -> bool:
     return common is not None and not common.difference(*gen_ideals)
 
 
-def _oracle_mismatches(sample, window: int, pres: Presentation):
+def _oracle_mismatches(sample, window: int, pres: Presentation, partners):
     """Check the meet of each sampled pair against the brute-force oracle.
 
-    The Q extensions of each distinct sampled element are computed once.
-    Each root's ideal is built once and dropped after its last use: the
-    uses of every root, as a sampled element or as a returned generator,
-    are counted before the first ideal is built.  The pairs are checked
-    grouped by the shorter nonempty root of the pair, whose ideal is the
-    larger, so each large ideal is held for one block of the sample: the
-    key is the root's rank by element_key among the sampled elements, the
-    identity last, and ties keep sample order.  Mismatches are reported in
-    sample order.
+    Shared Q extensions come from the letter table partners, the one the
+    sweep reads.  Each root's ideal is built once and dropped after its
+    last use: the uses of every root, as a sampled element or as a returned
+    generator, are counted before the first ideal is built.  The pairs are
+    checked grouped by the shorter nonempty root of the pair, whose ideal
+    is the larger, so each large ideal is held for one block of the sample:
+    the key is the root's rank by element_key among the sampled elements,
+    the identity last, and ties keep sample order.  Mismatches are reported
+    in sample order.
     """
     distinct = {w for pair in sample for w in pair}
-    extensions = {w: _q_extensions(w, pres) for w in distinct}
     rank = {w: i for i, w in enumerate(sorted(distinct - {()}, key=element_key))}
     rank[()] = len(rank)  # the identity's ideal is never built
     checks, keys = [], []
     for p, q in sample:
         try:
-            _, gens = _meet(p, q, extensions[p] & extensions[q], pres)
+            _, gens = _meet(p, q, _shared(p, q, partners), pres)
         except AlignmentViolation:
-            continue  # already reported by the sweep
+            continue  # only partners raise, and the sweep reported those
         checks.append((p, q, gens))
         keys.append(min(rank[p], rank[q]))
     uses = Counter(root for p, q, gens in checks for root in (p, q, *gens) if root)
@@ -401,23 +401,20 @@ def verify_alignment(
     the largest generator count starts at 1.  pair_count stays the number
     of ordered pairs.
 
-    The pairs that share an extension are read off the normal forms by the
-    prefix lemma: the Q extensions of p = u a are u followed by those of
-    the letter a, and those of the identity are single letters.  So the
-    partners of p are u + (b,) for each letter b that _letter_partners gives
-    a, and p shares with u + (b,) exactly u followed by the tails it gives
-    the pair; no element's own extensions are computed.  The partners follow
-    p's enumeration order, since they differ only in the last letter.  Each
-    is an element: a letter that shares an extension with another letter is
-    a P letter, and a P letter never ends an R word.  Only the identity is
-    swept at max_len 0, so the letter table is not built there.
+    The partners of p = u a are u + (b,) for each letter b that the letter
+    table pairs with a, sharing u followed by the pair's tails, as _shared
+    has it.  They follow p's enumeration order, since they differ only in
+    the last letter.  Each is an element: a letter that shares an
+    extension is a P letter, and a P letter never ends an R word.  Only the
+    identity is swept at max_len 0, and it shares nothing, so the table is
+    not built there.
 
     No per-pair result is stored.  The sample is drawn before the sweep.
-    The oracle builds the ideal of each sampled element and returned
-    generator once, checks the pairs grouped by their shorter root, and
-    drops each ideal after its last use.  A window in which some sampled
-    element has more literal extensions than the closure cap is refused up
-    front with a ValueError.
+    The oracle reads the same table, builds the ideal of each sampled
+    element and returned generator once, checks the pairs grouped by their
+    shorter root, and drops each ideal after its last use.  A window in
+    which some sampled element has more literal extensions than the closure
+    cap is refused up front with a ValueError.
     """
     if pres.n is None:
         raise PresentationError("alignment verification needs the indexed family")
@@ -433,20 +430,20 @@ def verify_alignment(
     ]
     shortest = min((w for pair in sample for w in pair if w), key=len, default=None)
     if shortest is not None:
-        seeds = count_over_budget(pres, window - len(shortest))
+        seeds = count_over_budget(len(pres.generators), window - len(shortest))
         if seeds is not None:
             raise ValueError(
                 f"window {window} is too large for the oracle: the ideal of "
                 f"{format_word(shortest)} has {seeds} seed words, over the "
                 f"closure cap of {DEFAULT_CAP}"
             )
-    letter_partners = _letter_partners(pres) if max_len else {}
+    partners = _letter_partners(pres.relations) if max_len else {}
     max_generators = 1  # every element divides itself
     non_principal = []
     mismatches = []
     for p in nfs[1:]:  # the identity shares no Q extension
         u = p[:-1]
-        for b, tails in letter_partners.get(p[-1], ()):
+        for b, tails in partners.get(p[-1], {}).items():
             q = u + (b,)
             try:
                 _, gens = _meet(p, q, {u + t for t in tails}, pres)
@@ -459,7 +456,7 @@ def verify_alignment(
             if count >= 2:
                 names = tuple(map(format_word, sorted(gens, key=element_key)))
                 non_principal.append((format_word(p), format_word(q), names))
-    mismatches += _oracle_mismatches(sample, window, pres)
+    mismatches += _oracle_mismatches(sample, window, pres, partners)
     return AlignmentReport(
         n=pres.n,
         max_len=max_len,

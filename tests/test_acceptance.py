@@ -195,3 +195,11 @@ def test_criterion_9_alignment_sweep_sizes(m1, m3):
         lambda: verify_alignment(m200, 2, 1, 3),
     )
     assert report.ok
+    # 40,005 elements; the letter table is read off the 20,001 relations
+    m10000 = build_presentation(10000)
+    report = timed(
+        5,
+        "criterion 9: alignment sweep at n = 10000, max-len 1",
+        lambda: verify_alignment(m10000, 1, 1, 2),
+    )
+    assert report.ok

@@ -377,6 +377,32 @@ def test_verify_max_len_over_budget_exits_2(capsys):
         assert "budget of 1000000 words" in err
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["verify", "--suite", "alignment", "--max-len", "1"], "--max-len"),
+        (["ball", "--radius", "1"], "--radius"),
+    ],
+)
+def test_over_budget_refused_before_the_presentation(monkeypatch, capsys, argv, flag):
+    # 1 + 1,000,000 words of length <= 1 at n = 249,999; the count needs
+    # only the 4+4n generators, so nothing is built
+    def unbuilt(n):
+        raise AssertionError(f"presentation built for n={n}")
+
+    monkeypatch.setattr(cli, "build_presentation", unbuilt)
+    start = time.perf_counter()
+    code = run(argv[:1] + ["-n", "249999"] + argv[1:])
+    elapsed = time.perf_counter() - start
+    assert code == 2
+    assert out_of(capsys) == (
+        "",
+        f"error: {flag} 1 means 1000001 words of length <= 1 at n=249999, "
+        "over the budget of 1000000 words\n",
+    )
+    assert elapsed < 0.5
+
+
 def test_oracle_window_over_cap_exits_2(capsys):
     # a one-letter root has sum(8^k, k <= 7) = 2,396,745 seeds in window 8
     argv = ["verify", "-n", "1", "--suite", "alignment", "--max-len", "2"]

@@ -48,6 +48,34 @@ def gen_strs(result):
     return [format_word(g) for g in result.generators]
 
 
+def q_extensions(nf, pres):
+    """Reference: normal forms of nf times each Q letter, for a normal form
+    nf, by one boundary step.  For a normal form p and a letter x, the
+    normal form of p x is p[:-1] followed by the pair p[-1] x, or by its L
+    partner when that pair is an R word, and is just (x,) when p is the
+    identity; the L partner starts with a P letter, so it forms no R word
+    with p[-2]."""
+    rewrite = pres.rewrite_map
+    head, tail = nf[:-1], nf[-1:]
+    pairs = (tail + (x,) for x in pres.q_letters)
+    return frozenset(head + rewrite.get(pair, pair) for pair in pairs)
+
+
+def extension_letter_partners(pres, ext):
+    """Reference letter table from all G·|Q| one-letter extensions that ext
+    gives the letters: each letter a that shares one with another letter,
+    mapped to {b: the extensions (a,) and (b,) share}, in token order."""
+    having = {}  # two-letter Q extension -> letters that have it
+    for b in pres.generators:
+        for x in ext((b,), pres):
+            having.setdefault(x, []).append(b)
+    partners = {}
+    for x, letters in having.items():
+        for a, b in permutations(letters, 2):
+            partners.setdefault(a, {}).setdefault(b, set()).add(x)
+    return {a: dict(sorted(bs.items())) for a, bs in sorted(partners.items())}
+
+
 def test_two_generators_at_n1(m1):
     res = intersect_principal(el("A1", m1), el("d", m1), m1)
     assert res.kind == GENERATORS
@@ -222,7 +250,7 @@ def test_q_extensions_match_reduction(n, request):
     pres = request.getfixturevalue(f"m{n}")
     for w in enumerate_elements(pres, 3):
         expected = {reduce_word(w + (x,), pres) for x in pres.q_letters}
-        assert ideals._q_extensions(w, pres) == expected, format_word(w)
+        assert q_extensions(w, pres) == expected, format_word(w)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -231,9 +259,9 @@ def test_q_extensions_are_the_last_letters_under_the_prefix(n, request):
     # a two-letter tail that depends only on p[-1]
     pres = request.getfixturevalue(f"m{n}")
     for p in enumerate_elements(pres, 3)[1:]:
-        tails = ideals._q_extensions(p[-1:], pres)
+        tails = q_extensions(p[-1:], pres)
         assert all(len(e) == 2 for e in tails)
-        assert ideals._q_extensions(p, pres) == {p[:-1] + e for e in tails}
+        assert q_extensions(p, pres) == {p[:-1] + e for e in tails}
 
 
 @pytest.mark.parametrize(
@@ -244,7 +272,9 @@ def test_q_extensions_are_the_last_letters_under_the_prefix(n, request):
     ],
 )
 def test_oracle_catches_a_planted_extension_fault(m1, monkeypatch, plant, flagged):
-    real = ideals._q_extensions
+    # the planted extensions reach the letter table, which the sweep and
+    # the oracle both read
+    real = q_extensions
     cc = parse_word("c c", m1)
 
     def planted(nf, pres):
@@ -252,16 +282,19 @@ def test_oracle_catches_a_planted_extension_fault(m1, monkeypatch, plant, flagge
             return real(nf, pres) - {reduce_word(nf + pres.q_letters[:1], pres)}
         return real(nf, pres) | {cc}
 
-    monkeypatch.setattr(ideals, "_q_extensions", planted)
+    monkeypatch.setattr(
+        ideals, "_letter_partners", lambda _: extension_letter_partners(m1, planted)
+    )
     report = verify_alignment(m1, max_len=1, samples=81, window=3)
     assert flagged in report.mismatches
 
 
-def _all_pairs_report(pres, max_len, window):
+def _all_pairs_report(pres, max_len, window, ext):
     """Reference sweep: every ordered pair through _meet, p outer and q
-    inner.  With no oracle sample, verify_alignment reports the sweep alone."""
+    inner, each sharing the extensions that ext gives both.  With no oracle
+    sample, verify_alignment reports the sweep alone."""
     nfs = enumerate_elements(pres, max_len)
-    extensions = {w: ideals._q_extensions(w, pres) for w in nfs}
+    extensions = {w: ext(w, pres) for w in nfs}
     max_generators = 0
     non_principal = []
     mismatches = []
@@ -311,7 +344,8 @@ def test_shared_extension_sweep_matches_all_pairs(request, n, max_len):
         pres = request.getfixturevalue(f"m{n}")
     window = max_len + 1
     report = verify_alignment(pres, max_len=max_len, samples=0, window=window)
-    assert report.to_dict() == _all_pairs_report(pres, max_len, window).to_dict()
+    reference = _all_pairs_report(pres, max_len, window, q_extensions)
+    assert report.to_dict() == reference.to_dict()
     if n == "skew":
         assert len(report.mismatches) == (0, 2, 14, 82)[max_len]
 
@@ -323,9 +357,10 @@ def test_shared_extension_sweep_matches_all_pairs_under_a_fault(
     # elements ending in a P letter gain three planted extensions, p[:-1]
     # followed by a fixed two-letter word, so those with the same prefix
     # share more than either bound and every incomparable pair of them must
-    # be reported; the plant keeps the form the sweep reads partners from
+    # be reported; the plant keeps the form the sweep reads partners from,
+    # and reaches the sweep through the letter table of its extensions
     pres = request.getfixturevalue(f"m{n}")
-    real = ideals._q_extensions
+    real = q_extensions
     planted = [parse_word(w, pres) for w in ("c c", "b b", "a a")]
 
     def faulty(nf, pres):
@@ -333,29 +368,31 @@ def test_shared_extension_sweep_matches_all_pairs_under_a_fault(
             return real(nf, pres) | {nf[:-1] + w for w in planted}
         return real(nf, pres)
 
-    monkeypatch.setattr(ideals, "_q_extensions", faulty)
+    monkeypatch.setattr(
+        ideals, "_letter_partners", lambda _: extension_letter_partners(pres, faulty)
+    )
     report = verify_alignment(pres, max_len=2, samples=0, window=3)
     assert any(m.startswith("(A1, d): ") for m in report.mismatches)
-    assert report.to_dict() == _all_pairs_report(pres, 2, 3).to_dict()
+    assert report.to_dict() == _all_pairs_report(pres, 2, 3, faulty).to_dict()
     assert len(report.mismatches) == {1: 108, 2: 390}[n]
 
 
 @pytest.mark.parametrize("n, max_len", [(1, 4), (3, 3), (50, 2)])
-def test_sweep_reads_extensions_once_per_letter(monkeypatch, n, max_len):
-    # the letter table takes each letter's extensions once, and the sweep
-    # takes every pair's shared extensions from it; no oracle sample
+def test_sweep_builds_the_letter_table_once(monkeypatch, n, max_len):
+    # the sweep and the oracle take every pair's shared extensions from one
+    # letter table
     pres = build_presentation(n)
-    calls = Counter()
-    real = ideals._q_extensions
+    calls = []
+    real = ideals._letter_partners
 
-    def counting(nf, pres):
-        calls[len(nf)] += 1
-        return real(nf, pres)
+    def counting(relations):
+        calls.append(relations)
+        return real(relations)
 
-    monkeypatch.setattr(ideals, "_q_extensions", counting)
-    report = verify_alignment(pres, max_len=max_len, samples=0, window=max_len + 1)
-    assert report.ok
-    assert calls == {1: len(pres.generators)}
+    monkeypatch.setattr(ideals, "_letter_partners", counting)
+    report = verify_alignment(pres, max_len=max_len, samples=5, window=max_len + 1)
+    assert report.ok and report.sampled == 5
+    assert calls == [pres.relations]
 
 
 def test_non_principal_pairs_counted_exactly(m1, m2, m3):
@@ -448,12 +485,26 @@ def test_oracle_reports_mismatches_in_sample_order(m1, monkeypatch):
     nfs = enumerate_elements(m1, 2)
     rng = random.Random(11)
     sample = [(rng.choice(nfs), rng.choice(nfs)) for _ in range(300)]
-    found = ideals._oracle_mismatches(sample, 5, m1)
+    partners = ideals._letter_partners(m1.relations)
+    found = ideals._oracle_mismatches(sample, 5, m1, partners)
     one_by_one = [
-        m for pair in sample for m in ideals._oracle_mismatches([pair], 5, m1)
+        m
+        for pair in sample
+        for m in ideals._oracle_mismatches([pair], 5, m1, partners)
     ]
     assert len(found) >= 10
     assert found == one_by_one
+
+
+def test_oracle_reports_a_self_pair_with_a_wrong_meet(m1, monkeypatch):
+    # a pair (p, p) shares no extension, so with no divisibility its meet is
+    # empty and the oracle reports it; only a pair of distinct partners can
+    # raise, and the sweep intersects and reports every such pair
+    monkeypatch.setattr(ideals, "_left_divides_nf", lambda p, q, pres: None)
+    report = verify_alignment(m1, 2, 300, 5, seed=3)
+    for w in ("A1 a", "c b", "d c"):
+        assert f"({w}, {w}): fast generators [] vs oracle ['{w}']" in report.mismatches
+    assert len(report.mismatches) == 19
 
 
 def test_oracle_memory_peak(m1):
@@ -505,19 +556,8 @@ def _skew_relations():
     return [(word("d a"), word("A1 C1")), (word("d b"), word("A1 D1"))]
 
 
-def _relation_letter_partners(pres):
-    """The letter table read off the relation list: letters a != b share a
-    one-letter Q extension exactly when both begin sides of relations with
-    the same L word, that is, one side each of a relation, or two R words
-    with the same L partner.  The extensions they share are those L words."""
-    firsts = {}  # L word -> first letters of it and of its R partners
-    for left, right in pres.relations:
-        firsts.setdefault(left, {left[0]}).add(right[0])
-    shared = {}
-    for word, letters in firsts.items():
-        for a, b in permutations(letters, 2):
-            shared.setdefault(a, {}).setdefault(b, set()).add(word)
-    return {a: sorted(bs.items()) for a, bs in sorted(shared.items())}
+# the L word a b with two R partners
+_FORK = [("ab", "cd"), ("ab", "ef")]
 
 
 @pytest.mark.parametrize("n", list(range(1, 31)) + ["skew", "fork"])
@@ -526,10 +566,53 @@ def test_letter_partners_read_off_the_relations(n):
     if n == "skew":
         pres = validate_generic(_skew_relations())
     elif n == "fork":
-        pres = validate_generic([("ab", "cd"), ("ab", "ef")])
+        pres = validate_generic(_FORK)
     else:
         pres = build_presentation(n)
-    assert _relation_letter_partners(pres) == ideals._letter_partners(pres)
+    table = ideals._letter_partners(pres.relations)
+    assert table == extension_letter_partners(pres, q_extensions)
+    assert list(table) == sorted(table)
+    assert all(list(bs) == sorted(bs) for bs in table.values())
+
+
+def _outcome(meet):
+    """meet(), or the message of the AlignmentViolation it raises."""
+    try:
+        return meet()
+    except AlignmentViolation as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize(
+    "n, max_len", [(1, 2), (2, 2), (3, 2), (12, 1), ("skew", 2), ("fork", 2)]
+)
+def test_intersect_principal_matches_the_extension_sets(n, max_len):
+    # the letter table against each element's own extensions, on every
+    # ordered pair; at n = 12 token order (A10 before A2) differs from
+    # index order, "skew" must raise on the same pairs, and in "fork" the
+    # letters c and e share a b through two R words
+    if n == "skew":
+        pres = dataclasses.replace(validate_generic(_skew_relations()), n=2)
+    elif n == "fork":
+        pres = dataclasses.replace(validate_generic(_FORK), n=2)
+    else:
+        pres = build_presentation(n)
+    nfs = enumerate_elements(pres, max_len)
+    extensions = {w: q_extensions(w, pres) for w in nfs}
+    raised = 0
+    for p, q in product(nfs, repeat=2):
+        shared = extensions[p] & extensions[q]
+        expected = _outcome(lambda: ideals._meet(p, q, shared, pres))
+        found = _outcome(lambda: intersect_principal(p, q, pres))
+        if isinstance(expected, str):
+            raised += 1
+            assert found == expected
+        else:
+            provenance, gens = expected
+            assert isinstance(found, ideals.IntersectionResult)
+            assert found.provenance == provenance
+            assert found.generators == tuple(sorted(gens, key=element_key))
+    assert bool(raised) == (n == "skew")
 
 
 def test_foreign_presentation_trips_alignment_check():
