@@ -7,6 +7,8 @@ the intersection bases (normal form ending in a left-hand relation word).
 
 Predecessors are read off the normal form, with no search; the codet and
 indegree suites check each one by reduction and their total by a count.
+The reductions run in batches of joined code-point strings (see the
+rewriting module), and an edge is named only when its batch disagrees.
 """
 
 from __future__ import annotations
@@ -14,7 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .presentation import Presentation, Word, format_word
-from .rewriting import enumerate_elements, is_intersection_base, reduce_word
+from .rewriting import (
+    _Codec,
+    _normal_forms,
+    enumerate_elements,
+    is_intersection_base,
+)
 
 __all__ = [
     "CayleyBall",
@@ -78,12 +85,20 @@ def predecessors(v: Word, pres: Presentation) -> frozenset:
     u[-1] x is one of its R partners r: u = v[:-2] + r[:1] and x = r[1].
     Both u are normal forms: they end in a P letter, and R words end in Q.
     """
+    return frozenset(_predecessors(v, pres.partners))
+
+
+def _predecessors(v, partners) -> tuple:
+    """The pairs of predecessors(v) in a fixed order: (v[:-1], v[-1]), then
+    one pair per R partner of v[-2:], in presentation order.  v, partners
+    and the pairs are all spelled alike: as Words, or as code-point strings
+    (see the rewriting module)."""
     if not v:
-        return frozenset()
-    preds = {(v[:-1], v[-1])}
-    for r in pres.partners.get(v[-2:], ()):
-        preds.add((v[:-2] + r[:1], r[1]))
-    return frozenset(preds)
+        return ()
+    edges = ((v[:-1], v[-1]),)
+    for r in partners.get(v[-2:], ()):
+        edges += ((v[:-2] + r[:1], r[1]),)
+    return edges
 
 
 def export_dot(ball: CayleyBall) -> str:
@@ -112,26 +127,52 @@ def export_dot(ball: CayleyBall) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _predecessor_sweep(pres: Presentation, max_len: int, violations: list):
+# elements per batch of edge words: bounds the joined text a batch holds
+_BATCH = 4096
+
+
+def _predecessor_sweep(pres: Presentation, max_len: int, codec, violations):
     """Yield every element v of length <= max_len with its predecessors,
-    computed once and checked twice, appending to violations.  Sound: each
-    (u, x) reduces to v.  Complete, checked after the last element: they
-    number G per element shorter than max_len, since every edge out of one
-    enters a swept element, and sound predecessors of distinct elements are
-    distinct edges."""
-    found = sources = 0
-    for v in enumerate_elements(pres, max_len):
-        preds = predecessors(v, pres)
-        for u, x in preds:
-            target = reduce_word(u + (x,), pres)
-            if target != v:
-                violations.append(
-                    f"edge {format_word(u)} --{x}--> reaches "
-                    f"{format_word(target)}, not {format_word(v)}"
-                )
-        found += len(preds)
-        sources += len(v) < max_len
-        yield v, preds
+    spelled by codec, computed once and checked twice, appending to
+    violations.  Sound: each (u, x) reduces to v.  Complete, checked after
+    the last element: they number G per element shorter than max_len, since
+    every edge out of one enters a swept element, and sound predecessors of
+    distinct elements are distinct edges.
+
+    The elements go in batches of _BATCH: every edge word u x of a batch is
+    reduced in one joined string, and the results are compared with the
+    batch's elements, one per edge, as one list.  Only when the lists
+    differ are the edges named, in the fixed order of _predecessors."""
+    # partners are read only at elements of length >= 2
+    code = codec.code
+    partners = {  # relation words have two letters
+        code[a] + code[b]: [code[c] + code[d] for c, d in rs]
+        for (a, b), rs in (pres.partners.items() if max_len >= 2 else ())
+    }
+    elements = enumerate_elements(pres, max_len)
+    spelled = _normal_forms(pres, max_len, codec.encode)
+    found = 0
+    for start in range(0, len(elements), _BATCH):
+        batch = spelled[start : start + _BATCH]
+        preds = [_predecessors(s, partners) for s in batch]
+        words = [u + x for edges in preds for u, x in edges]
+        ends = [s for s, edges in zip(batch, preds) for _ in edges]
+        targets = codec.reduce_joined("\n".join(words)) if words else []
+        found += len(words)
+        if targets == ends:
+            yield from zip(elements[start : start + _BATCH], preds)
+            continue
+        reached = iter(targets)
+        for v, s, edges in zip(elements[start : start + _BATCH], batch, preds):
+            for (u, x), target in zip(edges, reached):
+                if target != s:
+                    violations.append(
+                        f"edge {format_word(codec.decode(u))} "
+                        f"--{codec.letter[x]}--> reaches "
+                        f"{format_word(codec.decode(target))}, not {format_word(v)}"
+                    )
+            yield v, edges
+    sources = sum(len(v) < max_len for v in elements)
     expected = len(pres.generators) * sources
     if found != expected:
         violations.append(f"{found} incoming edges found, expected {expected}")
@@ -140,8 +181,8 @@ def _predecessor_sweep(pres: Presentation, max_len: int, violations: list):
 def codeterminism_violations(pres: Presentation, max_len: int):
     """Check co-determinism for every element of length <= max_len."""
     violations = []
-    for v, preds in _predecessor_sweep(pres, max_len, violations):
-        if len({x for _, x in preds}) != len(preds):
+    for v, preds in _predecessor_sweep(pres, max_len, _Codec(pres), violations):
+        if len(preds) > 1 and len({x for _, x in preds}) != len(preds):
             violations.append(f"duplicate incoming label at {format_word(v)}")
     return violations
 
@@ -151,15 +192,16 @@ def indegree_violations(pres: Presentation, max_len: int):
     holds exactly at intersection bases and that incoming labels of bases
     lie in Q.  Every edge increases length by one, since relations preserve
     length and every predecessor is checked to reduce to its element."""
+    codec = _Codec(pres)
     violations = []
-    for v, preds in _predecessor_sweep(pres, max_len, violations):
+    for v, preds in _predecessor_sweep(pres, max_len, codec, violations):
         base = is_intersection_base(v, pres)
         if (len(preds) >= 2) != base:
             violations.append(
                 f"{format_word(v)}: in-degree {len(preds)} but "
                 f"intersection base is {base}"
             )
-        if base and any(x not in pres.q_set for _, x in preds):
+        if base and any(codec.letter[x] not in pres.q_set for _, x in preds):
             violations.append(
                 f"{format_word(v)}: incoming label outside Q at a base"
             )

@@ -16,11 +16,12 @@ production callers use the closed form in the rewriting module.
 
 from __future__ import annotations
 
-from itertools import chain, product
+import re
+from itertools import chain
 from typing import Optional
 
 from .presentation import Presentation, Word, check_letters, format_word
-from .rewriting import reduce_word
+from .rewriting import _Codec
 
 __all__ = [
     "CapExceeded",
@@ -125,33 +126,52 @@ def partition_agreement(pres: Presentation, max_len: int):
     cover every word, so if each group equals the class of its first word,
     every word's class is its group and the two partitions agree.
 
-    A group of one word w is not searched when no two-letter factor of w is
-    a key of pres.partners, the index the search reads: no relation applies
-    to w, so closure((w,)) is [w] and agrees with the group.  The test reads
-    only the relations, never the rewriting code.  Only normal forms that
-    two or more words share keep a list of words.
+    The words are spelled as code-point strings (see the rewriting module),
+    and those of each length are reduced in one joined string.  A group of
+    one word w is not searched when no two-letter factor of w is a key of
+    pres.partners, the index the search reads: no relation applies to w, so
+    closure((w,)) is [w] and agrees with the group.  The lone words are
+    tested for those keys by regex scans over their joined text: one that
+    finds the keys that occur, and, only if some do, one for the words
+    holding them.  The test reads only the relations, never the rewriting
+    code.  Only normal forms that two or more words share keep a list of
+    words.
     """
+    codec = _Codec(pres)
+    letters = list(codec.encode(pres.generators))
     first = {}  # normal form -> its first word, in sweep order
     shared = {}  # normal form -> its words, when two or more words have it
+    words = [""]
     for length in range(max_len + 1):
-        for w in product(pres.generators, repeat=length):
-            nf = reduce_word(w, pres)
+        if length:
+            words = [w + x for w in words for x in letters]
+        for w, nf in zip(words, codec.reduce_joined("\n".join(words))):
             if nf in first:
                 shared.setdefault(nf, [first[nf]]).append(w)
             else:
                 first[nf] = w
-    sides = pres.partners.keys()  # every relation side
+    # the lone words with a relation side among their factors; sides have
+    # two letters, so no shorter word holds one
+    acted = set()
+    if pres.partners and max_len >= 2:
+        lone = "\n".join(w for nf, w in first.items() if nf not in shared)
+        code = codec.code
+        sides = {code[a] + code[b] for a, b in pres.partners}
+        found = sides.intersection(codec.pair_scan(sides).findall(lone))
+        if found:
+            acted.update(re.findall(f"(?m)^.*(?:{'|'.join(found)}).*$", lone))
     violations = []
     for nf, w in first.items():
         group = shared.get(nf)
         if group is None:
-            if sides.isdisjoint(zip(w, w[1:])):
+            if w not in acted:
                 continue
             group = (w,)
-        cls = set(closure((w,), pres))
+        word = codec.decode(w)
+        cls = {codec.encode(u) for u in closure((word,), pres)}
         if cls != set(group):
             violations.append(
-                f"class of {format_word(w)} has {len(cls)} words but its "
+                f"class of {format_word(word)} has {len(cls)} words but its "
                 f"normal-form group has {len(group)}"
             )
     return violations

@@ -20,11 +20,13 @@ cannot overlap; an L word is also P then Q and is never an R word, so a
 replacement creates no occurrence inside or across its boundaries; and no
 occurrence spans the separator.  Only the products whose seam, the pair
 where a side meets its factor, is an R word go into a batch: any other
-product of two normal forms is a normal form already.
+product of two normal forms is a normal form already.  The codet,
+indegree and nf-oracle sweeps reduce their words in the same batches.
 """
 
 from __future__ import annotations
 
+import re
 from typing import Optional
 
 from .presentation import Presentation, Word, check_letters, format_word
@@ -117,15 +119,29 @@ def _follow(pres: Presentation, max_len: int):
 
 def enumerate_elements(pres: Presentation, max_len: int):
     """The normal forms of length <= max_len, one per element, ordered by
-    element_key.  Normal forms are the words with no right-side factor, so
-    those of length k are those of length k-1 extended by every letter that
-    forms no right side with their last letter.  Extending in token order
-    keeps each length sorted, since the generators are distinct."""
+    element_key."""
+    return _normal_forms(pres, max_len, tuple)
+
+
+def _normal_forms(pres: Presentation, max_len: int, spell):
+    """The normal forms of enumerate_elements, in its order, each spelled
+    as spell spells a Word: tuple gives the Words themselves, and a
+    _Codec's encode gives their code-point strings.  Normal forms are the
+    words with no right-side factor, so those of length k are those of
+    length k-1 extended by every letter that forms no right side with their
+    last letter.  Extending in token order keeps each length sorted by
+    element_key, since the generators are distinct."""
     letters, follow = _follow(pres, max_len)
-    out = [()]
-    layer = [()]
+    spelled = spell(tuple(letters))
+    # one-letter slices are the spelled letters; after is keyed by what
+    # w[-1] gives for a spelled word w: the letter, or its code point
+    first = [spelled[i : i + 1] for i in range(len(letters))]
+    one = dict(zip(letters, first))
+    after = {one[x][0]: [one[g] for g in gs] for x, gs in follow.items()}
+    layer = [spelled[:0]]
+    out = layer[:]
     for _ in range(max_len):
-        layer = [w + (g,) for w in layer for g in (follow[w[-1]] if w else letters)]
+        layer = [w + g for w in layer for g in (after[w[-1]] if w else first)]
         out += layer
     return out
 
@@ -148,6 +164,13 @@ def count_elements(pres: Presentation, max_len: int) -> int:
     return total
 
 
+# above this many relations, reduce_joined first finds the R words that
+# occur: the regex scan that finds them costs as much as 8 to 20
+# str.replace scans of the same text (measured on the nf-oracle batches at
+# n = 1 and n = 3), so up to here every relation is simply replaced
+_FEW_RULES = 16
+
+
 class _Codec:
     r"""Words as strings of one code point per generator, for batch reduction.
 
@@ -155,25 +178,58 @@ class _Codec:
     the CLI's bound of 10^6 generators keeps them below U+10FFFF.
     reduce_joined(text) reduces every "\n"-separated word of text at once
     with one str.replace per relation; see the module docstring for why this
-    equals reduce_word on each word.
+    equals reduce_word on each word.  Given rules, some (R word, L word)
+    pairs of self.rewrite, it applies only those: enough when no other R
+    word can occur in text.  Given none, in a presentation of more than
+    _FEW_RULES relations, it applies only those whose R word occurs, found
+    by one scan of self.pairs, so that a batch takes time linear in its
+    text, not in its text times the relations.
     """
 
     def __init__(self, pres: Presentation):
         self.code = {g: chr(0x100 + i) for i, g in enumerate(pres.generators)}
         self.letter = {ch: g for g, ch in self.code.items()}
-        self.rules = [
-            (self.encode(right), self.encode(left))
-            for right, left in pres.rewrite_map.items()
-        ]
+        code = self.code
+        self.rewrite = {  # R word -> L word; relation words have two letters
+            code[p] + code[q]: code[x] + code[y]
+            for (p, q), (x, y) in pres.rewrite_map.items()
+        }
+        self.pairs = None
+        if len(self.rewrite) > _FEW_RULES:
+            self.pairs = self.pair_scan(self.rewrite)
+
+    @staticmethod
+    def pair_scan(words):
+        """A regex for the two-letter strings whose first letter begins one
+        of words and whose second letter ends one: every occurrence of the
+        words is a match.  Each letter class is written as runs of
+        consecutive code points, which keeps it short for the family."""
+
+        def letter_class(letters):
+            runs = []
+            for point in sorted(map(ord, letters)):
+                if runs and point == runs[-1][1] + 1:
+                    runs[-1][1] = point
+                else:
+                    runs.append([point, point])
+            return "[" + "".join(f"{chr(a)}-{chr(b)}" for a, b in runs) + "]"
+
+        firsts = letter_class({w[0] for w in words})
+        return re.compile(firsts + letter_class({w[1] for w in words}))
 
     def encode(self, w: Word) -> str:
-        return "".join(self.code[x] for x in w)
+        return "".join(map(self.code.__getitem__, w))
 
     def decode(self, s: str) -> Word:
-        return tuple(self.letter[ch] for ch in s)
+        return tuple(map(self.letter.__getitem__, s))
 
-    def reduce_joined(self, text: str) -> list:
-        for right, left in self.rules:
+    def reduce_joined(self, text: str, rules=None) -> list:
+        if rules is None:
+            rules = self.rewrite.items()
+            if self.pairs is not None:
+                found = self.rewrite.keys() & set(self.pairs.findall(text))
+                rules = [(right, self.rewrite[right]) for right in found]
+        for right, left in rules:
             text = text.replace(right, left)
         return text.split("\n")
 
@@ -195,70 +251,81 @@ def cancellativity_violations(pres: Presentation, max_ab: int, max_c: int):
     when two reduced seam products are equal, or when one of them is y c for
     an unchanged side y: it ends in c and the rest is a side.  The products
     c x are the mirror image, with the seam (c[-1], x[0]).  For each c the
-    seam products on each side are reduced in one joined string.
+    seam products on each side are reduced in one joined string, by the
+    only rules whose R word can sit on that seam: those ending in c[0] on
+    the right, those beginning with c[-1] on the left.
 
     The premise is checked, not assumed: the identity factor's batch reduces
     every side, and if any side changes, every factor takes the full batch
-    of its products; so does a factor that contains an R word.  A factor
-    whose products collide is walked pair by pair over the full batch, to
-    name the colliding elements.
+    of its products, by every rule; so does a factor that contains an R
+    word.  A factor whose products collide is walked pair by pair over the
+    full batch, to name the colliding elements.  Sides and factors are
+    swept as code-point strings and decoded only to be named.
     """
     codec = _Codec(pres)
-    rewrite = pres.rewrite_map
-    sides = enumerate_elements(pres, max_ab)
-    encoded = [codec.encode(x) for x in sides]
-    side_set = set(encoded)
+    rewrite = codec.rewrite
+    sides = _normal_forms(pres, max_ab, codec.encode)
+    side_set = set(sides)
     # the identity factor's batch: its products are the sides themselves
-    sides_r_free = codec.reduce_joined("\n".join(encoded)) == encoded
+    sides_r_free = codec.reduce_joined("\n".join(sides)) == sides
     ending, starting = {}, {}
-    for x, s in zip(sides, encoded):
-        if x:
-            ending.setdefault(x[-1], []).append(s)
-            starting.setdefault(x[0], []).append(s)
-    # by the first letter of c, the sides x with an R word across x c; by
-    # its last letter, those with an R word across c x
+    for s in sides:
+        if s:
+            ending.setdefault(s[-1], []).append(s)
+            starting.setdefault(s[0], []).append(s)
+    # by the first letter of c, the sides x with an R word across x c and
+    # the rules of those R words; by its last letter, the same across c x
     right_seam, left_seam = {}, {}
-    for p, q in rewrite:
+    right_rules, left_rules = {}, {}
+    for rule in rewrite.items():
+        p, q = rule[0]
         if p in ending:
             right_seam.setdefault(q, []).extend(ending[p])
+            right_rules.setdefault(q, []).append(rule)
         if q in starting:
             left_seam.setdefault(p, []).extend(starting[q])
+            left_rules.setdefault(p, []).append(rule)
+
+    def name(s):
+        return format_word(codec.decode(s))
+
     violations = []
-    for c in enumerate_elements(pres, max_c):
-        ec = codec.encode(c)
-        if sides_r_free and not any(pair in rewrite for pair in zip(c, c[1:])):
+    for c in _normal_forms(pres, max_c, codec.encode):
+        if sides_r_free and not any(c[i : i + 2] in rewrite for i in range(len(c) - 1)):
             if not c:  # its products are the sides, found R-free above
                 continue
-            k = len(ec)
+            k = len(c)
             right = left = ()
             if c[0] in right_seam:
-                right = codec.reduce_joined((ec + "\n").join(right_seam[c[0]]) + ec)
+                right = codec.reduce_joined(
+                    (c + "\n").join(right_seam[c[0]]) + c, right_rules[c[0]]
+                )
             if c[-1] in left_seam:
-                left = codec.reduce_joined(ec + ("\n" + ec).join(left_seam[c[-1]]))
+                left = codec.reduce_joined(
+                    c + ("\n" + c).join(left_seam[c[-1]]), left_rules[c[-1]]
+                )
             if (
                 len(set(right)) == len(right)
                 and len(set(left)) == len(left)
-                and side_set.isdisjoint([key[:-k] for key in right if key.endswith(ec)])
-                and side_set.isdisjoint([key[k:] for key in left if key.startswith(ec)])
+                and side_set.isdisjoint([key[:-k] for key in right if key.endswith(c)])
+                and side_set.isdisjoint([key[k:] for key in left if key.startswith(c)])
             ):
                 continue
-        right_keys = codec.reduce_joined((ec + "\n").join(encoded) + ec)
-        left_keys = codec.reduce_joined(ec + ("\n" + ec).join(encoded))
+        right_keys = codec.reduce_joined((c + "\n").join(sides) + c)
+        left_keys = codec.reduce_joined(c + ("\n" + c).join(sides))
         seen_right = {}
         seen_left = {}
         for x, right_key, left_key in zip(sides, right_keys, left_keys):
             other = seen_right.setdefault(right_key, x)
             if other != x:
                 violations.append(
-                    f"right: {format_word(other)} != {format_word(x)} but both "
-                    f"give {format_word(codec.decode(right_key))} after "
-                    f"appending {format_word(c)}"
+                    f"right: {name(other)} != {name(x)} but both "
+                    f"give {name(right_key)} after appending {name(c)}"
                 )
             other = seen_left.setdefault(left_key, x)
             if other != x:
                 violations.append(
-                    f"left: {format_word(other)} != {format_word(x)} but both "
-                    f"give {format_word(codec.decode(left_key))} after "
-                    f"prepending {format_word(c)}"
+                    f"left: {name(other)} != {name(x)} but both "
+                    f"give {name(left_key)} after prepending {name(c)}"
                 )
     return violations

@@ -88,6 +88,18 @@ def test_criterion_4_cancellativity_sweep_n2_max_len_4(m2):
     timed(60, "criterion 4: no cancellation failures at n = 2, max-len 4", check)
 
 
+def test_criterion_4_cancellativity_sweep_n10000():
+    # 40,005 sides and factors; each seam batch applies only the one or two
+    # rules whose R word can sit on its seam, not all 20,001
+    pres = build_presentation(10000)
+    found = timed(
+        5,
+        "criterion 4: no cancellation failures at n = 10000, max-len 1",
+        lambda: cancellativity_violations(pres, 1, 1),
+    )
+    assert found == []
+
+
 def test_criterion_5_cayley_structure(m1, m2):
     def check():
         for pres in (m1, m2):
@@ -95,6 +107,22 @@ def test_criterion_5_cayley_structure(m1, m2):
             assert indegree_violations(pres, 4) == []
 
     timed(60, "criterion 5: co-determinism and in-degree law", check)
+
+
+def test_criterion_5_cayley_structure_n10000():
+    # 40,005 elements and 40,004 edges; each batch of edge words applies
+    # only the rules whose R word occurs in it, not all 20,001
+    pres = build_presentation(10000)
+    for label, sweep in (
+        ("co-determinism", codeterminism_violations),
+        ("in-degree law", indegree_violations),
+    ):
+        found = timed(
+            5,
+            f"criterion 5: {label} at n = 10000, max-len 1",
+            lambda: sweep(pres, 1),
+        )
+        assert found == []
 
 
 def test_criterion_6_alignment_higher_n(m2, m3):

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import malcev
 from malcev import cayley
 from malcev.cayley import (
     CayleyBall,
@@ -19,6 +25,7 @@ from malcev.presentation import (
     validate_generic,
 )
 from malcev.rewriting import (
+    _Codec,
     enumerate_elements,
     is_intersection_base,
     left_normal_form,
@@ -259,8 +266,81 @@ def mislabeled(v, pres):
     )
 
 
+def relabeled_b(v, pres):
+    """predecessors with every label replaced by b."""
+    return frozenset((u, "b") for u, _ in predecessors_by_search(v, pres))
+
+
+def self_loop(v, pres):
+    """One edge from v to itself, by the first generator."""
+    return frozenset({(v, pres.generators[0])})
+
+
+def plant(monkeypatch, fault, pres):
+    """Plant fault on cayley.predecessors, and route the sweeps to it.
+
+    The sweeps spell each element as a code-point string and call the
+    closed form cayley._predecessors on it, so that is replaced by an
+    adapter: it decodes the element, asks cayley.predecessors, and encodes
+    the pairs back, sorted so that their order is fixed."""
+    codec = _Codec(pres)
+
+    def spelled(s, partners):
+        pairs = sorted(cayley.predecessors(codec.decode(s), pres))
+        return tuple((codec.encode(u), codec.code[x]) for u, x in pairs)
+
+    monkeypatch.setattr(cayley, "predecessors", fault)
+    monkeypatch.setattr(cayley, "_predecessors", spelled)
+
+
+def per_element_sweep(pres, max_len, violations):
+    """The sweep before the batches, as the reference: each element's
+    predecessors from cayley.predecessors, sorted, and each edge reduced by
+    reduce_word."""
+    found = sources = 0
+    for v in enumerate_elements(pres, max_len):
+        preds = sorted(cayley.predecessors(v, pres))
+        for u, x in preds:
+            target = reduce_word(u + (x,), pres)
+            if target != v:
+                violations.append(
+                    f"edge {format_word(u)} --{x}--> reaches "
+                    f"{format_word(target)}, not {format_word(v)}"
+                )
+        found += len(preds)
+        sources += len(v) < max_len
+        yield v, preds
+    expected = len(pres.generators) * sources
+    if found != expected:
+        violations.append(f"{found} incoming edges found, expected {expected}")
+
+
+def codeterminism_per_element(pres, max_len):
+    violations = []
+    for v, preds in per_element_sweep(pres, max_len, violations):
+        if len({x for _, x in preds}) != len(preds):
+            violations.append(f"duplicate incoming label at {format_word(v)}")
+    return violations
+
+
+def indegree_per_element(pres, max_len):
+    violations = []
+    for v, preds in per_element_sweep(pres, max_len, violations):
+        base = is_intersection_base(v, pres)
+        if (len(preds) >= 2) != base:
+            violations.append(
+                f"{format_word(v)}: in-degree {len(preds)} but "
+                f"intersection base is {base}"
+            )
+        if base and any(x not in pres.q_set for _, x in preds):
+            violations.append(
+                f"{format_word(v)}: incoming label outside Q at a base"
+            )
+    return violations
+
+
 def test_sweep_counts_missing_predecessors(m2, monkeypatch, capsys):
-    monkeypatch.setattr(cayley, "predecessors", without_partners)
+    plant(monkeypatch, without_partners, m2)
     count = "1759 incoming edges found, expected 1824"
     assert codeterminism_violations(m2, 3) == [count]
     found = indegree_violations(m2, 3)
@@ -273,7 +353,7 @@ def test_sweep_counts_missing_predecessors(m2, monkeypatch, capsys):
 
 
 def test_sweep_catches_unsound_predecessors(m1, monkeypatch, capsys):
-    monkeypatch.setattr(cayley, "predecessors", mislabeled)
+    plant(monkeypatch, mislabeled, m1)
     unsound = "edge A1 --a--> reaches A1 a, not d a"
     assert unsound in codeterminism_violations(m1, 2)
     assert unsound in indegree_violations(m1, 2)
@@ -285,9 +365,86 @@ def test_sweep_catches_unsound_predecessors(m1, monkeypatch, capsys):
 
 def test_sweep_expects_no_edges_at_max_len_zero(m1, monkeypatch):
     assert codeterminism_violations(m1, 0) == indegree_violations(m1, 0) == []
-    a = m1.generators[0]
-    monkeypatch.setattr(cayley, "predecessors", lambda v, pres: {(v, a)})
+    plant(monkeypatch, self_loop, m1)
     assert codeterminism_violations(m1, 0) == [
         "edge 1 --a--> reaches a, not 1",
         "1 incoming edges found, expected 0",
     ]
+
+
+@pytest.mark.parametrize(
+    "fault",
+    [None, without_partners, mislabeled, relabeled_b, self_loop],
+    ids=["clean", "without-partners", "mislabeled", "relabeled-b", "self-loop"],
+)
+@pytest.mark.parametrize(
+    "n, max_len",
+    [(1, k) for k in range(5)] + [(2, k) for k in range(4)] + [(3, k) for k in range(4)],
+)
+def test_batched_sweeps_match_per_element_sweeps(
+    request, monkeypatch, fault, n, max_len
+):
+    pres = request.getfixturevalue(f"m{n}")
+    if fault is not None:
+        plant(monkeypatch, fault, pres)
+    found = codeterminism_violations(pres, max_len)
+    assert found == codeterminism_per_element(pres, max_len)
+    assert indegree_violations(pres, max_len) == indegree_per_element(pres, max_len)
+    if fault is not None and max_len >= 2:
+        assert found
+
+
+@pytest.mark.parametrize("n, max_len", [(1, 4), (3, 3), (12, 2)])
+def test_spelled_closed_form_matches_words(n, max_len):
+    # one closed form for both spellings: the sweep's code-point strings
+    # decode to the pairs that predecessors returns
+    pres = build_presentation(n)
+    codec = _Codec(pres)
+    partners = {
+        codec.encode(w): [codec.encode(r) for r in rs]
+        for w, rs in pres.partners.items()
+    }
+    for v in enumerate_elements(pres, max_len):
+        spelled = cayley._predecessors(codec.encode(v), partners)
+        pairs = [(codec.decode(u), codec.letter[x]) for u, x in spelled]
+        assert pairs == list(cayley._predecessors(v, pres.partners))
+        assert frozenset(pairs) == predecessors(v, pres)
+
+
+RELABEL_B = """
+from malcev import cayley
+from malcev.cli import run
+from malcev.presentation import build_presentation
+from malcev.rewriting import _Codec
+
+b = _Codec(build_presentation(1)).code["b"]
+closed_form = cayley._predecessors
+cayley._predecessors = lambda v, partners: tuple(
+    (u, b) for u, _ in closed_form(v, partners)
+)
+for suite in ("codet", "indegree"):
+    run(["verify", "-n", "1", "--suite", suite, "--max-len", "2"])
+"""
+
+
+def test_violation_order_does_not_depend_on_the_hash_seed():
+    # every label relabeled b: d a gets two bad edges, d b and A1 b; the
+    # sweep names them in the closed form's order, which no set decides
+    src = str(Path(malcev.__file__).resolve().parents[1])
+    outputs = []
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed}
+        done = subprocess.run(
+            [sys.executable, "-c", RELABEL_B],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
+    assert (
+        "violation: edge d --b--> reaches A1 D1, not d a\n"
+        "violation: edge A1 --b--> reaches A1 b, not d a\n"
+    ) in outputs[0]

@@ -15,7 +15,7 @@ from malcev.congruence import (
     word_count,
 )
 from malcev.presentation import ForeignLetter, format_word, parse_word
-from malcev.rewriting import enumerate_elements, equal, reduce_word
+from malcev.rewriting import _Codec, enumerate_elements, equal, reduce_word
 
 
 def w(text, pres):
@@ -213,6 +213,28 @@ def test_partitions_agree_small(m1, m2):
     assert partition_agreement(m2, 2) == []
 
 
+def plant(monkeypatch, fault):
+    """Plant the word reduction fault(word, pres) on partition_agreement.
+
+    The sweep reduces code-point strings in joined batches, by the
+    reduce_joined of the congruence module's _Codec, so that is replaced by
+    an adapter: it decodes each word of a batch, reduces it with fault, and
+    encodes the result back."""
+
+    class Planted(_Codec):
+        def __init__(self, pres):
+            super().__init__(pres)
+            self.pres = pres
+
+        def reduce_joined(self, text, rules=None):
+            return [
+                self.encode(fault(self.decode(s), self.pres))
+                for s in text.split("\n")
+            ]
+
+    monkeypatch.setattr(congruence, "_Codec", Planted)
+
+
 def test_partition_agreement_reports_a_split_class(m1, monkeypatch):
     # a reduction that never applies A1 C1 -> d a splits the class
     # {d a, A1 C1} into two normal-form groups
@@ -220,21 +242,20 @@ def test_partition_agreement_reports_a_split_class(m1, monkeypatch):
     stripped = SimpleNamespace(
         rewrite_map={r: l for r, l in m1.rewrite_map.items() if r != skipped}
     )
-    monkeypatch.setattr(
-        congruence, "reduce_word", lambda word, pres: reduce_word(word, stripped)
-    )
+    plant(monkeypatch, lambda word, pres: reduce_word(word, stripped))
     assert partition_agreement(m1, 2) == [
         "class of d a has 2 words but its normal-form group has 1",
         "class of A1 C1 has 2 words but its normal-form group has 1",
     ]
 
 
-def _per_group_partition_agreement(pres, max_len):
-    """Reference: one class search per normal-form group, lone words too."""
+def _per_group_partition_agreement(pres, max_len, reduce=reduce_word):
+    """Reference: one class search per normal-form group, lone words too,
+    each word reduced on its own by reduce."""
     by_nf = defaultdict(list)
     for length in range(max_len + 1):
         for u in product(pres.generators, repeat=length):
-            by_nf[congruence.reduce_word(u, pres)].append(u)
+            by_nf[reduce(u, pres)].append(u)
     violations = []
     for group in by_nf.values():
         cls = set(closure((group[0],), pres))
@@ -282,9 +303,10 @@ def test_partition_agreement_matches_one_search_per_group(
     request, monkeypatch, fault, n, max_len
 ):
     pres = request.getfixturevalue(f"m{n}")
+    reduce = reduce_word if fault is None else fault(pres)
     if fault is not None:
-        monkeypatch.setattr(congruence, "reduce_word", fault(pres))
-    expected = _per_group_partition_agreement(pres, max_len)
+        plant(monkeypatch, reduce)
+    expected = _per_group_partition_agreement(pres, max_len, reduce)
     assert partition_agreement(pres, max_len) == expected
     if fault is not None and max_len >= 2:
         assert expected

@@ -255,6 +255,30 @@ def test_batch_reduction_matches_reduce_word(n):
     assert codec.reduce_joined("") == [""]
 
 
+@pytest.mark.parametrize("n, max_len", [(1, 4), (2, 4), (3, 4), (10, 3)])
+def test_batch_reduction_matches_reduce_word_on_all_short_words(n, max_len):
+    # reduce_word backs nf, eq and divides, and the batch reduction the
+    # structure sweeps: both agree on every word of length <= max_len,
+    # reduced one length at a time as the nf-oracle sweep does; at n = 10
+    # there are 21 relations, so each batch first scans for the R words
+    pres = build_presentation(n)
+    codec = _Codec(pres)
+    assert (codec.pairs is None) == (n < 10)
+    for length in range(max_len + 1):
+        words = list(product(pres.generators, repeat=length))
+        keys = codec.reduce_joined("\n".join(map(codec.encode, words)))
+        assert list(map(codec.decode, keys)) == [reduce_word(w, pres) for w in words]
+
+
+@pytest.mark.parametrize("n, max_len", [(1, 4), (3, 3), (12, 2)])
+def test_spelled_enumeration_matches_words(n, max_len):
+    # one enumerator for both spellings, index for index
+    pres = build_presentation(n)
+    codec = _Codec(pres)
+    spelled = rewriting._normal_forms(pres, max_len, codec.encode)
+    assert list(map(codec.decode, spelled)) == enumerate_elements(pres, max_len)
+
+
 def plain_cancellativity_sweep(pres, max_ab, max_c, elements=enumerate_elements):
     """The sweep written out pair by pair with reduce_word."""
     violations = []
@@ -350,7 +374,10 @@ def test_sweep_checks_its_premise(monkeypatch, relations, max_ab, max_c, planted
         return sorted(all_words(pres, max_len), key=element_key)
 
     pres = make_presentation(relations)
-    monkeypatch.setattr(rewriting, "enumerate_elements", words)
+    # the sweep spells its sides and factors as code-point strings
+    monkeypatch.setattr(
+        rewriting, "_normal_forms", lambda pres, k, spell: list(map(spell, words(pres, k)))
+    )
     found = cancellativity_violations(pres, max_ab, max_c)
     assert found == plain_cancellativity_sweep(pres, max_ab, max_c, words)
     assert planted in found
@@ -366,9 +393,9 @@ def test_sweep_reduces_only_seam_products(monkeypatch, n, max_ab, max_c):
     reduced = []
     reduce_joined = _Codec.reduce_joined
 
-    def counting(self, text):
+    def counting(self, text, rules=None):
         reduced.append(text.count("\n") + 1)
-        return reduce_joined(self, text)
+        return reduce_joined(self, text, rules)
 
     monkeypatch.setattr(_Codec, "reduce_joined", counting)
     assert cancellativity_violations(pres, max_ab, max_c) == []
@@ -380,6 +407,29 @@ def test_sweep_reduces_only_seam_products(monkeypatch, n, max_ab, max_c):
     )
     assert sum(reduced) == len(sides) + seams
     assert seams or max_ab == 0
+
+
+@pytest.mark.parametrize("n, max_ab, max_c", [(1, 3, 2), (3, 2, 2), (50, 1, 1)])
+def test_seam_batches_apply_only_their_seam_rules(monkeypatch, n, max_ab, max_c):
+    # the R word across the seam of x c ends in c[0], and the one across c x
+    # begins with c[-1]: a seam batch is given only those rules, one or two
+    # for the family, each of which occurs in it
+    pres = build_presentation(n)
+    given = []
+    reduce_joined = _Codec.reduce_joined
+
+    def recording(self, text, rules=None):
+        if rules is not None:
+            given.append((text, [right for right, _ in rules]))
+        return reduce_joined(self, text, rules)
+
+    monkeypatch.setattr(_Codec, "reduce_joined", recording)
+    assert cancellativity_violations(pres, max_ab, max_c) == []
+    assert given
+    for text, rights in given:
+        assert 1 <= len(rights) <= 2
+        assert len({r[1] for r in rights}) == 1 or len({r[0] for r in rights}) == 1
+        assert all(right in text for right in rights)
 
 
 def assert_divides_like_search(p, q, pres):
