@@ -37,12 +37,33 @@ __all__ = [
 class CayleyBall:
     """All vertices reachable from root in at most radius steps, with every
     edge of the graph between them.  Vertices are normal forms, in BFS
-    discovery order."""
+    discovery order.
+
+    The edges are not stored.  Their sources are vertices[:sources], the
+    vertices short of the radius, and every source u has one edge per
+    generator x, to u[:-1] followed by steps[u[-1:]][i] for x the i-th
+    generator: the boundary step of u's last letter (see build_ball)."""
 
     root: Word
     radius: int
     vertices: tuple
-    edges: tuple  # (source, label Letter, target)
+    sources: int
+    generators: tuple
+    steps: dict  # last letter (or () at the identity) -> steps in generator order
+
+    @property
+    def edge_count(self) -> int:
+        return self.sources * len(self.generators)
+
+    @property
+    def edges(self) -> tuple:
+        """Every (source, label Letter, target), sources in BFS order and
+        labels in generator order."""
+        return tuple(
+            (u, x, u[:-1] + step)
+            for u in self.vertices[: self.sources]
+            for x, step in zip(self.generators, self.steps[u[-1:]])
+        )
 
 
 def build_ball(root: Word, radius: int, pres: Presentation) -> CayleyBall:
@@ -50,30 +71,36 @@ def build_ball(root: Word, radius: int, pres: Presentation) -> CayleyBall:
 
     Each edge target is one boundary step, not a reduction pass: for a
     normal form u, the normal form of u x is u[:-1] followed by the pair
-    u[-1] x, or by its L partner when that pair is an R word.  A root that
-    is not a normal form gives a wrong ball.
+    u[-1] x, or by its L partner when that pair is an R word.  The steps of
+    a last letter are looked up once, at the first level where it ends a
+    source.  A root that is not a normal form gives a wrong ball.
+
+    Every target is one letter longer than its source, so a level's targets
+    are new to the levels before it and can only repeat among themselves:
+    the next level is the targets with repeats dropped, in discovery order.
     """
     if radius < 0:
         raise ValueError(f"radius must be nonnegative, got {radius}")
     rewrite = pres.rewrite_map
+    generators = pres.generators
+    steps = {}
     vertices = [root]
-    seen = {root}
-    edges = []
-    frontier = [root]
+    start = 0  # the current level is vertices[start:]
     for _ in range(radius):
-        next_frontier = []
-        for u in frontier:
-            head, tail = u[:-1], u[-1:]
-            for x in pres.generators:
-                pair = tail + (x,)
-                v = head + rewrite.get(pair, pair)
-                edges.append((u, x, v))
-                if v not in seen:
-                    seen.add(v)
-                    vertices.append(v)
-                    next_frontier.append(v)
-        frontier = next_frontier
-    return CayleyBall(root, radius, tuple(vertices), tuple(edges))
+        level = vertices[start:]
+        start = len(vertices)
+        for tail in {u[-1:] for u in level}.difference(steps):
+            steps[tail] = tuple(
+                rewrite.get(tail + (x,), tail + (x,)) for x in generators
+            )
+        targets = [
+            head + step
+            for u in level
+            for head in (u[:-1],)
+            for step in steps[u[-1:]]
+        ]
+        vertices += dict.fromkeys(targets)
+    return CayleyBall(root, radius, tuple(vertices), start, generators, steps)
 
 
 def predecessors(v: Word, pres: Presentation) -> frozenset:
@@ -107,24 +134,32 @@ def export_dot(ball: CayleyBall) -> str:
     Node names are quoted ('.'-joined tokens are not bare DOT identifiers);
     vertices appear in BFS order and edges sorted by source name then label,
     so equal balls export to identical strings.  A vertex is named by its
-    normal form's tokens joined by '.', the identity by '1'; each edge source
-    is named once, in a dict over the sources only (the vertices short of
-    the radius), and each target once per edge.
+    normal form's tokens joined by '.', the identity by '1'.
+
+    Names are injective, so the edges are sorted by sorting the sources
+    alone.  Every edge line of a source u shares the prefix up to the
+    target's name of u[:-1]; the rest depends only on u[-1:] and the label,
+    and is written once per last letter, in label order.  Each source's
+    lines are then one join.
     """
-
-    def name(w: Word) -> str:
-        return ".".join(w) if w else "1"
-
-    lines = ["digraph cayley {"]
-    lines += [f'  "{name(v)}";' for v in ball.vertices]
-    source = {}
-    for u, _, _ in ball.edges:
-        if u not in source:
-            source[u] = name(u)
-    for u, x, v in sorted(ball.edges, key=lambda e: (source[e[0]], e[1])):
-        lines.append(f'  "{source[u]}" -> "{name(v)}" [label="{x}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    gens = ball.generators
+    order = sorted(range(len(gens)), key=gens.__getitem__)  # label order
+    suffixes = {
+        tail: [f'{".".join(row[i])}" [label="{gens[i]}"];' for i in order]
+        for tail, row in ball.steps.items()
+    }
+    # only the root can be the identity: every other vertex is longer
+    names = [".".join(ball.root) or "1", *map(".".join, ball.vertices[1:])]
+    parts = ["digraph cayley {", '  "' + '";\n  "'.join(names) + '";']
+    # the sources are the first vertices; only their names are kept
+    sources = sorted(zip(names, ball.vertices[: ball.sources]))
+    del names
+    for source, u in sources:
+        # the target's name up to its step: source less u's last token
+        prefix = f'  "{source}" -> "{source[: -len(u[-1])] if u else ""}'
+        parts.append(prefix + ("\n" + prefix).join(suffixes[u[-1:]]))
+    parts.append("}\n")
+    return "\n".join(parts)
 
 
 # elements per batch of edge words: bounds the joined text a batch holds

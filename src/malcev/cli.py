@@ -291,16 +291,17 @@ def cmd_ball(args) -> int:
         "root": format_word(root),
         "radius": args.radius,
         "vertex_count": len(ball.vertices),
-        "edge_count": len(ball.edges),
+        "edge_count": ball.edge_count,
         "dot_path": dot_path,
     }
     if args.dot == "-":
         result["dot"] = dot
-        text = dot.rstrip("\n")
+        # the copy rstrip makes of the whole DOT is read only as text
+        text = dot.rstrip("\n") if args.format == "text" else None
     else:
         text = (
             f"root: {result['root']}\nradius: {args.radius}\n"
-            f"vertices: {len(ball.vertices)}\nedges: {len(ball.edges)}"
+            f"vertices: {len(ball.vertices)}\nedges: {ball.edge_count}"
         )
         if dot_path:
             text += f"\ndot: {dot_path}"

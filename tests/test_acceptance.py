@@ -11,6 +11,7 @@ import time
 import pytest
 
 from malcev.cayley import codeterminism_violations, indegree_violations
+from malcev.cli import run
 from malcev.congruence import partition_agreement
 from malcev.group_derivation import (
     OccurrenceMismatch,
@@ -20,7 +21,11 @@ from malcev.group_derivation import (
 )
 from malcev.ideals import verify_alignment
 from malcev.presentation import build_presentation, format_word, parse_word
-from malcev.rewriting import cancellativity_violations, reduce_word
+from malcev.rewriting import (
+    cancellativity_violations,
+    count_elements,
+    reduce_word,
+)
 
 
 def timed(budget, label, fn):
@@ -123,6 +128,23 @@ def test_criterion_5_cayley_structure_n10000():
             lambda: sweep(pres, 1),
         )
         assert found == []
+
+
+@pytest.mark.parametrize("n, radius, budget", [(3, 4, 1), (1, 6, 3)])
+def test_criterion_5_cayley_ball_dot(n, radius, budget, capsys):
+    # 64,347 vertices and 66,208 edges at n = 3; 235,036 and 247,224 at
+    # n = 1; the DOT has a line per vertex and per edge, and two braces
+    argv = ["ball", "-n", str(n), "--radius", str(radius), "--dot", "-"]
+
+    def command():
+        code = run(argv)
+        return code, capsys.readouterr().out
+
+    code, out = timed(budget, f"criterion 5: {' '.join(argv)}", command)
+    assert code == 0
+    pres = build_presentation(n)
+    edges = len(pres.generators) * count_elements(pres, radius - 1)
+    assert out.count("\n") == count_elements(pres, radius) + edges + 2
 
 
 def test_criterion_6_alignment_higher_n(m2, m3):

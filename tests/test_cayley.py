@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from collections import namedtuple
 from pathlib import Path
 
 import pytest
@@ -8,7 +9,6 @@ import pytest
 import malcev
 from malcev import cayley
 from malcev.cayley import (
-    CayleyBall,
     build_ball,
     codeterminism_violations,
     export_dot,
@@ -26,6 +26,7 @@ from malcev.presentation import (
 )
 from malcev.rewriting import (
     _Codec,
+    count_elements,
     enumerate_elements,
     is_intersection_base,
     left_normal_form,
@@ -164,8 +165,12 @@ def _export_dot_reference(ball):
     return "\n".join(lines) + "\n"
 
 
+ReferenceBall = namedtuple("ReferenceBall", "root radius vertices edges")
+
+
 def ball_by_reduction(root, radius, pres):
-    """build_ball's breadth-first search with reduce_word on every edge."""
+    """build_ball's breadth-first search with reduce_word on every edge,
+    keeping the edge list."""
     vertices, seen, edges, frontier = [root], {root}, [], [root]
     for _ in range(radius):
         next_frontier = []
@@ -178,7 +183,7 @@ def ball_by_reduction(root, radius, pres):
                     vertices.append(v)
                     next_frontier.append(v)
         frontier = next_frontier
-    return CayleyBall(root, radius, tuple(vertices), tuple(edges))
+    return ReferenceBall(root, radius, tuple(vertices), tuple(edges))
 
 
 # n = 10 has two-digit tokens, so token order differs from index order
@@ -191,8 +196,28 @@ def test_export_dot_matches_reference(n, max_radius):
         for radius in range(max_radius + 1):
             ball = build_ball(el(root, pres), radius, pres)
             reference = ball_by_reduction(el(root, pres), radius, pres)
-            assert ball == reference, (root, radius)
+            got = (ball.root, ball.radius, ball.vertices, ball.edges)
+            assert got == tuple(reference), (root, radius)
+            assert ball.edge_count == len(reference.edges), (root, radius)
             assert export_dot(ball) == _export_dot_reference(reference), (root, radius)
+
+
+# n = 1 at radius 6 is 235,036 vertices and 247,224 edges
+@pytest.mark.parametrize("n, max_radius", [(1, 6), (2, 4), (3, 4), (10, 3)])
+def test_ball_counts_match_element_counts(n, max_radius):
+    # left cancellativity: u w = u w' only if w = w', so the ball around any
+    # root has one vertex per element of length <= radius, and its sources
+    # one per element shorter than the radius, each with G edges; roots end
+    # in a P letter, a Q letter and an L word
+    pres = build_presentation(n)
+    g = len(pres.generators)
+    for root in ("1", "d", "a", "c b d a"):
+        for radius in range(max_radius + 1):
+            ball = build_ball(el(root, pres), radius, pres)
+            assert len(ball.vertices) == count_elements(pres, radius), (root, radius)
+            assert len(set(ball.vertices)) == len(ball.vertices), (root, radius)
+            shorter = count_elements(pres, radius - 1) if radius else 0
+            assert ball.edge_count == g * shorter, (root, radius)
 
 
 def test_export_dot_edge_order(m1):

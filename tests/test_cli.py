@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import malcev.cli as cli
+from malcev.cayley import CayleyBall
 from malcev.congruence import CapExceeded
 from malcev.ideals import AlignmentViolation
 from malcev.cli import run
@@ -441,6 +442,20 @@ def test_ball_exports_dot_only_when_asked(monkeypatch, capsys):
     assert "dot" not in result and result["dot_path"] is None
 
 
+def test_ball_builds_no_edge_list(monkeypatch, capsys):
+    # counts and DOT come from the sources and their steps; the derived edge
+    # list is for tests and library callers only
+    def boom(ball):
+        raise RuntimeError("edge list built")
+
+    monkeypatch.setattr(CayleyBall, "edges", property(boom))
+    for dot in ([], ["--dot", "-"]):
+        for fmt in ("text", "json"):
+            argv = ["ball", "-n", "1", "--radius", "2", "--format", fmt, *dot]
+            assert run(argv) == 0, argv
+            assert out_of(capsys)[1] == ""
+
+
 def test_invariant_violation_exits_3(monkeypatch, capsys):
     def boom(p, q, pres):
         raise AlignmentViolation("planted")
@@ -609,6 +624,10 @@ GOLDEN_JSON = [
         "230386af670d30b46bb6e2e647a81bbfd9d06c6cff9f0e601bc8029bfdcacbbc",
     ),
     (
+        ["ball", "-n", "1", "--root", "c b d a", "--radius", "5", "--dot", "-"],
+        "c7f2acbc98fca15b16b471ed57e109b8f5afb15d82d5cf15df9e237563d46079",
+    ),
+    (
         ["intersect", "-n", "1", "-p", "A1", "-q", "d"],
         "b32150f7ee763f9c25948e48dfbfe73b1f515a657726692a1290d02f7b2cbb87",
     ),
@@ -631,7 +650,7 @@ GOLDEN_JSON = [
 @pytest.mark.parametrize(
     "argv, digest",
     GOLDEN_JSON,
-    ids=["ball", "intersect", "alignment", "nf-oracle", "nf"],
+    ids=["ball", "ball-n1-r5", "intersect", "alignment", "nf-oracle", "nf"],
 )
 def test_golden_json_output(argv, digest, capsys):
     assert run(argv + ["--format", "json"]) == 0
