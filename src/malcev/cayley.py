@@ -5,21 +5,23 @@ graph is graded by word length and acyclic; cancellativity makes it
 co-deterministic, and the vertices with in-degree at least two are exactly
 the intersection bases (normal form ending in a left-hand relation word).
 
-Predecessors are read off the normal form, with no search; the codet and
-indegree suites check each one by reduction and their total by a count.
-The reductions run in batches of joined code-point strings (see the
-rewriting module), and an edge is named only when its batch disagrees.
+Predecessors are read off the normal form, with no search, and depend only
+on its tail: its last letter, or its last two when they form an L word.
+The codet and indegree suites read them and decide their verdicts once per
+tail, and check each edge by reduction and their total by a count.  The
+reductions run in batches of joined code-point strings (see the rewriting
+module), and an edge is named only when its batch disagrees.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .presentation import Presentation, Word, format_word
 from .rewriting import (
     _Codec,
     _normal_forms,
-    enumerate_elements,
     is_intersection_base,
 )
 
@@ -166,78 +168,122 @@ def export_dot(ball: CayleyBall) -> str:
 _BATCH = 4096
 
 
-def _predecessor_sweep(pres: Presentation, max_len: int, codec, violations):
-    """Yield every element v of length <= max_len with its predecessors,
-    spelled by codec, computed once and checked twice, appending to
-    violations.  Sound: each (u, x) reduces to v.  Complete, checked after
-    the last element: they number G per element shorter than max_len, since
-    every edge out of one enters a swept element, and sound predecessors of
-    distinct elements are distinct edges.
+def _predecessor_sweep(pres: Presentation, max_len: int, codec, verdict):
+    """Check the predecessors of every element v of length <= max_len,
+    spelled by codec, and return the violations.  Sound: each (u, x)
+    reduces to v.  Complete, checked after the last element: they number G
+    per element shorter than max_len, since every edge out of one enters a
+    swept element, and sound predecessors of distinct elements are distinct
+    edges.  verdict(tail, edges) gives the suite's own messages on them,
+    each a str.format template for v's name.
 
-    The elements go in batches of _BATCH: every edge word u x of a batch is
-    reduced in one joined string, and the results are compared with the
-    batch's elements, one per edge, as one list.  Only when the lists
-    differ are the edges named, in the fixed order of _predecessors."""
-    # partners are read only at elements of length >= 2
+    The closed form is read once per tail, not once per element.  v's tail
+    is v[-2:] when that is an L word and v[-1:] otherwise (the identity's is
+    itself), and the pairs of _predecessors(v) are (h + u, x) for the pairs
+    (u, x) of _predecessors(tail), in order, where h is v less its tail.
+    So the tails are the identity, every letter (at max_len >= 1) and every
+    L word (at max_len >= 2), and the verdicts too are decided once per
+    tail.  A pair is kept as its edge word u x: its label x is one letter.
+
+    When every tail's edge words are the tail and then its R partners, and
+    no verdict fails, an element's edge words are itself and v[:-2] + r for
+    each R partner r of its tail: the elements go in batches of _BATCH, and
+    each batch reduces the elements and their partner words in one joined
+    string, compared with what they must reach as one list.  Otherwise, and
+    for a batch whose lists differ, the elements are walked one by one:
+    every edge word is reduced, in the fixed order of _predecessors, and an
+    edge or an element is named only where it fails."""
     code = codec.code
-    partners = {  # relation words have two letters
+    partners = {  # L word -> its R partners; relation words have two letters
         code[a] + code[b]: [code[c] + code[d] for c, d in rs]
         for (a, b), rs in (pres.partners.items() if max_len >= 2 else ())
+        if (a, b) in pres.l_words
     }
-    elements = enumerate_elements(pres, max_len)
-    spelled = _normal_forms(pres, max_len, codec.encode)
+    letters = [code[g] for g in pres.generators] if max_len >= 1 else []
+
+    def standard(tail):  # its edge words: the tail itself, then its partners
+        return [tail, *partners.get(tail, ())] if tail else []
+
+    # only the tails whose edge words are not standard, or whose verdict
+    # fails, are kept
+    odd, failed = {}, {}
+    for tail in ["", *letters, *partners]:
+        pairs = _predecessors(tail, partners)
+        words = [u + x for u, x in pairs]
+        if words != standard(tail):
+            odd[tail] = words
+        messages = verdict(tail, pairs)
+        if messages:
+            failed[tail] = messages
+    clean = not odd and not failed
+
+    def name(s):
+        return format_word(codec.decode(s))
+
+    violations = []
     found = 0
-    for start in range(0, len(elements), _BATCH):
+    spelled = _normal_forms(pres, max_len, codec.encode)
+    # the identity, spelled[0], has no edges and no failing verdict when clean
+    for start in range(1 if clean else 0, len(spelled), _BATCH):
         batch = spelled[start : start + _BATCH]
-        preds = [_predecessors(s, partners) for s in batch]
-        words = [u + x for edges in preds for u, x in edges]
-        ends = [s for s, edges in zip(batch, preds) for _ in edges]
-        targets = codec.reduce_joined("\n".join(words)) if words else []
+        if clean:
+            bases = [v for v in batch if v[-2:] in partners]
+            words = [v[:-2] + r for v in bases for r in partners[v[-2:]]]
+            ends = [v for v in bases for _ in partners[v[-2:]]]
+            if codec.reduce_joined("\n".join(batch + words)) == batch + ends:
+                found += len(batch) + len(words)
+                continue
+        rows = []  # (v, v less its tail, the tail's edge words and messages)
+        for v in batch:
+            tail = v[-2:] if v[-2:] in partners else v[-1:]
+            edges = odd[tail] if tail in odd else standard(tail)
+            rows.append((v, v[: len(v) - len(tail)], edges, failed.get(tail, ())))
+        words = [head + w for _, head, edges, _ in rows for w in edges]
         found += len(words)
-        if targets == ends:
-            yield from zip(elements[start : start + _BATCH], preds)
-            continue
-        reached = iter(targets)
-        for v, s, edges in zip(elements[start : start + _BATCH], batch, preds):
-            for (u, x), target in zip(edges, reached):
-                if target != s:
+        reached = iter(codec.reduce_joined("\n".join(words)) if words else ())
+        for v, head, edges, messages in rows:
+            for w, target in zip(edges, reached):
+                if target != v:
                     violations.append(
-                        f"edge {format_word(codec.decode(u))} "
-                        f"--{codec.letter[x]}--> reaches "
-                        f"{format_word(codec.decode(target))}, not {format_word(v)}"
+                        f"edge {name(head + w[:-1])} --{codec.letter[w[-1]]}--> "
+                        f"reaches {name(target)}, not {name(v)}"
                     )
-            yield v, edges
-    sources = sum(len(v) < max_len for v in elements)
-    expected = len(pres.generators) * sources
+            violations += [message.format(name(v)) for message in messages]
+    # the elements are in element_key order, so those shorter than max_len
+    # come first
+    expected = len(pres.generators) * bisect_left(spelled, max_len, key=len)
     if found != expected:
         violations.append(f"{found} incoming edges found, expected {expected}")
+    return violations
 
 
 def codeterminism_violations(pres: Presentation, max_len: int):
     """Check co-determinism for every element of length <= max_len."""
-    violations = []
-    for v, preds in _predecessor_sweep(pres, max_len, _Codec(pres), violations):
-        if len(preds) > 1 and len({x for _, x in preds}) != len(preds):
-            violations.append(f"duplicate incoming label at {format_word(v)}")
-    return violations
+
+    def verdict(tail, edges):
+        if len(edges) > 1 and len({x for _, x in edges}) != len(edges):
+            return ["duplicate incoming label at {}"]
+        return ()
+
+    return _predecessor_sweep(pres, max_len, _Codec(pres), verdict)
 
 
 def indegree_violations(pres: Presentation, max_len: int):
     """Check, for every element of length <= max_len, that in-degree >= 2
     holds exactly at intersection bases and that incoming labels of bases
     lie in Q.  Every edge increases length by one, since relations preserve
-    length and every predecessor is checked to reduce to its element."""
+    length and every predecessor is checked to reduce to its element.  An
+    element is a base exactly when its tail is."""
     codec = _Codec(pres)
-    violations = []
-    for v, preds in _predecessor_sweep(pres, max_len, codec, violations):
-        base = is_intersection_base(v, pres)
-        if (len(preds) >= 2) != base:
-            violations.append(
-                f"{format_word(v)}: in-degree {len(preds)} but "
-                f"intersection base is {base}"
-            )
-        if base and any(codec.letter[x] not in pres.q_set for _, x in preds):
-            violations.append(
-                f"{format_word(v)}: incoming label outside Q at a base"
-            )
-    return violations
+
+    def verdict(tail, edges):
+        # a tail is at most two letters long, and no shorter word is a base
+        base = len(tail) == 2 and is_intersection_base(codec.decode(tail), pres)
+        found = []
+        if (len(edges) >= 2) != base:
+            found.append(f"{{}}: in-degree {len(edges)} but intersection base is {base}")
+        if base and any(codec.letter[x] not in pres.q_set for _, x in edges):
+            found.append("{}: incoming label outside Q at a base")
+        return found
+
+    return _predecessor_sweep(pres, max_len, codec, verdict)

@@ -141,10 +141,13 @@ class Presentation:
         rewrite_map = {}
         partners = {}
         for left, right in self.relations:
-            if rewrite_map.setdefault(right, left) != left:
-                raise AmbiguousRewrite(
-                    f"{format_word(right)} has two distinct left partners"
-                )
+            if right in rewrite_map:
+                if rewrite_map[right] != left:
+                    raise AmbiguousRewrite(
+                        f"{format_word(right)} has two distinct left partners"
+                    )
+                continue  # a relation given twice adds no partner
+            rewrite_map[right] = left
             partners.setdefault(left, []).append(right)
             partners.setdefault(right, []).append(left)
         derived = {

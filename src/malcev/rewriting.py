@@ -20,7 +20,9 @@ cannot overlap; an L word is also P then Q and is never an R word, so a
 replacement creates no occurrence inside or across its boundaries; and no
 occurrence spans the separator.  Only the products whose seam, the pair
 where a side meets its factor, is an R word go into a batch: any other
-product of two normal forms is a normal form already.  The codet,
+product of two normal forms is a normal form already.  Whether a factor's
+seam products collide depends only on its letter at the seam, so those
+batches are made once per letter, on one-letter factors.  The codet,
 indegree and nf-oracle sweeps reduce their words in the same batches.
 """
 
@@ -187,8 +189,9 @@ class _Codec:
     """
 
     def __init__(self, pres: Presentation):
-        self.code = {g: chr(0x100 + i) for i, g in enumerate(pres.generators)}
-        self.letter = {ch: g for g, ch in self.code.items()}
+        points = map(chr, range(0x100, 0x100 + len(pres.generators)))
+        self.code = dict(zip(pres.generators, points))
+        self.letter = dict(zip(self.code.values(), self.code))
         code = self.code
         self.rewrite = {  # R word -> L word; relation words have two letters
             code[p] + code[q]: code[x] + code[y]
@@ -205,17 +208,16 @@ class _Codec:
         words is a match.  Each letter class is written as runs of
         consecutive code points, which keeps it short for the family."""
 
-        def letter_class(letters):
-            runs = []
-            for point in sorted(map(ord, letters)):
-                if runs and point == runs[-1][1] + 1:
-                    runs[-1][1] = point
-                else:
-                    runs.append([point, point])
-            return "[" + "".join(f"{chr(a)}-{chr(b)}" for a, b in runs) + "]"
+        def letter_class(points):
+            points = sorted(set(points))
+            # a run breaks between two points that are not consecutive
+            breaks = [(a, b) for a, b in zip(points, points[1:]) if b != a + 1]
+            starts = points[:1] + [b for _, b in breaks]
+            ends = [a for a, _ in breaks] + points[-1:]
+            return "[" + "".join(f"{chr(a)}-{chr(b)}" for a, b in zip(starts, ends)) + "]"
 
-        firsts = letter_class({w[0] for w in words})
-        return re.compile(firsts + letter_class({w[1] for w in words}))
+        points = list(map(ord, "".join(words)))  # two letters per word
+        return re.compile(letter_class(points[::2]) + letter_class(points[1::2]))
 
     def encode(self, w: Word) -> str:
         return "".join(map(self.code.__getitem__, w))
@@ -250,15 +252,23 @@ def cancellativity_violations(pres: Presentation, max_ab: int, max_c: int):
     distinct because the sides are.  So the products x c collide exactly
     when two reduced seam products are equal, or when one of them is y c for
     an unchanged side y: it ends in c and the rest is a side.  The products
-    c x are the mirror image, with the seam (c[-1], x[0]).  For each c the
-    seam products on each side are reduced in one joined string, by the
-    only rules whose R word can sit on that seam: those ending in c[0] on
-    the right, those beginning with c[-1] on the left.
+    c x are the mirror image, with the seam (c[-1], x[0]).
+
+    Both tests read only the seam letter.  A seam product x c reduces to
+    nf(x c[0]) + c[1:], and appending the common c[1:] is injective, so two
+    of them collide exactly when their one-letter versions do; nf(x c) ends
+    in c exactly when nf(x c[0]) ends in c[0], and then the rest is the
+    same.  So the right test is decided once per letter g, on the
+    one-letter factor g, and read for every factor that begins with g: the
+    seam products of g, the sides x with an R word across x g, are reduced
+    in one joined string by the only rules whose R word ends in g.  The left
+    test is the mirror image, read for every factor that ends in g, by the
+    rules beginning with g.  Every letter is a factor when max_c >= 1.
 
     The premise is checked, not assumed: the identity factor's batch reduces
     every side, and if any side changes, every factor takes the full batch
     of its products, by every rule; so does a factor that contains an R
-    word.  A factor whose products collide is walked pair by pair over the
+    word.  A factor whose seam letters fail is walked pair by pair over the
     full batch, to name the colliding elements.  Sides and factors are
     swept as code-point strings and decoded only to be named.
     """
@@ -273,11 +283,12 @@ def cancellativity_violations(pres: Presentation, max_ab: int, max_c: int):
         if s:
             ending.setdefault(s[-1], []).append(s)
             starting.setdefault(s[0], []).append(s)
-    # by the first letter of c, the sides x with an R word across x c and
-    # the rules of those R words; by its last letter, the same across c x
+    # by a seam letter g, the sides x with an R word across x g and the
+    # rules of those R words; and the same across g x.  Only factors other
+    # than the identity, against R-free sides, read them
     right_seam, left_seam = {}, {}
     right_rules, left_rules = {}, {}
-    for rule in rewrite.items():
+    for rule in rewrite.items() if max_c and sides_r_free else ():
         p, q = rule[0]
         if p in ending:
             right_seam.setdefault(q, []).extend(ending[p])
@@ -286,30 +297,30 @@ def cancellativity_violations(pres: Presentation, max_ab: int, max_c: int):
             left_seam.setdefault(p, []).extend(starting[q])
             left_rules.setdefault(p, []).append(rule)
 
+    # the seam letters whose products collide, each decided on its
+    # one-letter factor
+    right_fails, left_fails = set(), set()
+    for g, seam in right_seam.items():
+        keys = codec.reduce_joined((g + "\n").join(seam) + g, right_rules[g])
+        if len(set(keys)) != len(keys) or not side_set.isdisjoint(
+            [key[:-1] for key in keys if key.endswith(g)]
+        ):
+            right_fails.add(g)
+    for g, seam in left_seam.items():
+        keys = codec.reduce_joined(g + ("\n" + g).join(seam), left_rules[g])
+        if len(set(keys)) != len(keys) or not side_set.isdisjoint(
+            [key[1:] for key in keys if key.startswith(g)]
+        ):
+            left_fails.add(g)
+
     def name(s):
         return format_word(codec.decode(s))
 
     violations = []
     for c in _normal_forms(pres, max_c, codec.encode):
         if sides_r_free and not any(c[i : i + 2] in rewrite for i in range(len(c) - 1)):
-            if not c:  # its products are the sides, found R-free above
-                continue
-            k = len(c)
-            right = left = ()
-            if c[0] in right_seam:
-                right = codec.reduce_joined(
-                    (c + "\n").join(right_seam[c[0]]) + c, right_rules[c[0]]
-                )
-            if c[-1] in left_seam:
-                left = codec.reduce_joined(
-                    c + ("\n" + c).join(left_seam[c[-1]]), left_rules[c[-1]]
-                )
-            if (
-                len(set(right)) == len(right)
-                and len(set(left)) == len(left)
-                and side_set.isdisjoint([key[:-k] for key in right if key.endswith(c)])
-                and side_set.isdisjoint([key[k:] for key in left if key.startswith(c)])
-            ):
+            # the identity's products are the sides, found R-free above
+            if not c or (c[0] not in right_fails and c[-1] not in left_fails):
                 continue
         right_keys = codec.reduce_joined((c + "\n").join(sides) + c)
         left_keys = codec.reduce_joined(c + ("\n" + c).join(sides))

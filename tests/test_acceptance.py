@@ -105,6 +105,22 @@ def test_criterion_4_cancellativity_sweep_n10000():
     assert found == []
 
 
+@pytest.mark.parametrize("n, max_len", [(5, 4), (2, 5), (1, 6)])
+def test_criterion_4_cancellativity_sweep_largest_admitted_sizes(n, max_len, capsys):
+    # 326,775, 235,533 and 235,036 sides against 13,886, 20,361 and 30,903
+    # factors: each seam letter is tested once, on its one-letter factor,
+    # and no factor is walked
+    argv = ["verify", "-n", str(n), "--suite", "cancellative", "--max-len", str(max_len)]
+
+    def command():
+        code = run(argv)
+        return code, capsys.readouterr().out
+
+    code, out = timed(5, f"criterion 4: {' '.join(argv)}", command)
+    assert code == 0
+    assert out.splitlines()[-1] == "violations: 0"
+
+
 def test_criterion_5_cayley_structure(m1, m2):
     def check():
         for pres in (m1, m2):
@@ -126,6 +142,22 @@ def test_criterion_5_cayley_structure_n10000():
             5,
             f"criterion 5: {label} at n = 10000, max-len 1",
             lambda: sweep(pres, 1),
+        )
+        assert found == []
+
+
+def test_criterion_5_cayley_structure_n200():
+    # 646,820 elements; the closed form is read at 1,206 tails, the
+    # identity, the 804 letters and the 401 L words
+    pres = build_presentation(200)
+    for label, sweep in (
+        ("co-determinism", codeterminism_violations),
+        ("in-degree law", indegree_violations),
+    ):
+        found = timed(
+            5,
+            f"criterion 5: {label} at n = 200, max-len 2",
+            lambda: sweep(pres, 2),
         )
         assert found == []
 

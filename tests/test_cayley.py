@@ -436,6 +436,43 @@ def test_spelled_closed_form_matches_words(n, max_len):
         assert frozenset(pairs) == predecessors(v, pres)
 
 
+@pytest.mark.parametrize("suite", [codeterminism_violations, indegree_violations])
+@pytest.mark.parametrize("n, max_len", [(1, 4), (3, 4), (3, 1), (3, 0)])
+def test_sweep_reads_the_closed_form_once_per_tail(monkeypatch, suite, n, max_len):
+    # the tails are the identity, the letters (at max-len >= 1) and the
+    # 2n + 1 L words (at max-len >= 2): at most 1 + G + (2n + 1) calls,
+    # however many elements share a tail, and no letter is read at max-len 0
+    pres = build_presentation(n)
+    calls = []
+    closed_form = cayley._predecessors
+
+    def counting(v, partners):
+        calls.append(v)
+        return closed_form(v, partners)
+
+    monkeypatch.setattr(cayley, "_predecessors", counting)
+    assert suite(pres, max_len) == []
+    tails = 1 + len(pres.generators) * (max_len >= 1) + (2 * n + 1) * (max_len >= 2)
+    assert len(calls) <= tails
+
+
+def test_sweep_walks_a_batch_whose_reduction_disagrees(m1, monkeypatch):
+    # every tail is standard, so only the batch's reduction can catch a
+    # swept word that is no normal form: A1 C1, whose tail is C1
+    normal_forms = cayley._normal_forms
+
+    def with_a_redex(pres, max_len, spell):
+        return normal_forms(pres, max_len, spell) + [spell(("A1", "C1"))]
+
+    monkeypatch.setattr(cayley, "_normal_forms", with_a_redex)
+    expected = [
+        "edge A1 --C1--> reaches d a, not A1 C1",
+        "73 incoming edges found, expected 72",
+    ]
+    assert codeterminism_violations(m1, 2) == expected
+    assert indegree_violations(m1, 2) == expected
+
+
 RELABEL_B = """
 from malcev import cayley
 from malcev.cli import run

@@ -176,3 +176,12 @@ def test_validate_generic_rejects_ambiguous_rewrite():
     with pytest.raises(AmbiguousRewrite):
         validate_generic([(tok("x u"), tok("z v")), (tok("y w"), tok("z v"))])
 
+
+
+def test_repeated_relation_adds_no_partner():
+    # a relation given twice is one relation: each word keeps one partner,
+    # so the Cayley graph gains no second, parallel edge into x u
+    once = validate_generic([(tok("x u"), tok("z v"))])
+    twice = validate_generic([(tok("x u"), tok("z v"))] * 2)
+    assert twice.partners == once.partners == {tok("x u"): (tok("z v"),), tok("z v"): (tok("x u"),)}
+    assert twice.rewrite_map == once.rewrite_map

@@ -1,0 +1,142 @@
+"""Seeded property sweeps over random presentations.
+
+The family is one corner of what validate_generic accepts: any balanced
+two-letter system whose R words have one L partner each.  The rewriting
+module claims that a single pass and reduce_joined are exact on all of them,
+and the sweeps decide cancellativity and the Cayley graph laws from the seam
+letters alone.  Here every such fast path is compared with its plain
+reference on presentations drawn from a fixed seed.  Most draws are not
+cancellative, so the sweeps' violation paths run on natural failures, not
+only on planted ones.  The draws are not hand-picked: a draw that exposes a
+defect stays in the sweep.
+"""
+
+import random
+
+import pytest
+
+from malcev.cayley import codeterminism_violations, indegree_violations, predecessors
+from malcev.presentation import PresentationError, validate_generic
+from malcev.rewriting import (
+    _FEW_RULES,
+    _Codec,
+    cancellativity_violations,
+    enumerate_elements,
+    reduce_word,
+)
+from test_cayley import (
+    codeterminism_per_element,
+    indegree_per_element,
+    predecessors_by_search,
+)
+from test_rewriting import plain_cancellativity_sweep
+
+
+def draws(seed, count, p_letters, q_letters, relations):
+    """count presentations that validate, each drawn from rng seeded by
+    seed: the numbers of P letters, Q letters and relations are drawn from
+    the given ranges, and each relation pairs two random P·Q words.  Draws
+    that validate_generic refuses are dropped and counted."""
+    rng = random.Random(seed)
+    kept, refused = [], 0
+    while len(kept) < count:
+        ps = [f"x{i}" for i in range(rng.choice(p_letters))]
+        qs = [f"y{i}" for i in range(rng.choice(q_letters))]
+
+        def word():
+            return (rng.choice(ps), rng.choice(qs))
+
+        try:
+            kept.append(
+                validate_generic([(word(), word()) for _ in range(rng.choice(relations))])
+            )
+        except PresentationError:
+            refused += 1
+    return kept, refused
+
+
+def large_draws(seed, count):
+    """count presentations of 17-20 relations between 5-6 P letters and 5-6
+    Q letters.  Drawn as above, almost every one would be refused, so the
+    draw is made valid: the R words are distinct P·Q words, and each L
+    partner is drawn from the words that are no R word."""
+    rng = random.Random(seed)
+    kept = []
+    for _ in range(count):
+        ps = [f"x{i}" for i in range(rng.choice((5, 6)))]
+        qs = [f"y{i}" for i in range(rng.choice((5, 6)))]
+        words = [(p, q) for p in ps for q in qs]
+        rng.shuffle(words)
+        k = rng.choice((17, 18, 19, 20))
+        rights, lefts = words[:k], words[k:]
+        kept.append(validate_generic([(rng.choice(lefts), right) for right in rights]))
+    return kept
+
+
+# 2-3 P letters, 1-3 Q letters and 1-4 relations: smaller than M_1
+SMALL, SMALL_REFUSED = draws(1729, 300, (2, 3), (1, 2, 3), (1, 2, 3, 4))
+# more than _FEW_RULES relations: each reduce_joined without rules first
+# scans for the R words that occur (_Codec.pairs)
+LARGE = large_draws(4104, 20)
+
+
+def test_the_draws_cover_both_reduction_paths_and_failures():
+    assert SMALL_REFUSED
+    assert all(len(pres.rewrite_map) <= _FEW_RULES for pres in SMALL)
+    assert all(len(pres.rewrite_map) > _FEW_RULES for pres in LARGE)
+    # the sweeps' violation paths: 234 draws are not cancellative, and 164
+    # of them have two incoming edges with one label
+    broken = sum(cancellativity_violations(pres, 2, 1) != [] for pres in SMALL)
+    assert broken > len(SMALL) // 2
+    assert sum(codeterminism_violations(pres, 2) != [] for pres in SMALL) > 100
+
+
+def random_words(rng, pres, count, max_len):
+    return [
+        tuple(rng.choices(pres.generators, k=rng.randrange(max_len + 1)))
+        for _ in range(count)
+    ]
+
+
+@pytest.mark.parametrize("draw", ["small", "large"])
+def test_batch_reduction_matches_reduce_word(draw):
+    presentations = SMALL if draw == "small" else LARGE
+    rng = random.Random(draw)
+    for pres in presentations:
+        codec = _Codec(pres)
+        assert (codec.pairs is None) == (draw == "small")
+        words = random_words(rng, pres, 60, 12)
+        keys = codec.reduce_joined("\n".join(map(codec.encode, words)))
+        assert list(map(codec.decode, keys)) == [reduce_word(w, pres) for w in words]
+
+
+@pytest.mark.parametrize("draw", ["small", "large"])
+def test_cancellativity_sweep_matches_every_product(draw):
+    # strings and order too: the sweep names the same collisions as the
+    # pair-by-pair reference, which reduces every product with reduce_word
+    presentations = SMALL if draw == "small" else LARGE[:5]
+    max_ab, max_c = (3, 2) if draw == "small" else (2, 1)
+    for i, pres in enumerate(presentations):
+        found = cancellativity_violations(pres, max_ab, max_c)
+        assert found == plain_cancellativity_sweep(pres, max_ab, max_c), i
+
+
+@pytest.mark.parametrize("draw", ["small", "large"])
+def test_structure_sweeps_match_per_element_references(draw):
+    presentations = SMALL if draw == "small" else LARGE[:5]
+    max_len = 3 if draw == "small" else 2
+    for i, pres in enumerate(presentations):
+        assert codeterminism_violations(pres, max_len) == codeterminism_per_element(
+            pres, max_len
+        ), i
+        assert indegree_violations(pres, max_len) == indegree_per_element(
+            pres, max_len
+        ), i
+
+
+def test_closed_form_predecessors_match_search():
+    # the references above read the closed form too; here it meets the
+    # equality-class search, on every element of length <= 3
+    for i, pres in enumerate(SMALL):
+        for v in enumerate_elements(pres, 3):
+            assert predecessors(v, pres) == predecessors_by_search(v, pres), (i, v)

@@ -387,8 +387,10 @@ def test_sweep_checks_its_premise(monkeypatch, relations, max_ab, max_c, planted
     "n, max_ab, max_c", [(1, 3, 2), (2, 2, 2), (3, 2, 1), (1, 0, 1)]
 )
 def test_sweep_reduces_only_seam_products(monkeypatch, n, max_ab, max_c):
-    # one batch of every side for the identity factor, then one product per
-    # (x, c, side) whose seam pair is an R word, counted here pair by pair
+    # one batch of every side for the identity factor, then, once per first
+    # letter g of a factor, one product per side x whose seam pair (x[-1], g)
+    # is an R word, and the mirror image once per last letter; no factor
+    # fails, so none is walked; counted here pair by pair
     pres = build_presentation(n)
     reduced = []
     reduce_joined = _Codec.reduce_joined
@@ -400,13 +402,34 @@ def test_sweep_reduces_only_seam_products(monkeypatch, n, max_ab, max_c):
     monkeypatch.setattr(_Codec, "reduce_joined", counting)
     assert cancellativity_violations(pres, max_ab, max_c) == []
     sides = enumerate_elements(pres, max_ab)
+    factors = enumerate_elements(pres, max_c)[1:]
     seams = sum(
-        (x[-1:] + c[:1] in pres.rewrite_map) + (c[-1:] + x[:1] in pres.rewrite_map)
-        for x in sides
-        for c in enumerate_elements(pres, max_c)
+        (x[-1:] + (g,) in pres.rewrite_map) for x in sides for g in {c[0] for c in factors}
+    ) + sum(
+        ((g,) + x[:1] in pres.rewrite_map) for x in sides for g in {c[-1] for c in factors}
     )
     assert sum(reduced) == len(sides) + seams
     assert seams or max_ab == 0
+
+
+@pytest.mark.parametrize(
+    "n, max_ab, max_c", [(1, 3, 2), (2, 2, 2), (3, 2, 1), (1, 4, 3), (5, 1, 1)]
+)
+def test_sweep_makes_one_seam_batch_per_letter(monkeypatch, n, max_ab, max_c):
+    # with no failure, the identity factor's batch and at most one seam
+    # batch per letter on each side, however many factors share the letter
+    pres = build_presentation(n)
+    batches = []
+    reduce_joined = _Codec.reduce_joined
+
+    def counting(self, text, rules=None):
+        batches.append(rules)
+        return reduce_joined(self, text, rules)
+
+    monkeypatch.setattr(_Codec, "reduce_joined", counting)
+    assert cancellativity_violations(pres, max_ab, max_c) == []
+    assert len(batches) <= 1 + 2 * len(pres.generators)
+    assert batches[0] is None and None not in batches[1:]
 
 
 @pytest.mark.parametrize("n, max_ab, max_c", [(1, 3, 2), (3, 2, 2), (50, 1, 1)])
