@@ -3,21 +3,27 @@
 Relations preserve length, so the class of a word under the generated
 congruence is finite and breadth-first search enumerates it exactly.  One
 search, closure, serves both equality classes and the ideal oracle of the
-ideals module.  The search never reduces a word: it is deliberately
-independent of the normal-form machinery, the oracle the rewriting module is
-checked against.  The classes back the nf-oracle suite, which searches
-only the classes some relation acts on: a word with no relation side among
-its two-letter factors is alone in its class, since the search reads the
-same partner index and finds nothing to apply.  The Cayley graph's
-predecessors are read off normal forms instead.  Its search-based left
-divisibility backs the brute-force alignment oracle and its cross-check;
-production callers use the closed form in the rewriting module.
+ideals module; it reads only the partner index of the relations, so it runs
+on Words and on their code-point strings alike.  The search never reduces a
+word: it is deliberately independent of the normal-form machinery, the
+oracle the rewriting module is checked against.
+
+The classes back the nf-oracle suite, which searches only the classes that
+two or more words share.  A word with no relation side among its two-letter
+factors is alone in its class, and the words that hold a side are counted
+from the relations alone, so the lone words are scanned for sides only when
+a shared group fails its search or that count is not the number of shared
+words.  The Cayley graph's predecessors are read off normal forms instead.
+The search-based left divisibility backs the brute-force alignment oracle
+and its cross-check; production callers use the closed form in the
+rewriting module.
 """
 
 from __future__ import annotations
 
 import re
-from itertools import chain
+from itertools import chain, compress
+from operator import ne
 from typing import Optional
 
 from .presentation import Presentation, Word, check_letters, format_word
@@ -58,12 +64,12 @@ class CapExceeded(RuntimeError):
     """A closure grew past its cap on the number of words."""
 
 
-def _steps(words, pres: Presentation):
+def _steps(words, partners):
     """Words one relation application away from each of words in turn, both
     directions, positions left to right and partners in presentation order.
     words may grow while this runs: closure feeds it its own queue, so the
     whole search runs in one generator."""
-    swaps_at = pres.partners.get
+    swaps_at = partners.get
     for w in words:
         for i in range(len(w) - 1):
             swaps = swaps_at((w[i], w[i + 1]))
@@ -72,15 +78,18 @@ def _steps(words, pres: Presentation):
                     yield w[:i] + repl + w[i + 2 :]
 
 
-def closure(seeds, pres: Presentation) -> list:
+def closure(seeds, partners) -> list:
     """The deduplicated seeds, then every other word reachable from them by
-    relation applications, in breadth-first discovery order.  Seeds are read
-    lazily and count against DEFAULT_CAP, read at call time, so a huge stream
-    of them raises CapExceeded (naming the first seed) before it fills
-    memory."""
+    relation applications, in breadth-first discovery order.  partners is
+    the index of the relations that the search reads: pres.partners for
+    Words, or for code-point strings the same index with each letter of a
+    key, and each partner word, spelled in code points.  Seeds are read
+    lazily and count against DEFAULT_CAP, read at call time, so a huge
+    stream of them raises CapExceeded (naming the first seed) before it
+    fills memory."""
     seen = set()
     order = []  # also the queue that _steps reads while it grows
-    for v in chain(seeds, _steps(order, pres)):
+    for v in chain(seeds, _steps(order, partners)):
         if v not in seen:
             if len(order) >= DEFAULT_CAP:
                 raise CapExceeded(
@@ -95,7 +104,7 @@ def closure(seeds, pres: Presentation) -> list:
 def equality_class(w: Word, pres: Presentation) -> tuple:
     """All words equal to w, w first, in breadth-first discovery order."""
     check_letters(w, pres)
-    return tuple(closure((w,), pres))
+    return tuple(closure((w,), pres.partners))
 
 
 def left_divides(p: Word, q: Word, pres: Presentation) -> Optional[Word]:
@@ -116,62 +125,106 @@ def left_divides(p: Word, q: Word, pres: Presentation) -> Optional[Word]:
     return None
 
 
+def _side_words(pres: Presentation, max_len: int) -> int:
+    """Number of words of length <= max_len with a relation side, a key of
+    pres.partners, among their two-letter factors: word_count less the
+    side-free words.  The side-free words of length k that end in y are
+    those of length k-1, less those that end in a letter x with (x, y) a
+    side, so the count takes O(max_len (G + sides)) steps for G generators
+    and reads only the relations."""
+    before = {}  # y -> the letters x with (x, y) a side
+    for x, y in pres.partners:
+        before.setdefault(y, []).append(x)
+    ending = dict.fromkeys(pres.generators, 0)  # side-free words, by last letter
+    layer = 1  # side-free words of the current length: the identity
+    free = 0
+    for length in range(max_len + 1):
+        if length:
+            ending = {
+                y: layer - sum(ending[x] for x in before.get(y, ())) for y in ending
+            }
+            layer = sum(ending.values())
+        free += layer
+    return word_count(pres, max_len) - free
+
+
 def partition_agreement(pres: Presentation, max_len: int):
     """Check that normal forms and BFS classes partition all words of length
-    <= max_len identically.  Returns violation strings (empty when they agree).
+    <= max_len identically.  Returns violation strings (empty when they
+    agree), one per disagreeing group, in the sweep order of its first word.
 
-    Words are grouped by normal form and each group is compared with the
-    class of its first word, one search per group.  This is exact: relations
-    preserve length, so each class lies among the swept words; the groups
-    cover every word, so if each group equals the class of its first word,
-    every word's class is its group and the two partitions agree.
+    Words are grouped by normal form and a group is compared with the class
+    of its first word.  This is exact: relations preserve length, so each
+    class lies among the swept words; the groups cover every word, so if
+    each group equals the class of its first word, every word's class is
+    its group and the two partitions agree.
+
+    Only the groups of two or more words are searched.  A word with no
+    relation side among its two-letter factors is alone in its class, since
+    the search has nothing to apply, so every word of a class of two or more
+    words holds a side.  So if every shared group equals its class, the lone
+    words that hold a side number _side_words less the words of the shared
+    groups, and when that is 0 every lone word is alone in its class.  The
+    count reads only the relations, never the rewriting code.  Only when a
+    shared group fails or the number is not 0 are the lone words scanned by
+    regex over their joined text: one scan finds the sides that occur and,
+    only if some do, one more finds the words holding them, which are
+    searched.
 
     The words are spelled as code-point strings (see the rewriting module),
-    and those of each length are reduced in one joined string.  A group of
-    one word w is not searched when no two-letter factor of w is a key of
-    pres.partners, the index the search reads: no relation applies to w, so
-    closure((w,)) is [w] and agrees with the group.  The lone words are
-    tested for those keys by regex scans over their joined text: one that
-    finds the keys that occur, and, only if some do, one for the words
-    holding them.  The test reads only the relations, never the rewriting
-    code.  Only normal forms that two or more words share keep a list of
-    words.
+    those of each length reduced in one joined string, and searched through
+    the spelled partner index.  Each length is listed in code-point order,
+    so the sweep order is by length, then by string.  A shared group's
+    normal form is that of some word other than itself, so only the words
+    with those normal forms are grouped, across lengths too, since a faulty
+    reduction may change a word's length.
     """
     codec = _Codec(pres)
     letters = list(codec.encode(pres.generators))
-    first = {}  # normal form -> its first word, in sweep order
-    shared = {}  # normal form -> its words, when two or more words have it
+    code = codec.code
+    partners = {  # pres.partners spelled in code points, as the search reads it
+        (code[a], code[b]): tuple(map(codec.encode, others))
+        for (a, b), others in pres.partners.items()
+    }
+    swept = []  # each length's words and their normal forms, in sweep order
+    keys = set()  # normal forms of some word other than themselves
     words = [""]
     for length in range(max_len + 1):
         if length:
             words = [w + x for w in words for x in letters]
-        for w, nf in zip(words, codec.reduce_joined("\n".join(words))):
-            if nf in first:
-                shared.setdefault(nf, [first[nf]]).append(w)
-            else:
-                first[nf] = w
+        nfs = codec.reduce_joined("\n".join(words))
+        swept.append((words, nfs))
+        keys.update(compress(nfs, map(ne, words, nfs)))
+    groups = {}
+    for words, nfs in swept:
+        for nf, w in compress(zip(nfs, words), map(keys.__contains__, nfs)):
+            groups.setdefault(nf, []).append(w)
+    shared = {nf: group for nf, group in groups.items() if len(group) > 1}
+
+    def disagreement(group):
+        """(sweep position of group's first word, violation), or None when
+        group is the class of its first word."""
+        root = group[0]
+        cls = set(closure((root,), partners))
+        if cls != set(group):
+            return (len(root), root), (
+                f"class of {format_word(codec.decode(root))} has {len(cls)} "
+                f"words but its normal-form group has {len(group)}"
+            )
+        return None
+
+    found = [v for v in map(disagreement, shared.values()) if v]
+    if not found and _side_words(pres, max_len) == sum(map(len, shared.values())):
+        return []
     # the lone words with a relation side among their factors; sides have
     # two letters, so no shorter word holds one
-    acted = set()
-    if pres.partners and max_len >= 2:
-        lone = "\n".join(w for nf, w in first.items() if nf not in shared)
-        code = codec.code
-        sides = {code[a] + code[b] for a, b in pres.partners}
-        found = sides.intersection(codec.pair_scan(sides).findall(lone))
-        if found:
-            acted.update(re.findall(f"(?m)^.*(?:{'|'.join(found)}).*$", lone))
-    violations = []
-    for nf, w in first.items():
-        group = shared.get(nf)
-        if group is None:
-            if w not in acted:
-                continue
-            group = (w,)
-        word = codec.decode(w)
-        cls = {codec.encode(u) for u in closure((word,), pres)}
-        if cls != set(group):
-            violations.append(
-                f"class of {format_word(word)} has {len(cls)} words but its "
-                f"normal-form group has {len(group)}"
-            )
-    return violations
+    if partners and max_len >= 2:
+        lone = "\n".join(
+            w for words, nfs in swept for w, nf in zip(words, nfs) if nf not in shared
+        )
+        sides = {a + b for a, b in partners}
+        occur = sides.intersection(codec.pair_scan(sides).findall(lone))
+        if occur:
+            acted = re.findall(f"(?m)^.*(?:{'|'.join(occur)}).*$", lone)
+            found += filter(None, (disagreement((w,)) for w in acted))
+    return [violation for _, violation in sorted(found)]

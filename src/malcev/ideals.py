@@ -194,7 +194,7 @@ def _ideal(root, window: int, pres: Presentation):
         for extra in range(window - len(root) + 1)
         for x in product(pres.generators, repeat=extra)
     )
-    return frozenset(closure(seeds, pres))
+    return frozenset(closure(seeds, pres.partners))
 
 
 def _common(p_ideal, q_ideal):

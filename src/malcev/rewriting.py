@@ -278,24 +278,32 @@ def cancellativity_violations(pres: Presentation, max_ab: int, max_c: int):
     side_set = set(sides)
     # the identity factor's batch: its products are the sides themselves
     sides_r_free = codec.reduce_joined("\n".join(sides)) == sides
-    ending, starting = {}, {}
-    for s in sides:
-        if s:
-            ending.setdefault(s[-1], []).append(s)
-            starting.setdefault(s[0], []).append(s)
     # by a seam letter g, the sides x with an R word across x g and the
     # rules of those R words; and the same across g x.  Only factors other
     # than the identity, against R-free sides, read them
     right_seam, left_seam = {}, {}
     right_rules, left_rules = {}, {}
-    for rule in rewrite.items() if max_c and sides_r_free else ():
-        p, q = rule[0]
-        if p in ending:
-            right_seam.setdefault(q, []).extend(ending[p])
-            right_rules.setdefault(q, []).append(rule)
-        if q in starting:
-            left_seam.setdefault(p, []).extend(starting[q])
-            left_rules.setdefault(p, []).append(rule)
+    if max_c and sides_r_free:
+        # the sides by last letter, where it begins an R word, and by first
+        # letter, where it ends one; sides[0] is the identity
+        ending = {right[0]: [] for right in rewrite}
+        starting = {right[1]: [] for right in rewrite}
+        end_at, start_at = ending.get, starting.get
+        for s in sides[1:]:
+            at = end_at(s[-1])
+            if at is not None:
+                at.append(s)
+            at = start_at(s[0])
+            if at is not None:
+                at.append(s)
+        for rule in rewrite.items():
+            p, q = rule[0]
+            if ending[p]:
+                right_seam.setdefault(q, []).extend(ending[p])
+                right_rules.setdefault(q, []).append(rule)
+            if starting[q]:
+                left_seam.setdefault(p, []).extend(starting[q])
+                left_rules.setdefault(p, []).append(rule)
 
     # the seam letters whose products collide, each decided on its
     # one-letter factor

@@ -78,6 +78,23 @@ def test_criterion_3_normal_forms_match_congruence(m1, m2):
     timed(120, "criterion 3: rewriting vs search partitions", check)
 
 
+@pytest.mark.parametrize("n, max_len", [(1, 6), (2, 5), (5, 4)])
+def test_criterion_3_nf_oracle_largest_admitted_sizes(n, max_len, capsys):
+    # 299,593, 271,453 and 346,201 words, of which 121,914, 69,990 and
+    # 38,610 hold a relation side: only the 57,357, 34,070 and 19,184
+    # groups of two or more of those are searched, and the lone words are
+    # counted, not scanned
+    argv = ["verify", "-n", str(n), "--suite", "nf-oracle", "--max-len", str(max_len)]
+
+    def command():
+        code = run(argv)
+        return code, capsys.readouterr().out
+
+    code, out = timed(2, f"criterion 3: {' '.join(argv)}", command)
+    assert code == 0
+    assert out.splitlines()[-1] == "violations: 0"
+
+
 def test_criterion_4_cancellativity_sweep(m1):
     def check():
         assert cancellativity_violations(m1, 3, 2) == []

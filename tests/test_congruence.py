@@ -101,7 +101,7 @@ def test_closure_reads_seeds_lazily_against_cap(m1, monkeypatch):
     a = w("a", m1)
     endless = (a * k for k in count(1))  # distinct, and no relation applies
     with pytest.raises(CapExceeded, match="closure of a exceeds 10 words"):
-        closure(endless, m1)
+        closure(endless, m1.partners)
 
 
 def test_cap_exceeded_names_the_fixed_budget(m1, monkeypatch):
@@ -134,7 +134,7 @@ def test_closure_of_seeds_is_union_of_classes(m1, m2):
         (m2, ["B2 C2 d", "c b", "B2 C2 d", "1"]),
     ):
         seeds = [w(t, pres) for t in texts]
-        words = closure(iter(seeds), pres)
+        words = closure(iter(seeds), pres.partners)
         assert words[: len(set(seeds))] == list(dict.fromkeys(seeds))
         assert len(words) == len(set(words))
         assert set(words) == set().union(
@@ -258,7 +258,7 @@ def _per_group_partition_agreement(pres, max_len, reduce=reduce_word):
             by_nf[reduce(u, pres)].append(u)
     violations = []
     for group in by_nf.values():
-        cls = set(closure((group[0],), pres))
+        cls = set(closure((group[0],), pres.partners))
         if cls != set(group):
             violations.append(
                 f"class of {format_word(group[0])} has {len(cls)} words but its "
@@ -314,13 +314,36 @@ def test_partition_agreement_matches_one_search_per_group(
 
 def test_partition_agreement_searches_only_shared_groups(m3, monkeypatch):
     # at n = 3, max-len 4: 64,347 normal forms, of which 5,460 are shared by
-    # two or more words; no relation acts on any lone word
+    # two or more words; no relation acts on any lone word, and the side
+    # count shows it, so the lone words are never scanned (the codec at
+    # n = 3 has too few rules to build a scan of its own)
     calls = []
 
-    def counted(seeds, pres):
+    def counted(seeds, partners):
         calls.append(None)
-        return closure(seeds, pres)
+        return closure(seeds, partners)
+
+    def unscanned(words):
+        raise AssertionError("the lone words were scanned")
 
     monkeypatch.setattr(congruence, "closure", counted)
+    monkeypatch.setattr(_Codec, "pair_scan", staticmethod(unscanned))
     assert partition_agreement(m3, 4) == []
     assert len(calls) == 5460
+
+
+def side_words_by_brute_force(pres, max_len):
+    """Words of length <= max_len with a key of pres.partners among their
+    two-letter factors, counted one by one."""
+    return sum(
+        any(u[i : i + 2] in pres.partners for i in range(len(u) - 1))
+        for u in all_words(pres, max_len)
+    )
+
+
+def test_side_word_count_matches_brute_force(m1, m2, m3):
+    for pres, top in ((m1, 5), (m2, 4), (m3, 3)):
+        for max_len in range(-1, top + 1):
+            assert congruence._side_words(pres, max_len) == side_words_by_brute_force(
+                pres, max_len
+            ), (pres.n, max_len)

@@ -426,11 +426,11 @@ def test_oracle_builds_each_ideal_once(m1, monkeypatch):
     roots = Counter()
     real = congruence.closure
 
-    def counting(seeds, pres):
+    def counting(seeds, partners):
         seeds = iter(seeds)
         first = next(seeds)  # the root itself, times the empty word
         roots[first] += 1
-        return real(chain((first,), seeds), pres)
+        return real(chain((first,), seeds), partners)
 
     monkeypatch.setattr(congruence, "closure", counting)
     monkeypatch.setattr(ideals, "closure", counting)

@@ -16,6 +16,7 @@ import random
 import pytest
 
 from malcev.cayley import codeterminism_violations, indegree_violations, predecessors
+from malcev.congruence import _side_words, partition_agreement
 from malcev.presentation import PresentationError, validate_generic
 from malcev.rewriting import (
     _FEW_RULES,
@@ -29,6 +30,7 @@ from test_cayley import (
     indegree_per_element,
     predecessors_by_search,
 )
+from test_congruence import _per_group_partition_agreement, side_words_by_brute_force
 from test_rewriting import plain_cancellativity_sweep
 
 
@@ -140,3 +142,25 @@ def test_closed_form_predecessors_match_search():
     for i, pres in enumerate(SMALL):
         for v in enumerate_elements(pres, 3):
             assert predecessors(v, pres) == predecessors_by_search(v, pres), (i, v)
+
+
+@pytest.mark.parametrize("draw", ["small", "large"])
+def test_side_word_count_matches_brute_force(draw):
+    presentations = SMALL if draw == "small" else LARGE
+    for i, pres in enumerate(presentations):
+        for max_len in range(4):
+            assert _side_words(pres, max_len) == side_words_by_brute_force(
+                pres, max_len
+            ), (i, max_len)
+
+
+@pytest.mark.parametrize("draw", ["small", "large"])
+def test_partition_agreement_matches_one_search_per_group(draw):
+    # the reference searches every group, lone words too, and reduces each
+    # word on its own with reduce_word
+    presentations = SMALL if draw == "small" else LARGE[:5]
+    max_len = 3 if draw == "small" else 2
+    for i, pres in enumerate(presentations):
+        assert partition_agreement(pres, max_len) == _per_group_partition_agreement(
+            pres, max_len
+        ), i
