@@ -367,7 +367,7 @@ def cmd_obstruct(args) -> int:
     pres = _presentation(args.n)
     cert = verify_obstruction(pres)
     text = certificate_text(cert, pres) if args.format == "text" else None
-    _emit(args, "obstruct", cert.to_dict(), [], text)
+    _emit(args, "obstruct", cert.to_dict() if text is None else None, [], text)
     return 0
 
 

@@ -4,14 +4,15 @@ In any group satisfying the defining relations of M_n, the equation
 c a = B1 C1 is forced, yet the two words are distinct in the monoid itself.
 This module builds the forcing derivation as an explicit script of free
 insertions, free cancellations and relator substitutions over signed words,
-and checks it twice: by replaying every step, and by freely reducing
-(B1 C1)(c a)^-1 to the product of the relator conjugates the script uses.
-The result is packaged with the monoid-side witness.
+and checks it twice: by replaying every step once, which yields every
+intermediate word, and by freely reducing (B1 C1)(c a)^-1 to the product of
+the relator conjugates the script uses.  The script holds only the moves; the
+result is packaged with the replay's words and the monoid-side witness.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from .presentation import (
@@ -66,7 +67,7 @@ class OccurrenceMismatch(ValueError):
 
 @dataclass(frozen=True)
 class DerivationStep:
-    """One move on a signed word, with the words before and after recorded.
+    """One move on a signed word; the words it acts on come from replay.
 
     insert: place letter^sign letter^-sign at position.
     cancel: remove the cancelling pair at position.
@@ -77,8 +78,6 @@ class DerivationStep:
 
     kind: str
     position: int
-    before: GroupWord
-    after: GroupWord
     letter: Optional[Letter] = None
     sign: int = POS
     relation_index: Optional[int] = None
@@ -112,9 +111,10 @@ def _inverse(g: GroupWord) -> GroupWord:
 
 
 def apply_step(g: GroupWord, step: DerivationStep, pres: Presentation) -> GroupWord:
-    """Apply one recorded move to g, validating the stated occurrence.  The
-    step's recorded before and after words are not read."""
+    """Apply one move to g, validating the stated occurrence."""
     position = step.position
+    if position < 0 and step.kind in (CANCEL, RELATOR):
+        raise OccurrenceMismatch(f"position {position} is negative")
     if step.kind == INSERT:
         if not 0 <= position <= len(g):
             raise OccurrenceMismatch(
@@ -156,38 +156,29 @@ def apply_step(g: GroupWord, step: DerivationStep, pres: Presentation) -> GroupW
     raise OccurrenceMismatch(f"unknown step kind {step.kind!r}")
 
 
-def validate_script(steps, pres: Presentation, start: GroupWord) -> GroupWord:
-    """Replay a script from start, checking chaining, each occurrence and the
-    recorded results; returns the final word."""
-    current = start
+def validate_script(steps, pres: Presentation, start: GroupWord) -> list:
+    """Replay a script from start, checking each occurrence; returns the
+    trace: start, then the word after each step."""
+    trace = [start]
     for i, step in enumerate(steps):
-        if step.before != current:
-            raise OccurrenceMismatch(
-                f"step {i}: recorded source {format_group_word(step.before)} "
-                f"does not chain from {format_group_word(current)}"
-            )
         try:
-            result = apply_step(current, step, pres)
+            trace.append(apply_step(trace[-1], step, pres))
         except OccurrenceMismatch as exc:
             raise OccurrenceMismatch(f"step {i}: {exc}") from exc
-        if result != step.after:
-            raise OccurrenceMismatch(
-                f"step {i}: recorded result differs from replay"
-            )
-        current = result
-    return current
+    return trace
 
 
-def relator_conjugates(steps, pres: Presentation) -> list:
+def relator_conjugates(steps, trace, pres: Presentation) -> list:
     """One (x, i, e) per relator step, in script order: the step multiplies
     its word on the left by x·ρ_i^e·x⁻¹, where ρ_i = left_i·right_i⁻¹.  x is
-    the word before the occurrence, e is -1 for LR and +1 for RL; an inverted
-    step flips e and appends the inverse of the side it puts in to x."""
+    the prefix, before the occurrence, of the step's source word in trace; e
+    is -1 for LR and +1 for RL; an inverted step flips e and appends the
+    inverse of the side it puts in to x."""
     out = []
-    for step in steps:
+    for step, before in zip(steps, trace):
         if step.kind != RELATOR:
             continue
-        x = step.before[: step.position]
+        x = before[: step.position]
         e = -1 if step.direction == LEFT_TO_RIGHT else 1
         if step.inverted:
             rel = pres.relations[step.relation_index]
@@ -224,13 +215,9 @@ def build_obstruction_script(pres: Presentation):
     index_of = {rel: i for i, rel in enumerate(pres.relations)}
 
     steps = []
-    word = ((c, POS), (a, POS))
 
     def push(kind, position, **kw):
-        nonlocal word
-        step = DerivationStep(kind=kind, position=position, before=word, after=(), **kw)
-        word = apply_step(word, step, pres)
-        steps.append(replace(step, after=word))
+        steps.append(DerivationStep(kind=kind, position=position, **kw))
 
     push(INSERT, 1, letter=b, sign=POS)
     push(INSERT, 3, letter=d, sign=NEG)
@@ -277,27 +264,32 @@ def build_obstruction_script(pres: Presentation):
 @dataclass(frozen=True)
 class ObstructionCertificate:
     """A replayed derivation of c a = B1 C1 over groups, paired with the
-    normal forms showing the two words differ in the monoid."""
+    normal forms showing the two words differ in the monoid.  trace[i] and
+    trace[i + 1] are the words before and after steps[i]."""
 
     n: int
     steps: tuple
+    trace: list  # len(steps) + 1 signed words, from c a
     monoid_witness: tuple  # (Word, Word), both already normal forms
 
     def to_dict(self) -> dict:
         return {
             "n": self.n,
             "step_count": len(self.steps),
-            "steps": [_step_dict(s) for s in self.steps],
+            "steps": [
+                _step_dict(s, before, after)
+                for s, before, after in zip(self.steps, self.trace, self.trace[1:])
+            ],
             "monoid_witness": [format_word(w) for w in self.monoid_witness],
         }
 
 
-def _step_dict(step: DerivationStep) -> dict:
+def _step_dict(step: DerivationStep, before: GroupWord, after: GroupWord) -> dict:
     out = {
         "kind": step.kind,
         "position": step.position,
-        "before": format_group_word(step.before),
-        "after": format_group_word(step.after),
+        "before": format_group_word(before),
+        "after": format_group_word(after),
     }
     if step.kind == INSERT:
         out["letter"] = step.letter
@@ -328,10 +320,11 @@ def describe_step(step: DerivationStep, pres: Presentation) -> str:
 
 def certificate_text(cert: ObstructionCertificate, pres: Presentation) -> str:
     lines = [f"group derivation for n={cert.n}: {len(cert.steps)} steps"]
-    for i, step in enumerate(cert.steps, 1):
+    steps = zip(cert.steps, cert.trace, cert.trace[1:])
+    for i, (step, before, after) in enumerate(steps, 1):
         lines.append(
             f"{i:3d}. {describe_step(step, pres)}: "
-            f"{format_group_word(step.before)} => {format_group_word(step.after)}"
+            f"{format_group_word(before)} => {format_group_word(after)}"
         )
     w1, w2 = cert.monoid_witness
     lines.append(
@@ -342,18 +335,19 @@ def certificate_text(cert: ObstructionCertificate, pres: Presentation) -> str:
 
 
 def verify_obstruction(pres: Presentation) -> ObstructionCertificate:
-    """Build the script, check it by replay and by its relator product, and
-    confirm the monoid keeps c a and B1 C1 apart."""
+    """Build the script, check it by one replay and by its relator product,
+    and confirm the monoid keeps c a and B1 C1 apart."""
     script = build_obstruction_script(pres)
     ca: Word = ("c", "a")
     bc: Word = ("B1", "C1")
     start, target = _positive(ca), _positive(bc)
-    final = validate_script(script, pres, start)
-    if free_reduce(final) != target:
+    trace = validate_script(script, pres, start)
+    if free_reduce(trace[-1]) != target:
         raise OccurrenceMismatch(
-            f"script ends at {format_group_word(final)}, not B1 C1"
+            f"script ends at {format_group_word(trace[-1])}, not B1 C1"
         )
-    if not is_relator_product(start, target, relator_conjugates(script, pres), pres):
+    conjugates = relator_conjugates(script, trace, pres)
+    if not is_relator_product(start, target, conjugates, pres):
         raise OccurrenceMismatch(
             "B1 C1 (c a)^-1 is not the product of the script's relator conjugates"
         )
@@ -362,4 +356,4 @@ def verify_obstruction(pres: Presentation) -> ObstructionCertificate:
         raise OccurrenceMismatch(
             "the monoid identifies c a with B1 C1; no obstruction"
         )
-    return ObstructionCertificate(pres.n, script, witness)
+    return ObstructionCertificate(pres.n, script, trace, witness)

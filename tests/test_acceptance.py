@@ -234,7 +234,7 @@ def test_criterion_8_obstruction_certificates():
                 "c a",
                 "B1 C1",
             ]
-            start = cert.steps[0].before
+            start = cert.trace[0]
 
         pres = build_presentation(2)
         script = list(build_obstruction_script(pres))

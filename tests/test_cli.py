@@ -12,6 +12,7 @@ import pytest
 import malcev.cli as cli
 from malcev.cayley import CayleyBall
 from malcev.congruence import CapExceeded
+from malcev.group_derivation import ObstructionCertificate
 from malcev.ideals import AlignmentViolation
 from malcev.cli import run
 from malcev.presentation import build_presentation
@@ -258,6 +259,15 @@ def test_obstruct_json_builds_no_text(monkeypatch, capsys):
     monkeypatch.setattr(cli, "certificate_text", boom)
     assert run(["obstruct", "-n", "3", "--format", "json"]) == 0
     assert json.loads(out_of(capsys)[0])["command"] == "obstruct"
+
+
+def test_obstruct_text_builds_no_json(monkeypatch, capsys):
+    def boom(cert):
+        raise RuntimeError("ObstructionCertificate.to_dict called for text")
+
+    monkeypatch.setattr(ObstructionCertificate, "to_dict", boom)
+    assert run(["obstruct", "-n", "3"]) == 0
+    assert out_of(capsys)[0].startswith("group derivation for n=3: 15 steps\n")
 
 
 def test_obstruct_text(capsys):
@@ -644,19 +654,34 @@ GOLDEN_JSON = [
         ["nf", "-n", "2", "-w", "a b a C2 d b c A1 B1 D1"],
         "4d83c96e5c48a4e17dcb23cadc96e5f13b1355985dbb18d9f0dd1becdde887d2",
     ),
+    (
+        ["obstruct", "-n", "3"],
+        "aa3fc5499754fc592b204967cd7a439a1ea49402c79ba764caa780cc3f4890dc",
+    ),
 ]
 
 
 @pytest.mark.parametrize(
     "argv, digest",
     GOLDEN_JSON,
-    ids=["ball", "ball-n1-r5", "intersect", "alignment", "nf-oracle", "nf"],
+    ids=["ball", "ball-n1-r5", "intersect", "alignment", "nf-oracle", "nf", "obstruct"],
 )
 def test_golden_json_output(argv, digest, capsys):
     assert run(argv + ["--format", "json"]) == 0
     captured = capsys.readouterr()
     assert captured.err == ""
     assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
+
+
+def test_golden_text_obstruct(capsys):
+    # as GOLDEN_JSON, for the text certificate, whose step lines come from
+    # certificate_text rather than to_dict
+    assert run(["obstruct", "-n", "2"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == (
+        "f7a16ba73f8b0fc03ec8d229d8890c2e5ac432cacaacefd3b056e9e3d23fab98"
+    )
 
 
 def test_golden_json_output_with_warm_presentations(capsys):

@@ -78,7 +78,7 @@ def test_abelianized_difference_never_vanishes():
 
 
 def step_for(kind, position, **kw):
-    return DerivationStep(kind=kind, position=position, before=(), after=(), **kw)
+    return DerivationStep(kind=kind, position=position, **kw)
 
 
 def test_apply_insert(m1):
@@ -98,6 +98,12 @@ def test_apply_cancel(m1):
         apply_step(gw("c b b a"), step, m1)
     with pytest.raises(OccurrenceMismatch):
         apply_step(gw("c b"), step, m1)
+    # a negative position indexes from the end: at -1 the pair would be
+    # a^-1 a, and at -2 the slices around it would overlap
+    with pytest.raises(OccurrenceMismatch, match="negative"):
+        apply_step(gw("a b a^-1"), step_for(CANCEL, -1), m1)
+    with pytest.raises(OccurrenceMismatch, match="negative"):
+        apply_step(gw("a b b^-1"), step_for(CANCEL, -2), m1)
 
 
 def test_apply_relator(m1):
@@ -108,6 +114,10 @@ def test_apply_relator(m1):
     assert apply_step(gw("B1 D1 a"), back, m1) == gw("c b a")
     with pytest.raises(OccurrenceMismatch):
         apply_step(gw("c a b"), step, m1)
+    with pytest.raises(OccurrenceMismatch, match="negative"):
+        apply_step(gw("c b a"), dataclasses.replace(step, position=-1), m1)
+    with pytest.raises(OccurrenceMismatch, match="negative"):
+        apply_step(gw("a c b"), dataclasses.replace(step, position=-2), m1)
     with pytest.raises(OccurrenceMismatch):
         apply_step(gw("c b"), step_for(RELATOR, 0, relation_index=9), m1)
     with pytest.raises(OccurrenceMismatch):
@@ -136,7 +146,10 @@ def test_script_shape(m1):
     assert len(script) == 7
     kinds = [s.kind for s in script]
     assert kinds == [INSERT, INSERT, RELATOR, RELATOR, RELATOR, CANCEL, CANCEL]
-    stages = [format_group_word(s.after) for s in script]
+    trace = verify_obstruction(m1).trace
+    assert len(trace) == len(script) + 1
+    assert trace[0] == gw("c a")
+    stages = [format_group_word(g) for g in trace[1:]]
     assert stages == [
         "c b b^-1 a",
         "c b b^-1 d^-1 d a",
@@ -146,9 +159,6 @@ def test_script_shape(m1):
         "B1 A1^-1 A1 C1",
         "B1 C1",
     ]
-    assert script[0].before == gw("c a")
-    for prev, nxt in zip(script, script[1:]):
-        assert nxt.before == prev.after
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -165,13 +175,17 @@ def test_script_size_grows_linearly(n):
 def test_validate_script_replays(m1, m2):
     for pres in (m1, m2):
         script = build_obstruction_script(pres)
-        final = validate_script(script, pres, gw("c a"))
-        assert final == gw("B1 C1")
+        trace = validate_script(script, pres, gw("c a"))
+        assert trace[0] == gw("c a")
+        assert len(trace) == len(script) + 1
+        assert trace[-1] == gw("B1 C1")
 
 
 def test_validate_script_rejects_wrong_start(m1):
+    # the inserts apply to any word; the first relator step that reads the
+    # start's last letter is the first move that cannot apply
     script = build_obstruction_script(m1)
-    with pytest.raises(OccurrenceMismatch, match="step 0"):
+    with pytest.raises(OccurrenceMismatch, match="step 4: expected d a at position 4"):
         validate_script(script, m1, gw("c b"))
 
 
@@ -182,24 +196,21 @@ def test_validate_script_rejects_tampered_index(m1):
         validate_script(script, m1, gw("c a"))
 
 
-def test_validate_script_rejects_tampered_result(m1):
-    script = list(build_obstruction_script(m1))
-    script[5] = dataclasses.replace(script[5], after=gw("B1 C1"))
-    with pytest.raises(OccurrenceMismatch, match="step 5"):
-        validate_script(script, m1, gw("c a"))
-
-
 def test_validate_script_rejects_broken_chain(m1):
+    # without the inverted relator step, step 3 (d a -> A1 C1) still
+    # applies, and the cancel after it meets D1 b^-1
     script = list(build_obstruction_script(m1))
     del script[3]
-    with pytest.raises(OccurrenceMismatch, match="step 3"):
+    with pytest.raises(OccurrenceMismatch, match=r"step 4: .* cancel: D1 b\^-1"):
         validate_script(script, m1, gw("c a"))
 
 
 def test_relator_conjugates_of_m1(m1):
     # relator steps 2, 3 and 4: c b -> B1 D1, then b^-1 d^-1 -> D1^-1 A1^-1
     # (relation 1, A1 D1 = d b, right to left and inverted), then d a -> A1 C1
-    assert relator_conjugates(build_obstruction_script(m1), m1) == [
+    script = build_obstruction_script(m1)
+    trace = validate_script(script, m1, gw("c a"))
+    assert relator_conjugates(script, trace, m1) == [
         ((), 2, -1),
         (gw("B1 D1 D1^-1 A1^-1"), 1, -1),
         (gw("B1 D1 D1^-1 A1^-1"), 0, -1),
@@ -218,8 +229,9 @@ def tampered(conjugates, count):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_relator_product_checks_the_script(n):
     pres = build_presentation(n)
-    conjugates = relator_conjugates(build_obstruction_script(pres), pres)
+    script = build_obstruction_script(pres)
     start, target = gw("c a"), gw("B1 C1")
+    conjugates = relator_conjugates(script, validate_script(script, pres, start), pres)
     assert len(conjugates) == 2 * n + 1
     assert is_relator_product(start, target, conjugates, pres)
     assert not is_relator_product(start, gw("c b"), conjugates, pres)
@@ -230,13 +242,30 @@ def test_relator_product_checks_the_script(n):
 def test_verify_obstruction_runs_the_product_check(m1, monkeypatch):
     real = group_derivation.relator_conjugates
 
-    def flipped(steps, pres):
-        (x, i, e), *rest = real(steps, pres)
+    def flipped(steps, trace, pres):
+        (x, i, e), *rest = real(steps, trace, pres)
         return [(x, i, -e), *rest]
 
     monkeypatch.setattr(group_derivation, "relator_conjugates", flipped)
     with pytest.raises(OccurrenceMismatch, match="relator conjugates"):
         verify_obstruction(m1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_verify_obstruction_applies_each_step_once(n, monkeypatch):
+    # the one replay is the only caller: the script lists moves without
+    # applying them, and the certificate's words are the replay's trace
+    pres = build_presentation(n)
+    calls = []
+    real = group_derivation.apply_step
+
+    def counted(g, step, pres):
+        calls.append(step)
+        return real(g, step, pres)
+
+    monkeypatch.setattr(group_derivation, "apply_step", counted)
+    verify_obstruction(pres)
+    assert len(calls) == 4 * n + 3
 
 
 def test_verify_obstruction_refuses_a_monoid_that_identifies_the_witness(m1):
@@ -255,7 +284,8 @@ def test_verify_obstruction(n):
     cert = verify_obstruction(pres)
     assert cert.n == n
     assert len(cert.steps) == 4 * n + 3
-    assert free_reduce(cert.steps[-1].after) == gw("B1 C1")
+    assert len(cert.trace) == 4 * n + 4
+    assert free_reduce(cert.trace[-1]) == gw("B1 C1")
     w1, w2 = cert.monoid_witness
     assert format_word(w1) == "c a"
     assert format_word(w2) == "B1 C1"
