@@ -26,7 +26,7 @@ from itertools import chain, compress
 from operator import ne
 from typing import Optional
 
-from .presentation import Presentation, Word, check_letters, format_word
+from .presentation import Presentation, Word, _free_words, check_letters, format_word
 from .rewriting import _Codec
 
 __all__ = [
@@ -128,23 +128,8 @@ def left_divides(p: Word, q: Word, pres: Presentation) -> Optional[Word]:
 def _side_words(pres: Presentation, max_len: int) -> int:
     """Number of words of length <= max_len with a relation side, a key of
     pres.partners, among their two-letter factors: word_count less the
-    side-free words.  The side-free words of length k that end in y are
-    those of length k-1, less those that end in a letter x with (x, y) a
-    side, so the count takes O(max_len (G + sides)) steps for G generators
-    and reads only the relations."""
-    before = {}  # y -> the letters x with (x, y) a side
-    for x, y in pres.partners:
-        before.setdefault(y, []).append(x)
-    ending = dict.fromkeys(pres.generators, 0)  # side-free words, by last letter
-    layer = 1  # side-free words of the current length: the identity
-    free = 0
-    for length in range(max_len + 1):
-        if length:
-            ending = {
-                y: layer - sum(ending[x] for x in before.get(y, ())) for y in ending
-            }
-            layer = sum(ending.values())
-        free += layer
+    side-free words, counted from the relations alone."""
+    free = _free_words(pres.generators, pres.partners, max_len)
     return word_count(pres, max_len) - free
 
 

@@ -201,6 +201,28 @@ def validate_generic(relations) -> Presentation:
     return Presentation(None, tuple(dict.fromkeys(letters)), rels)
 
 
+def _free_words(generators, pairs, max_len: int) -> int:
+    """Number of words of length <= max_len over generators with no factor
+    in pairs, distinct two-letter words.  Those of length k that end in y
+    are those of length k-1, less those that end in a letter x with (x, y)
+    in pairs, so the count takes O(max_len (G + pairs)) steps for G
+    generators and lists no word."""
+    before = {}  # y -> the letters x with (x, y) in pairs
+    for x, y in pairs:
+        before.setdefault(y, []).append(x)
+    ending = dict.fromkeys(generators, 0)  # free words, by last letter
+    layer = 1  # free words of the current length: the identity
+    free = 0
+    for length in range(max_len + 1):
+        if length:
+            ending = {
+                y: layer - sum(ending[x] for x in before.get(y, ())) for y in ending
+            }
+            layer = sum(ending.values())
+        free += layer
+    return free
+
+
 def check_letters(w: Word, pres: Presentation) -> None:
     for letter in w:
         if letter not in pres.generator_set:

@@ -31,7 +31,7 @@ from __future__ import annotations
 import re
 from typing import Optional
 
-from .presentation import Presentation, Word, check_letters, format_word
+from .presentation import Presentation, Word, _free_words, check_letters, format_word
 
 __all__ = [
     "cancellativity_violations",
@@ -106,19 +106,6 @@ def element_key(w: Word):
     return (len(w), w)
 
 
-def _follow(pres: Presentation, max_len: int):
-    """The generators in token order, and for each the letters that may
-    follow it in a normal form: those that form no right side with it.
-    Those sets take all G^2 pairs of the G generators to build and are
-    read only for normal forms of length >= 2, so they are left empty
-    when max_len < 2."""
-    letters = sorted(pres.generators)
-    if max_len < 2:
-        return letters, {}
-    rewrite = pres.rewrite_map
-    return letters, {x: [g for g in letters if (x, g) not in rewrite] for x in letters}
-
-
 def enumerate_elements(pres: Presentation, max_len: int):
     """The normal forms of length <= max_len, one per element, ordered by
     element_key."""
@@ -133,13 +120,19 @@ def _normal_forms(pres: Presentation, max_len: int, spell):
     length k-1 extended by every letter that forms no right side with their
     last letter.  Extending in token order keeps each length sorted by
     element_key, since the generators are distinct."""
-    letters, follow = _follow(pres, max_len)
+    letters = sorted(pres.generators)
     spelled = spell(tuple(letters))
-    # one-letter slices are the spelled letters; after is keyed by what
-    # w[-1] gives for a spelled word w: the letter, or its code point
     first = [spelled[i : i + 1] for i in range(len(letters))]
-    one = dict(zip(letters, first))
-    after = {one[x][0]: [one[g] for g in gs] for x, gs in follow.items()}
+    # the spelled letters that may follow a spelled word w, keyed by w[-1]:
+    # the letter, or its code point.  Its G^2 pairs are read only from
+    # length 2 on, so it is built only then
+    after = {}
+    if max_len >= 2:
+        rewrite = pres.rewrite_map
+        after = {
+            a[0]: [b for g, b in zip(letters, first) if (x, g) not in rewrite]
+            for x, a in zip(letters, first)
+        }
     layer = [spelled[:0]]
     out = layer[:]
     for _ in range(max_len):
@@ -150,20 +143,11 @@ def _normal_forms(pres: Presentation, max_len: int, spell):
 
 def count_elements(pres: Presentation, max_len: int) -> int:
     """len(enumerate_elements(pres, max_len)), without building the normal
-    forms: those of length k+1 ending in g number the sum, over every letter
-    x that g may follow, of those of length k ending in x."""
-    letters, follow = _follow(pres, max_len)
-    total = 1  # the identity
-    ending = {}  # normal forms of the current length, counted by last letter
-    for _ in range(max_len):
-        # the identity has no last letter, and every letter may follow it
-        longer = dict.fromkeys(letters, 0 if ending else 1)
-        for x, count in ending.items():
-            for g in follow[x]:
-                longer[g] += count
-        ending = longer
-        total += sum(ending.values())
-    return total
+    forms: they are the words with no R word among their factors, counted
+    from the relations in O(max_len (G + relations)) steps for G
+    generators.  A negative max_len counts the identity alone, as
+    enumerate_elements lists it."""
+    return _free_words(pres.generators, pres.rewrite_map, max(max_len, 0))
 
 
 # above this many relations, reduce_joined first finds the R words that

@@ -510,3 +510,20 @@ def test_violation_order_does_not_depend_on_the_hash_seed():
         "violation: edge d --b--> reaches A1 D1, not d a\n"
         "violation: edge A1 --b--> reaches A1 b, not d a\n"
     ) in outputs[0]
+
+
+def test_indegree_names_labels_outside_q_at_bases(m1, monkeypatch):
+    # every label relabeled d, a P letter, as RELABEL_B relabels with b:
+    # each of the three bases then has incoming labels outside Q
+    d = _Codec(m1).code["d"]
+    closed_form = cayley._predecessors
+    monkeypatch.setattr(
+        cayley,
+        "_predecessors",
+        lambda v, partners: tuple((u, d) for u, _ in closed_form(v, partners)),
+    )
+    assert [v for v in indegree_violations(m1, 2) if "outside Q" in v] == [
+        "A1 D1: incoming label outside Q at a base",
+        "c b: incoming label outside Q at a base",
+        "d a: incoming label outside Q at a base",
+    ]

@@ -24,7 +24,14 @@ from malcev.group_derivation import (
     validate_script,
     verify_obstruction,
 )
-from malcev.presentation import Letter, Relation, build_presentation, format_word
+from malcev.presentation import (
+    Letter,
+    PresentationError,
+    Relation,
+    build_presentation,
+    format_word,
+    validate_generic,
+)
 
 
 def gw(text):
@@ -266,6 +273,24 @@ def test_verify_obstruction_applies_each_step_once(n, monkeypatch):
     monkeypatch.setattr(group_derivation, "apply_step", counted)
     verify_obstruction(pres)
     assert len(calls) == 4 * n + 3
+
+
+def test_verify_obstruction_checks_where_the_script_ends(m2, monkeypatch):
+    # the first 6 steps replay, but stop short of B1 C1
+    real = group_derivation.build_obstruction_script
+    monkeypatch.setattr(
+        group_derivation, "build_obstruction_script", lambda pres: real(pres)[:6]
+    )
+    with pytest.raises(
+        OccurrenceMismatch, match=r"^script ends at B2 A2\^-1 A1 C1, not B1 C1$"
+    ):
+        verify_obstruction(m2)
+
+
+def test_obstruction_script_requires_indexed_family():
+    generic = validate_generic([(("x", "y"), ("z", "w"))])
+    with pytest.raises(PresentationError, match="need the indexed family"):
+        build_obstruction_script(generic)
 
 
 def test_verify_obstruction_refuses_a_monoid_that_identifies_the_witness(m1):

@@ -144,6 +144,19 @@ def test_requires_indexed_family():
         intersect_principal(identity, identity, generic)
 
 
+def test_verify_alignment_requires_indexed_family():
+    generic = validate_generic(_skew_relations())
+    with pytest.raises(PresentationError, match="alignment verification needs"):
+        verify_alignment(generic, max_len=1, samples=0, window=2)
+
+
+def test_report_names_a_generator_count_over_the_bound(m1):
+    report = verify_alignment(m1, max_len=1, samples=0, window=2)
+    assert report.violations == ()
+    over = dataclasses.replace(report, max_generators=3)
+    assert over.violations == ("max generator count 3 exceeds bound 2",)
+
+
 def test_brute_force_matches_fast_path(m1, m2):
     got = brute_force_intersection(el("A1", m1), el("d", m1), 4, m1)
     assert [format_word(g) for g in got] == ["A1 D1", "d a"]

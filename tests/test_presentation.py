@@ -1,5 +1,6 @@
 import pytest
 
+from malcev.congruence import word_count
 from malcev.presentation import (
     AmbiguousRewrite,
     ForeignLetter,
@@ -11,6 +12,7 @@ from malcev.presentation import (
     Presentation,
     PresentationError,
     UnknownToken,
+    _free_words,
     build_presentation,
     format_word,
     letter_from_token,
@@ -185,3 +187,11 @@ def test_repeated_relation_adds_no_partner():
     twice = validate_generic([(tok("x u"), tok("z v"))] * 2)
     assert twice.partners == once.partners == {tok("x u"): (tok("z v"),), tok("z v"): (tok("x u"),)}
     assert twice.rewrite_map == once.rewrite_map
+
+
+def test_free_words_without_pairs_counts_every_word(m1, m3):
+    for pres in (m1, m3):
+        for max_len in range(-1, 6):
+            assert _free_words(pres.generators, (), max_len) == word_count(
+                pres, max_len
+            )

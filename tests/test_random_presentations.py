@@ -22,6 +22,7 @@ from malcev.rewriting import (
     _FEW_RULES,
     _Codec,
     cancellativity_violations,
+    count_elements,
     enumerate_elements,
     reduce_word,
 )
@@ -142,6 +143,16 @@ def test_closed_form_predecessors_match_search():
     for i, pres in enumerate(SMALL):
         for v in enumerate_elements(pres, 3):
             assert predecessors(v, pres) == predecessors_by_search(v, pres), (i, v)
+
+
+@pytest.mark.parametrize("draw", ["small", "large"])
+def test_element_count_matches_enumeration(draw):
+    presentations = SMALL if draw == "small" else LARGE
+    for i, pres in enumerate(presentations):
+        for max_len in range(-1, 4):
+            assert count_elements(pres, max_len) == len(
+                enumerate_elements(pres, max_len)
+            ), (i, max_len)
 
 
 @pytest.mark.parametrize("draw", ["small", "large"])

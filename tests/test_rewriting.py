@@ -182,9 +182,17 @@ def test_count_elements_matches_enumeration(n):
         assert count_elements(pres, max_len) == len(enumerate_elements(pres, max_len))
 
 
+def test_count_elements_matches_enumeration_at_two_digit_indices():
+    # token order puts A10 before A2, unlike index order
+    pres = build_presentation(12)
+    for max_len in range(-1, 4):
+        assert count_elements(pres, max_len) == len(enumerate_elements(pres, max_len))
+
+
 def test_short_enumerations_skip_the_follow_table():
-    # the G^2 pairs that decide which letter may follow which are tested
-    # only for normal forms of length >= 2
+    # the enumerator tests the G^2 pairs that decide which letter may
+    # follow which only for normal forms of length >= 2, and counting
+    # tests none: it reads the relations alone
     pres = build_presentation(3000)
     g = len(pres.generators)
     start = time.perf_counter()
@@ -192,6 +200,16 @@ def test_short_enumerations_skip_the_follow_table():
     assert len(enumerate_elements(pres, 1)) == 1 + g
     assert count_elements(pres, 0) == 1
     assert count_elements(pres, 1) == 1 + g
+    assert count_elements(pres, 2) == 1 + g + g * g - len(pres.rewrite_map)
+    assert time.perf_counter() - start < 2
+
+
+def test_count_elements_is_linear_in_the_relations():
+    # 8,004 generators: their 64 million letter pairs take seconds to test,
+    # the 4,001 relations no time
+    pres = build_presentation(2000)
+    start = time.perf_counter()
+    assert count_elements(pres, 2) == 64_068_020
     assert time.perf_counter() - start < 2
 
 
