@@ -7,10 +7,10 @@ the intersection bases (normal form ending in a left-hand relation word).
 
 Predecessors are read off the normal form, with no search, and depend only
 on its tail: its last letter, or its last two when they form an L word.
-The codet and indegree suites read them and decide their verdicts once per
+The codet and indegree suites read them, decide their verdicts once per
 tail, and check each edge by reduction and their total by a count.  The
-reductions run in batches of joined code-point strings (see the rewriting
-module), and an edge is named only when its batch disagrees.
+bases are built from shorter elements, words are reduced as joined
+code-point texts (see rewriting), and edges are named only if one fails.
 """
 
 from __future__ import annotations
@@ -19,11 +19,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 from .presentation import Presentation, Word, format_word
-from .rewriting import (
-    _Codec,
-    _normal_forms,
-    is_intersection_base,
-)
+from .rewriting import _Codec, _normal_forms, is_intersection_base
 
 __all__ = [
     "CayleyBall",
@@ -164,7 +160,7 @@ def export_dot(ball: CayleyBall) -> str:
     return "\n".join(parts)
 
 
-# elements per batch of edge words: bounds the joined text a batch holds
+# elements, or heads of bases, per joined text: bounds what one text holds
 _BATCH = 4096
 
 
@@ -186,13 +182,13 @@ def _predecessor_sweep(pres: Presentation, max_len: int, codec, verdict):
     tail.  A pair is kept as its edge word u x: its label x is one letter.
 
     When every tail's edge words are the tail and then its R partners, and
-    no verdict fails, an element's edge words are itself and v[:-2] + r for
-    each R partner r of its tail: the elements go in batches of _BATCH, and
-    each batch reduces the elements and their partner words in one joined
-    string, compared with what they must reach as one list.  Otherwise, and
-    for a batch whose lists differ, the elements are walked one by one:
-    every edge word is reduced, in the fixed order of _predecessors, and an
-    edge or an element is named only where it fails."""
+    no verdict fails, the edge words are the elements and, at each base
+    h + w, h + r for each R partner r of the L word w.  So no element is
+    sliced: each _BATCH of elements, joined, must reduce to itself, and
+    each _BATCH of h + r to the joined h + w.  Otherwise, or when a text
+    disagrees, every element is walked: every edge word is reduced, in the
+    fixed order of _predecessors, and an edge or an element is named only
+    where it fails."""
     code = codec.code
     partners = {  # L word -> its R partners; relation words have two letters
         code[a] + code[b]: [code[c] + code[d] for c, d in rs]
@@ -204,8 +200,7 @@ def _predecessor_sweep(pres: Presentation, max_len: int, codec, verdict):
     def standard(tail):  # its edge words: the tail itself, then its partners
         return [tail, *partners.get(tail, ())] if tail else []
 
-    # only the tails whose edge words are not standard, or whose verdict
-    # fails, are kept
+    # only the tails with odd edge words or a failing verdict are kept
     odd, failed = {}, {}
     for tail in ["", *letters, *partners]:
         pairs = _predecessors(tail, partners)
@@ -215,32 +210,35 @@ def _predecessor_sweep(pres: Presentation, max_len: int, codec, verdict):
         messages = verdict(tail, pairs)
         if messages:
             failed[tail] = messages
-    clean = not odd and not failed
+    spelled = _normal_forms(pres, max_len, codec.encode)
+    # the bases are the elements shorter than max_len - 1, each followed by
+    # each L word: no R word ends in the P letter that begins an L word
+    heads = spelled[: bisect_left(spelled, max_len - 1, key=len)]
+    # (r, w, words): each of words followed by r must reduce to it followed
+    # by w.  They hold every edge word, and the identity, which is none
+    checks = [("", "", spelled)]
+    checks += [(r, w, heads) for w, rs in partners.items() for r in rs]
+    clean = not odd and not failed and all(
+        codec.reduce_text((r + "\n").join(batch) + r) == (w + "\n").join(batch) + w
+        for r, w, words in checks
+        for start in range(0, len(words), _BATCH)
+        for batch in [words[start : start + _BATCH]]
+    )
 
     def name(s):
         return format_word(codec.decode(s))
 
     violations = []
-    found = 0
-    spelled = _normal_forms(pres, max_len, codec.encode)
-    # the identity, spelled[0], has no edges and no failing verdict when clean
-    for start in range(1 if clean else 0, len(spelled), _BATCH):
-        batch = spelled[start : start + _BATCH]
-        if clean:
-            bases = [v for v in batch if v[-2:] in partners]
-            words = [v[:-2] + r for v in bases for r in partners[v[-2:]]]
-            ends = [v for v in bases for _ in partners[v[-2:]]]
-            if codec.reduce_joined("\n".join(batch + words)) == batch + ends:
-                found += len(batch) + len(words)
-                continue
+    found = sum(len(words) for *_, words in checks) - 1 if clean else 0
+    for start in range(0, 0 if clean else len(spelled), _BATCH):  # walk them all
         rows = []  # (v, v less its tail, the tail's edge words and messages)
-        for v in batch:
+        for v in spelled[start : start + _BATCH]:
             tail = v[-2:] if v[-2:] in partners else v[-1:]
             edges = odd[tail] if tail in odd else standard(tail)
             rows.append((v, v[: len(v) - len(tail)], edges, failed.get(tail, ())))
         words = [head + w for _, head, edges, _ in rows for w in edges]
         found += len(words)
-        reached = iter(codec.reduce_joined("\n".join(words)) if words else ())
+        reached = iter(codec.reduce_joined("\n".join(words)))
         for v, head, edges, messages in rows:
             for w, target in zip(edges, reached):
                 if target != v:
@@ -249,8 +247,7 @@ def _predecessor_sweep(pres: Presentation, max_len: int, codec, verdict):
                         f"reaches {name(target)}, not {name(v)}"
                     )
             violations += [message.format(name(v)) for message in messages]
-    # the elements are in element_key order, so those shorter than max_len
-    # come first
+    # the elements come in element_key order, the shorter ones first
     expected = len(pres.generators) * bisect_left(spelled, max_len, key=len)
     if found != expected:
         violations.append(f"{found} incoming edges found, expected {expected}")

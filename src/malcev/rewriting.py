@@ -162,14 +162,14 @@ class _Codec:
 
     The code points start at U+0100, so the separator "\n" is never a letter;
     the CLI's bound of 10^6 generators keeps them below U+10FFFF.
-    reduce_joined(text) reduces every "\n"-separated word of text at once
-    with one str.replace per relation; see the module docstring for why this
-    equals reduce_word on each word.  Given rules, some (R word, L word)
-    pairs of self.rewrite, it applies only those: enough when no other R
-    word can occur in text.  Given none, in a presentation of more than
-    _FEW_RULES relations, it applies only those whose R word occurs, found
-    by one scan of self.pairs, so that a batch takes time linear in its
-    text, not in its text times the relations.
+    reduce_text(text) reduces every "\n"-separated word of text at once
+    with one str.replace per relation (see the module docstring for why
+    this equals reduce_word on each word); reduce_joined lists the words.
+    Given rules, some (R word, L word) pairs of self.rewrite, both apply
+    only those: enough when no other R word can occur in text.  Given none,
+    in a presentation of more than _FEW_RULES relations, they apply only
+    those whose R word occurs, found by one scan of self.pairs, so that a
+    batch takes time linear in its text, not in its text times the relations.
     """
 
     def __init__(self, pres: Presentation):
@@ -209,7 +209,7 @@ class _Codec:
     def decode(self, s: str) -> Word:
         return tuple(map(self.letter.__getitem__, s))
 
-    def reduce_joined(self, text: str, rules=None) -> list:
+    def reduce_text(self, text: str, rules=None) -> str:
         if rules is None:
             rules = self.rewrite.items()
             if self.pairs is not None:
@@ -217,7 +217,10 @@ class _Codec:
                 rules = [(right, self.rewrite[right]) for right in found]
         for right, left in rules:
             text = text.replace(right, left)
-        return text.split("\n")
+        return text
+
+    def reduce_joined(self, text: str, rules=None) -> list:
+        return self.reduce_text(text, rules).split("\n")
 
 
 def cancellativity_violations(pres: Presentation, max_ab: int, max_c: int):
@@ -260,8 +263,8 @@ def cancellativity_violations(pres: Presentation, max_ab: int, max_c: int):
     rewrite = codec.rewrite
     sides = _normal_forms(pres, max_ab, codec.encode)
     side_set = set(sides)
-    # the identity factor's batch: its products are the sides themselves
-    sides_r_free = codec.reduce_joined("\n".join(sides)) == sides
+    joined = "\n".join(sides)  # the identity factor's batch: the sides themselves
+    sides_r_free = codec.reduce_text(joined) == joined
     # by a seam letter g, the sides x with an R word across x g and the
     # rules of those R words; and the same across g x.  Only factors other
     # than the identity, against R-free sides, read them

@@ -179,6 +179,24 @@ def test_criterion_5_cayley_structure_n200():
         assert found == []
 
 
+@pytest.mark.parametrize("suite", ["codet", "indegree"])
+@pytest.mark.parametrize("n, max_len", [(1, 6), (2, 5), (5, 4)])
+def test_criterion_5_cayley_structure_largest_admitted_sizes(
+    suite, n, max_len, capsys
+):
+    # 235,036, 235,533 and 326,775 elements: each batch of them is reduced
+    # as one text, and the bases are built from the shorter elements
+    argv = ["verify", "-n", str(n), "--suite", suite, "--max-len", str(max_len)]
+
+    def command():
+        code = run(argv)
+        return code, capsys.readouterr().out
+
+    code, out = timed(1, f"criterion 5: {' '.join(argv)}", command)
+    assert code == 0
+    assert out.splitlines()[-1] == "violations: 0"
+
+
 @pytest.mark.parametrize("n, radius, budget", [(3, 4, 1), (1, 6, 3)])
 def test_criterion_5_cayley_ball_dot(n, radius, budget, capsys):
     # 64,347 vertices and 66,208 edges at n = 3; 235,036 and 247,224 at

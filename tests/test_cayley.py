@@ -318,6 +318,15 @@ def plant(monkeypatch, fault, pres):
     monkeypatch.setattr(cayley, "_predecessors", spelled)
 
 
+def misrewrite(monkeypatch, pres):
+    """Send the first R word to the least L word of another relation.  The
+    elements stay normal forms, so only a base's partner word h + r reduces
+    wrongly: to h followed by that other L word, not to the base."""
+    (right, left), *_ = pres.rewrite_map.items()
+    other = min(w for w in pres.l_words if w != left)
+    monkeypatch.setitem(pres.rewrite_map, right, other)
+
+
 def per_element_sweep(pres, max_len, violations):
     """The sweep before the batches, as the reference: each element's
     predecessors from cayley.predecessors, sorted, and each edge reduced by
@@ -399,8 +408,15 @@ def test_sweep_expects_no_edges_at_max_len_zero(m1, monkeypatch):
 
 @pytest.mark.parametrize(
     "fault",
-    [None, without_partners, mislabeled, relabeled_b, self_loop],
-    ids=["clean", "without-partners", "mislabeled", "relabeled-b", "self-loop"],
+    [None, without_partners, mislabeled, relabeled_b, self_loop, misrewrite],
+    ids=[
+        "clean",
+        "without-partners",
+        "mislabeled",
+        "relabeled-b",
+        "self-loop",
+        "misrewritten",
+    ],
 )
 @pytest.mark.parametrize(
     "n, max_len",
@@ -410,7 +426,11 @@ def test_batched_sweeps_match_per_element_sweeps(
     request, monkeypatch, fault, n, max_len
 ):
     pres = request.getfixturevalue(f"m{n}")
-    if fault is not None:
+    if fault is misrewrite:
+        # every tail is standard and every element reduces to itself: only
+        # the text of the bases' partner words disagrees
+        misrewrite(monkeypatch, pres)
+    elif fault is not None:
         plant(monkeypatch, fault, pres)
     found = codeterminism_violations(pres, max_len)
     assert found == codeterminism_per_element(pres, max_len)
@@ -454,6 +474,69 @@ def test_sweep_reads_the_closed_form_once_per_tail(monkeypatch, suite, n, max_le
     assert suite(pres, max_len) == []
     tails = 1 + len(pres.generators) * (max_len >= 1) + (2 * n + 1) * (max_len >= 2)
     assert len(calls) <= tails
+
+
+def checked_bases(pres, max_len, monkeypatch):
+    """The bases whose partner words a clean indegree sweep reduces, once
+    per R partner, sorted.  They are read off the texts given to
+    reduce_text: a line that ends in an R word r is a partner word h + r,
+    of the base h + w for r's L partner w, and no element ends in one."""
+    texts = []
+    reduce_text = _Codec.reduce_text
+
+    def recording(self, text, rules=None):
+        texts.append(text)
+        return reduce_text(self, text, rules)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(_Codec, "reduce_text", recording)
+        assert indegree_violations(pres, max_len) == []
+    codec = _Codec(pres)
+    lines = [line for text in texts for line in text.split("\n")]
+    return sorted(
+        codec.decode(line[:-2] + codec.rewrite[line[-2:]])
+        for line in lines
+        if line[-2:] in codec.rewrite
+    )
+
+
+def bases_by_filter(pres, max_len):
+    """The elements of length <= max_len that end in an L word, each once
+    per R partner of that word, sorted."""
+    return sorted(
+        v
+        for v in enumerate_elements(pres, max_len)
+        if v[-2:] in pres.l_words
+        for _ in pres.partners[v[-2:]]
+    )
+
+
+@pytest.mark.parametrize(
+    "n, max_len", [(n, k) for n in (1, 2, 3) for k in range(5)] + [(12, k) for k in range(4)]
+)
+def test_closed_form_bases_match_filtered_elements(monkeypatch, n, max_len):
+    # the sweep slices no element to find the bases: they are the elements
+    # shorter than max-len - 1, each followed by each L word
+    pres = build_presentation(n)
+    assert checked_bases(pres, max_len, monkeypatch) == bases_by_filter(pres, max_len)
+
+
+@pytest.mark.parametrize("suite", [codeterminism_violations, indegree_violations])
+@pytest.mark.parametrize("n, max_len", [(1, 4), (3, 4)])
+def test_clean_sweep_walks_no_element(monkeypatch, suite, n, max_len):
+    # a clean sweep reduces whole texts and compares them as strings: the
+    # walk, the only caller of reduce_joined here, never runs
+    pres = build_presentation(n)
+    calls = []
+    reduce_joined = _Codec.reduce_joined
+
+    def counting(self, text, rules=None):
+        calls.append(text)
+        return reduce_joined(self, text, rules)
+
+    monkeypatch.setattr(_Codec, "reduce_joined", counting)
+    assert suite(pres, max_len) == []
+    assert len(calls) == 0
 
 
 def test_sweep_walks_a_batch_whose_reduction_disagrees(m1, monkeypatch):

@@ -27,6 +27,8 @@ from malcev.rewriting import (
     reduce_word,
 )
 from test_cayley import (
+    bases_by_filter,
+    checked_bases,
     codeterminism_per_element,
     indegree_per_element,
     predecessors_by_search,
@@ -135,6 +137,18 @@ def test_structure_sweeps_match_per_element_references(draw):
         assert indegree_violations(pres, max_len) == indegree_per_element(
             pres, max_len
         ), i
+
+
+@pytest.mark.parametrize("draw", ["small", "large"])
+def test_closed_form_bases_match_filtered_elements(monkeypatch, draw):
+    # every draw's indegree sweep is clean: its verdicts hold for any
+    # presentation, and only the codet verdict fails on the draws
+    presentations = SMALL if draw == "small" else LARGE
+    for i, pres in enumerate(presentations):
+        for max_len in range(4):
+            assert checked_bases(pres, max_len, monkeypatch) == bases_by_filter(
+                pres, max_len
+            ), (i, max_len)
 
 
 def test_closed_form_predecessors_match_search():

@@ -408,16 +408,17 @@ def test_sweep_reduces_only_seam_products(monkeypatch, n, max_ab, max_c):
     # one batch of every side for the identity factor, then, once per first
     # letter g of a factor, one product per side x whose seam pair (x[-1], g)
     # is an R word, and the mirror image once per last letter; no factor
-    # fails, so none is walked; counted here pair by pair
+    # fails, so none is walked; counted here pair by pair, at reduce_text,
+    # through which every batch is reduced
     pres = build_presentation(n)
     reduced = []
-    reduce_joined = _Codec.reduce_joined
+    reduce_text = _Codec.reduce_text
 
     def counting(self, text, rules=None):
         reduced.append(text.count("\n") + 1)
-        return reduce_joined(self, text, rules)
+        return reduce_text(self, text, rules)
 
-    monkeypatch.setattr(_Codec, "reduce_joined", counting)
+    monkeypatch.setattr(_Codec, "reduce_text", counting)
     assert cancellativity_violations(pres, max_ab, max_c) == []
     sides = enumerate_elements(pres, max_ab)
     factors = enumerate_elements(pres, max_c)[1:]
@@ -438,13 +439,13 @@ def test_sweep_makes_one_seam_batch_per_letter(monkeypatch, n, max_ab, max_c):
     # batch per letter on each side, however many factors share the letter
     pres = build_presentation(n)
     batches = []
-    reduce_joined = _Codec.reduce_joined
+    reduce_text = _Codec.reduce_text
 
     def counting(self, text, rules=None):
         batches.append(rules)
-        return reduce_joined(self, text, rules)
+        return reduce_text(self, text, rules)
 
-    monkeypatch.setattr(_Codec, "reduce_joined", counting)
+    monkeypatch.setattr(_Codec, "reduce_text", counting)
     assert cancellativity_violations(pres, max_ab, max_c) == []
     assert len(batches) <= 1 + 2 * len(pres.generators)
     assert batches[0] is None and None not in batches[1:]
