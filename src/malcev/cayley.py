@@ -18,7 +18,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .presentation import Presentation, Word, format_word
+from .presentation import Presentation, Word
 from .rewriting import _Codec, _normal_forms, is_intersection_base
 
 __all__ = [
@@ -189,13 +189,12 @@ def _predecessor_sweep(pres: Presentation, max_len: int, codec, verdict):
     disagrees, every element is walked: every edge word is reduced, in the
     fixed order of _predecessors, and an edge or an element is named only
     where it fails."""
-    code = codec.code
-    partners = {  # L word -> its R partners; relation words have two letters
-        code[a] + code[b]: [code[c] + code[d] for c, d in rs]
-        for (a, b), rs in (pres.partners.items() if max_len >= 2 else ())
-        if (a, b) in pres.l_words
+    partners = {  # L word -> its R partners, read only from max_len 2 on
+        a + b: rs
+        for (a, b), rs in (codec.partners.items() if max_len >= 2 else ())
+        if a + b not in codec.rewrite
     }
-    letters = [code[g] for g in pres.generators] if max_len >= 1 else []
+    letters = list(codec.letter) if max_len >= 1 else []
 
     def standard(tail):  # its edge words: the tail itself, then its partners
         return [tail, *partners.get(tail, ())] if tail else []
@@ -225,9 +224,6 @@ def _predecessor_sweep(pres: Presentation, max_len: int, codec, verdict):
         for batch in [words[start : start + _BATCH]]
     )
 
-    def name(s):
-        return format_word(codec.decode(s))
-
     violations = []
     found = sum(len(words) for *_, words in checks) - 1 if clean else 0
     for start in range(0, 0 if clean else len(spelled), _BATCH):  # walk them all
@@ -243,10 +239,10 @@ def _predecessor_sweep(pres: Presentation, max_len: int, codec, verdict):
             for w, target in zip(edges, reached):
                 if target != v:
                     violations.append(
-                        f"edge {name(head + w[:-1])} --{codec.letter[w[-1]]}--> "
-                        f"reaches {name(target)}, not {name(v)}"
+                        f"edge {codec.name(head + w[:-1])} --{codec.letter[w[-1]]}--> "
+                        f"reaches {codec.name(target)}, not {codec.name(v)}"
                     )
-            violations += [message.format(name(v)) for message in messages]
+            violations += [message.format(codec.name(v)) for message in messages]
     # the elements come in element_key order, the shorter ones first
     expected = len(pres.generators) * bisect_left(spelled, max_len, key=len)
     if found != expected:

@@ -13,6 +13,8 @@ import functools
 import json
 import os
 import sys
+from contextlib import nullcontext
+from itertools import islice
 from pathlib import Path
 
 from .cayley import (
@@ -168,6 +170,8 @@ def _built(build, n: int) -> Presentation:
 
 
 def _emit(args, command, result, violations, text) -> None:
+    """Write text, or the JSON document as it is encoded, then a newline, to
+    --output or stdout; each write joins up to 65,536 encoder chunks."""
     if args.format == "json":
         doc = {
             "command": command,
@@ -175,13 +179,13 @@ def _emit(args, command, result, violations, text) -> None:
             "result": result,
             "violations": list(violations),
         }
-        payload = json.dumps(doc, indent=2)
+        chunks = json.JSONEncoder(indent=2).iterencode(doc)
     else:
-        payload = text
-    if args.output:
-        Path(args.output).write_text(payload + "\n")
-    else:
-        print(payload)
+        chunks = iter((text,))
+    with open(args.output, "w") if args.output else nullcontext(sys.stdout) as out:
+        for group in iter(lambda: "".join(islice(chunks, 65536)), ""):
+            out.write(group)
+        out.write("\n")
 
 
 def _refuse_over_budget(flag: str, length: int, n: int) -> None:

@@ -11,9 +11,9 @@ oracle the rewriting module is checked against.
 The classes back the nf-oracle suite, which searches only the classes that
 two or more words share.  A word with no relation side among its two-letter
 factors is alone in its class, and the words that hold a side are counted
-from the relations alone, so the lone words are scanned for sides only when
-a shared group fails its search or that count is not the number of shared
-words.  The Cayley graph's predecessors are read off normal forms instead.
+from the relations alone, so the lone words are searched only when a shared
+group fails its search or that count is not the number of shared words.
+The Cayley graph's predecessors are read off normal forms instead.
 The search-based left divisibility backs the brute-force alignment oracle
 and its cross-check; production callers use the closed form in the
 rewriting module.
@@ -21,7 +21,6 @@ rewriting module.
 
 from __future__ import annotations
 
-import re
 from itertools import chain, compress
 from operator import ne
 from typing import Optional
@@ -82,11 +81,10 @@ def closure(seeds, partners) -> list:
     """The deduplicated seeds, then every other word reachable from them by
     relation applications, in breadth-first discovery order.  partners is
     the index of the relations that the search reads: pres.partners for
-    Words, or for code-point strings the same index with each letter of a
-    key, and each partner word, spelled in code points.  Seeds are read
-    lazily and count against DEFAULT_CAP, read at call time, so a huge
-    stream of them raises CapExceeded (naming the first seed) before it
-    fills memory."""
+    Words, or a _Codec's partners, the same index spelled in code points,
+    for code-point strings.  Seeds are read lazily and count against
+    DEFAULT_CAP, read at call time, so a huge stream of them raises
+    CapExceeded (naming the first seed) before it fills memory."""
     seen = set()
     order = []  # also the queue that _steps reads while it grows
     for v in chain(seeds, _steps(order, partners)):
@@ -151,32 +149,24 @@ def partition_agreement(pres: Presentation, max_len: int):
     words that hold a side number _side_words less the words of the shared
     groups, and when that is 0 every lone word is alone in its class.  The
     count reads only the relations, never the rewriting code.  Only when a
-    shared group fails or the number is not 0 are the lone words scanned by
-    regex over their joined text: one scan finds the sides that occur and,
-    only if some do, one more finds the words holding them, which are
-    searched.
+    shared group fails or the number is not 0 is every lone word searched;
+    one with no side is alone in its class and reports nothing.
 
-    The words are spelled as code-point strings (see the rewriting module),
-    those of each length reduced in one joined string, and searched through
-    the spelled partner index.  Each length is listed in code-point order,
-    so the sweep order is by length, then by string.  A shared group's
-    normal form is that of some word other than itself, so only the words
-    with those normal forms are grouped, across lengths too, since a faulty
-    reduction may change a word's length.
+    The words are spelled by the rewriting module's _Codec, those of each
+    length reduced in one joined string, and searched through the codec's
+    partner index.  Each length is listed in code-point order, so the sweep
+    order is by length, then by string.  A shared group's normal form is
+    that of some word other than itself, so only the words with those
+    normal forms are grouped, across lengths too, since a faulty reduction
+    may change a word's length.
     """
     codec = _Codec(pres)
-    letters = list(codec.encode(pres.generators))
-    code = codec.code
-    partners = {  # pres.partners spelled in code points, as the search reads it
-        (code[a], code[b]): tuple(map(codec.encode, others))
-        for (a, b), others in pres.partners.items()
-    }
     swept = []  # each length's words and their normal forms, in sweep order
     keys = set()  # normal forms of some word other than themselves
     words = [""]
     for length in range(max_len + 1):
         if length:
-            words = [w + x for w in words for x in letters]
+            words = [w + x for w in words for x in codec.letter]
         nfs = codec.reduce_joined("\n".join(words))
         swept.append((words, nfs))
         keys.update(compress(nfs, map(ne, words, nfs)))
@@ -190,26 +180,17 @@ def partition_agreement(pres: Presentation, max_len: int):
         """(sweep position of group's first word, violation), or None when
         group is the class of its first word."""
         root = group[0]
-        cls = set(closure((root,), partners))
+        cls = set(closure((root,), codec.partners))
         if cls != set(group):
             return (len(root), root), (
-                f"class of {format_word(codec.decode(root))} has {len(cls)} "
-                f"words but its normal-form group has {len(group)}"
+                f"class of {codec.name(root)} has {len(cls)} words but its "
+                f"normal-form group has {len(group)}"
             )
         return None
 
     found = [v for v in map(disagreement, shared.values()) if v]
     if not found and _side_words(pres, max_len) == sum(map(len, shared.values())):
         return []
-    # the lone words with a relation side among their factors; sides have
-    # two letters, so no shorter word holds one
-    if partners and max_len >= 2:
-        lone = "\n".join(
-            w for words, nfs in swept for w, nf in zip(words, nfs) if nf not in shared
-        )
-        sides = {a + b for a, b in partners}
-        occur = sides.intersection(codec.pair_scan(sides).findall(lone))
-        if occur:
-            acted = re.findall(f"(?m)^.*(?:{'|'.join(occur)}).*$", lone)
-            found += filter(None, (disagreement((w,)) for w in acted))
+    lone = (w for words, nfs in swept for w, nf in zip(words, nfs) if nf not in shared)
+    found += filter(None, (disagreement((w,)) for w in lone))
     return [violation for _, violation in sorted(found)]

@@ -29,6 +29,7 @@ indegree and nf-oracle sweeps reduce their words in the same batches.
 from __future__ import annotations
 
 import re
+from functools import cached_property
 from typing import Optional
 
 from .presentation import Presentation, Word, _free_words, check_letters, format_word
@@ -158,10 +159,13 @@ _FEW_RULES = 16
 
 
 class _Codec:
-    r"""Words as strings of one code point per generator, for batch reduction.
+    r"""Words as strings of one code point per generator: the one spelling
+    that the sweeps reduce and search.
 
     The code points start at U+0100, so the separator "\n" is never a letter;
-    the CLI's bound of 10^6 generators keeps them below U+10FFFF.
+    the CLI's bound of 10^6 generators keeps them below U+10FFFF.  partners
+    is pres.partners spelled, keyed by letter pairs as closure reads it, and
+    built on first use; name(s) formats the Word that s spells.
     reduce_text(text) reduces every "\n"-separated word of text at once
     with one str.replace per relation (see the module docstring for why
     this equals reduce_word on each word); reduce_joined lists the words.
@@ -176,6 +180,7 @@ class _Codec:
         points = map(chr, range(0x100, 0x100 + len(pres.generators)))
         self.code = dict(zip(pres.generators, points))
         self.letter = dict(zip(self.code.values(), self.code))
+        self._partners = pres.partners
         code = self.code
         self.rewrite = {  # R word -> L word; relation words have two letters
             code[p] + code[q]: code[x] + code[y]
@@ -203,11 +208,22 @@ class _Codec:
         points = list(map(ord, "".join(words)))  # two letters per word
         return re.compile(letter_class(points[::2]) + letter_class(points[1::2]))
 
+    @cached_property
+    def partners(self) -> dict:
+        code, encode = self.code, self.encode
+        return {
+            (code[a], code[b]): tuple(map(encode, others))
+            for (a, b), others in self._partners.items()
+        }
+
     def encode(self, w: Word) -> str:
         return "".join(map(self.code.__getitem__, w))
 
     def decode(self, s: str) -> Word:
         return tuple(map(self.letter.__getitem__, s))
+
+    def name(self, s: str) -> str:
+        return format_word(self.decode(s))
 
     def reduce_text(self, text: str, rules=None) -> str:
         if rules is None:
@@ -308,9 +324,6 @@ def cancellativity_violations(pres: Presentation, max_ab: int, max_c: int):
         ):
             left_fails.add(g)
 
-    def name(s):
-        return format_word(codec.decode(s))
-
     violations = []
     for c in _normal_forms(pres, max_c, codec.encode):
         if sides_r_free and not any(c[i : i + 2] in rewrite for i in range(len(c) - 1)):
@@ -325,13 +338,13 @@ def cancellativity_violations(pres: Presentation, max_ab: int, max_c: int):
             other = seen_right.setdefault(right_key, x)
             if other != x:
                 violations.append(
-                    f"right: {name(other)} != {name(x)} but both "
-                    f"give {name(right_key)} after appending {name(c)}"
+                    f"right: {codec.name(other)} != {codec.name(x)} but both "
+                    f"give {codec.name(right_key)} after appending {codec.name(c)}"
                 )
             other = seen_left.setdefault(left_key, x)
             if other != x:
                 violations.append(
-                    f"left: {name(other)} != {name(x)} but both "
-                    f"give {name(left_key)} after prepending {name(c)}"
+                    f"left: {codec.name(other)} != {codec.name(x)} but both "
+                    f"give {codec.name(left_key)} after prepending {codec.name(c)}"
                 )
     return violations

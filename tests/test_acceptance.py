@@ -6,6 +6,7 @@ Run with -rA (or -s) to see the lines for passing tests.
 """
 
 import dataclasses
+import hashlib
 import time
 
 import pytest
@@ -93,6 +94,29 @@ def test_criterion_3_nf_oracle_largest_admitted_sizes(n, max_len, capsys):
     code, out = timed(2, f"criterion 3: {' '.join(argv)}", command)
     assert code == 0
     assert out.splitlines()[-1] == "violations: 0"
+
+
+@pytest.mark.parametrize(
+    "n, max_len, count, digest",
+    [
+        (1, 6, 40622, "ae2af6294471debcf8d23ed5fdd8bae1e3194b12cc0a4e31dc058a7a16122cea"),
+        (2, 5, 13998, "c714f912e082be329f9e816c2dad97e88b22694780930adcb647f2584f5b2137"),
+        (5, 4, 3510, "94f9f9ab4b458b63f8d5f6eaca41aefd15b7569257d7b3cdd16545adb5388b3b"),
+    ],
+    ids=["n1-max-len-6", "n2-max-len-5", "n5-max-len-4"],
+)
+def test_criterion_3_nf_oracle_fault_path_largest_admitted_sizes(
+    n, max_len, count, digest
+):
+    # with its first R word never rewritten, the reduction splits that
+    # word's classes, so every lone word is searched as well; the digest of
+    # the violations joined by newlines pins their text and order
+    pres = build_presentation(n)
+    del pres.rewrite_map[pres.relations[0].right]
+    label = f"criterion 3: nf-oracle fault path, n={n}, max-len {max_len}"
+    found = timed(5, label, lambda: partition_agreement(pres, max_len))
+    assert len(found) == count
+    assert hashlib.sha256("\n".join(found).encode()).hexdigest() == digest
 
 
 def test_criterion_4_cancellativity_sweep(m1):

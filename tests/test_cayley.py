@@ -442,13 +442,11 @@ def test_batched_sweeps_match_per_element_sweeps(
 @pytest.mark.parametrize("n, max_len", [(1, 4), (3, 3), (12, 2)])
 def test_spelled_closed_form_matches_words(n, max_len):
     # one closed form for both spellings: the sweep's code-point strings
-    # decode to the pairs that predecessors returns
+    # decode to the pairs that predecessors returns, read off the codec's
+    # partner index with each key pair joined into a string
     pres = build_presentation(n)
     codec = _Codec(pres)
-    partners = {
-        codec.encode(w): [codec.encode(r) for r in rs]
-        for w, rs in pres.partners.items()
-    }
+    partners = {a + b: rs for (a, b), rs in codec.partners.items()}
     for v in enumerate_elements(pres, max_len):
         spelled = cayley._predecessors(codec.encode(v), partners)
         pairs = [(codec.decode(u), codec.letter[x]) for u, x in spelled]

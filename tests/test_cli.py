@@ -695,3 +695,44 @@ def test_golden_json_output_with_warm_presentations(capsys):
             assert captured.err == ""
             assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
     assert cli._built.cache_info().misses == 3
+
+
+# sha256 of the --format json stdout of two commands with many chunks to
+# encode, as in GOLDEN_JSON
+STREAMED_JSON = [
+    (
+        ["obstruct", "-n", "3"],
+        "aa3fc5499754fc592b204967cd7a439a1ea49402c79ba764caa780cc3f4890dc",
+    ),
+    (
+        ["gen", "-n", "2"],
+        "ebb20e28521185afe05dfeb8b7f30ae80f7613491fc8bf52cd8892f1bcea227f",
+    ),
+]
+
+
+def test_json_is_written_as_it_is_encoded(monkeypatch, capsys):
+    # the document is never built whole by json.dumps, and its bytes stay
+    def whole(*args, **kwargs):
+        raise AssertionError("the whole document was built by json.dumps")
+
+    monkeypatch.setattr(cli.json, "dumps", whole)
+    for argv, digest in STREAMED_JSON:
+        assert run(argv + ["--format", "json"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["obstruct", "-n", "3", "--format", "json"], ["gen", "-n", "2"]],
+    ids=["json", "text"],
+)
+def test_output_file_holds_the_stdout_bytes(argv, tmp_path, capsys):
+    assert run(argv) == 0
+    printed = capsys.readouterr().out
+    target = tmp_path / "out"
+    assert run(argv + ["--output", str(target)]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert target.read_bytes() == printed.encode()

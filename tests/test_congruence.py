@@ -315,19 +315,15 @@ def test_partition_agreement_matches_one_search_per_group(
 def test_partition_agreement_searches_only_shared_groups(m3, monkeypatch):
     # at n = 3, max-len 4: 64,347 normal forms, of which 5,460 are shared by
     # two or more words; no relation acts on any lone word, and the side
-    # count shows it, so the lone words are never scanned (the codec at
-    # n = 3 has too few rules to build a scan of its own)
+    # count shows it, so no lone word is searched: the exact count of
+    # searches fails if even one is
     calls = []
 
     def counted(seeds, partners):
         calls.append(None)
         return closure(seeds, partners)
 
-    def unscanned(words):
-        raise AssertionError("the lone words were scanned")
-
     monkeypatch.setattr(congruence, "closure", counted)
-    monkeypatch.setattr(_Codec, "pair_scan", staticmethod(unscanned))
     assert partition_agreement(m3, 4) == []
     assert len(calls) == 5460
 

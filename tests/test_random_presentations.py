@@ -34,7 +34,7 @@ from test_cayley import (
     predecessors_by_search,
 )
 from test_congruence import _per_group_partition_agreement, side_words_by_brute_force
-from test_rewriting import plain_cancellativity_sweep
+from test_rewriting import plain_cancellativity_sweep, spelled_partners_as_words
 
 
 def draws(seed, count, p_letters, q_letters, relations):
@@ -113,6 +113,13 @@ def test_batch_reduction_matches_reduce_word(draw):
         words = random_words(rng, pres, 60, 12)
         keys = codec.reduce_joined("\n".join(map(codec.encode, words)))
         assert list(map(codec.decode, keys)) == [reduce_word(w, pres) for w in words]
+
+
+@pytest.mark.parametrize("draw", ["small", "large"])
+def test_codec_partners_spell_the_partner_index(draw):
+    for i, pres in enumerate(SMALL if draw == "small" else LARGE):
+        spelled = spelled_partners_as_words(_Codec(pres))
+        assert list(spelled.items()) == list(pres.partners.items()), i
 
 
 @pytest.mark.parametrize("draw", ["small", "large"])

@@ -297,6 +297,32 @@ def test_spelled_enumeration_matches_words(n, max_len):
     assert list(map(codec.decode, spelled)) == enumerate_elements(pres, max_len)
 
 
+def spelled_partners_as_words(codec):
+    """codec.partners decoded: each key a pair of letters, each partner a
+    Word, in the codec's key and partner order."""
+    return {
+        (codec.letter[a], codec.letter[b]): tuple(map(codec.decode, others))
+        for (a, b), others in codec.partners.items()
+    }
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 12])
+def test_codec_partners_spell_the_partner_index(n):
+    # entry for entry: the same keys in the same order, each with the same
+    # partners in presentation order, so closure reads both spellings alike
+    pres = build_presentation(n)
+    spelled = spelled_partners_as_words(_Codec(pres))
+    assert list(spelled.items()) == list(pres.partners.items())
+
+
+def test_cancellativity_sweep_builds_no_partner_index(m3, monkeypatch):
+    def unbuilt(codec):
+        raise AssertionError("the spelled partner index was built")
+
+    monkeypatch.setattr(_Codec, "partners", property(unbuilt))
+    assert cancellativity_violations(m3, 3, 2) == []
+
+
 def plain_cancellativity_sweep(pres, max_ab, max_c, elements=enumerate_elements):
     """The sweep written out pair by pair with reduce_word."""
     violations = []
