@@ -7,10 +7,12 @@ the intersection bases (normal form ending in a left-hand relation word).
 
 Predecessors are read off the normal form, with no search, and depend only
 on its tail: its last letter, or its last two when they form an L word.
-The codet and indegree suites read them, decide their verdicts once per
-tail, and check each edge by reduction and their total by a count.  The
-bases are built from shorter elements, words are reduced as joined
-code-point texts (see rewriting), and edges are named only if one fails.
+The codet and indegree suites check each edge by reduction and their total
+by a count.  When every tail's predecessors are the standard ones and pass
+the suite's verdict, the elements and the bases, built from shorter
+elements, are reduced as joined code-point texts (see rewriting).
+Otherwise every element is walked plainly: its predecessors are read off
+it, and each edge is reduced and named if it fails.
 """
 
 from __future__ import annotations
@@ -170,45 +172,36 @@ def _predecessor_sweep(pres: Presentation, max_len: int, codec, verdict):
     reduces to v.  Complete, checked after the last element: they number G
     per element shorter than max_len, since every edge out of one enters a
     swept element, and sound predecessors of distinct elements are distinct
-    edges.  verdict(tail, edges) gives the suite's own messages on them,
-    each a str.format template for v's name.
+    edges.  verdict(v, pairs) gives the suite's own messages on v's pairs.
 
-    The closed form is read once per tail, not once per element.  v's tail
-    is v[-2:] when that is an L word and v[-1:] otherwise (the identity's is
-    itself), and the pairs of _predecessors(v) are (h + u, x) for the pairs
-    (u, x) of _predecessors(tail), in order, where h is v less its tail.
-    So the tails are the identity, every letter (at max_len >= 1) and every
-    L word (at max_len >= 2), and the verdicts too are decided once per
-    tail.  A pair is kept as its edge word u x: its label x is one letter.
+    The closed form depends only on v's tail: v[-2:] when that is an L word
+    and v[-1:] otherwise (the identity's is itself).  The pairs of
+    _predecessors(v) are (h + u, x) for the pairs (u, x) of
+    _predecessors(tail), in order, where h is v less its tail.  So the
+    tails are the identity, every letter (at max_len >= 1) and every L word
+    (at max_len >= 2).  A pair is kept as its edge word u x: its label x is
+    one letter.
 
     When every tail's edge words are the tail and then its R partners, and
-    no verdict fails, the edge words are the elements and, at each base
-    h + w, h + r for each R partner r of the L word w.  So no element is
-    sliced: each _BATCH of elements, joined, must reduce to itself, and
-    each _BATCH of h + r to the joined h + w.  Otherwise, or when a text
-    disagrees, every element is walked: every edge word is reduced, in the
-    fixed order of _predecessors, and an edge or an element is named only
-    where it fails."""
+    no verdict on a tail fails, the edge words are the elements and, at
+    each base h + w, h + r for each R partner r of the L word w.  So no
+    element is sliced: each _BATCH of elements, joined, must reduce to
+    itself, and each _BATCH of h + r to the joined h + w.  Otherwise, or
+    when a text disagrees, every element v is walked plainly: its pairs
+    read off v itself, each edge word reduced on its own and named if it
+    does not reach v, then v's verdict."""
     partners = {  # L word -> its R partners, read only from max_len 2 on
         a + b: rs
         for (a, b), rs in (codec.partners.items() if max_len >= 2 else ())
         if a + b not in codec.rewrite
     }
     letters = list(codec.letter) if max_len >= 1 else []
-
-    def standard(tail):  # its edge words: the tail itself, then its partners
-        return [tail, *partners.get(tail, ())] if tail else []
-
-    # only the tails with odd edge words or a failing verdict are kept
-    odd, failed = {}, {}
-    for tail in ["", *letters, *partners]:
-        pairs = _predecessors(tail, partners)
-        words = [u + x for u, x in pairs]
-        if words != standard(tail):
-            odd[tail] = words
-        messages = verdict(tail, pairs)
-        if messages:
-            failed[tail] = messages
+    clean = all(
+        [u + x for u, x in pairs] == ([tail, *partners.get(tail, ())] if tail else [])
+        and not verdict(tail, pairs)
+        for tail in ["", *letters, *partners]
+        for pairs in [_predecessors(tail, partners)]
+    )
     spelled = _normal_forms(pres, max_len, codec.encode)
     # the bases are the elements shorter than max_len - 1, each followed by
     # each L word: no R word ends in the P letter that begins an L word
@@ -217,7 +210,7 @@ def _predecessor_sweep(pres: Presentation, max_len: int, codec, verdict):
     # by w.  They hold every edge word, and the identity, which is none
     checks = [("", "", spelled)]
     checks += [(r, w, heads) for w, rs in partners.items() for r in rs]
-    clean = not odd and not failed and all(
+    clean = clean and all(
         codec.reduce_text((r + "\n").join(batch) + r) == (w + "\n").join(batch) + w
         for r, w, words in checks
         for start in range(0, len(words), _BATCH)
@@ -226,23 +219,17 @@ def _predecessor_sweep(pres: Presentation, max_len: int, codec, verdict):
 
     violations = []
     found = sum(len(words) for *_, words in checks) - 1 if clean else 0
-    for start in range(0, 0 if clean else len(spelled), _BATCH):  # walk them all
-        rows = []  # (v, v less its tail, the tail's edge words and messages)
-        for v in spelled[start : start + _BATCH]:
-            tail = v[-2:] if v[-2:] in partners else v[-1:]
-            edges = odd[tail] if tail in odd else standard(tail)
-            rows.append((v, v[: len(v) - len(tail)], edges, failed.get(tail, ())))
-        words = [head + w for _, head, edges, _ in rows for w in edges]
-        found += len(words)
-        reached = iter(codec.reduce_joined("\n".join(words)))
-        for v, head, edges, messages in rows:
-            for w, target in zip(edges, reached):
-                if target != v:
-                    violations.append(
-                        f"edge {codec.name(head + w[:-1])} --{codec.letter[w[-1]]}--> "
-                        f"reaches {codec.name(target)}, not {codec.name(v)}"
-                    )
-            violations += [message.format(codec.name(v)) for message in messages]
+    for v in () if clean else spelled:  # the plain walk
+        pairs = _predecessors(v, partners)
+        found += len(pairs)
+        for u, x in pairs:
+            target = codec.reduce_text(u + x)
+            if target != v:
+                violations.append(
+                    f"edge {codec.name(u)} --{codec.letter[x]}--> "
+                    f"reaches {codec.name(target)}, not {codec.name(v)}"
+                )
+        violations += verdict(v, pairs)
     # the elements come in element_key order, the shorter ones first
     expected = len(pres.generators) * bisect_left(spelled, max_len, key=len)
     if found != expected:
@@ -252,13 +239,14 @@ def _predecessor_sweep(pres: Presentation, max_len: int, codec, verdict):
 
 def codeterminism_violations(pres: Presentation, max_len: int):
     """Check co-determinism for every element of length <= max_len."""
+    codec = _Codec(pres)
 
-    def verdict(tail, edges):
-        if len(edges) > 1 and len({x for _, x in edges}) != len(edges):
-            return ["duplicate incoming label at {}"]
-        return ()
+    def verdict(v, pairs):
+        if len(pairs) > 1 and len({x for _, x in pairs}) != len(pairs):
+            return [f"duplicate incoming label at {codec.name(v)}"]
+        return []
 
-    return _predecessor_sweep(pres, max_len, _Codec(pres), verdict)
+    return _predecessor_sweep(pres, max_len, codec, verdict)
 
 
 def indegree_violations(pres: Presentation, max_len: int):
@@ -266,17 +254,19 @@ def indegree_violations(pres: Presentation, max_len: int):
     holds exactly at intersection bases and that incoming labels of bases
     lie in Q.  Every edge increases length by one, since relations preserve
     length and every predecessor is checked to reduce to its element.  An
-    element is a base exactly when its tail is."""
+    element is a base exactly when its last two letters are."""
     codec = _Codec(pres)
 
-    def verdict(tail, edges):
-        # a tail is at most two letters long, and no shorter word is a base
-        base = len(tail) == 2 and is_intersection_base(codec.decode(tail), pres)
+    def verdict(v, pairs):
+        base = len(v) >= 2 and is_intersection_base(codec.decode(v[-2:]), pres)
         found = []
-        if (len(edges) >= 2) != base:
-            found.append(f"{{}}: in-degree {len(edges)} but intersection base is {base}")
-        if base and any(codec.letter[x] not in pres.q_set for _, x in edges):
-            found.append("{}: incoming label outside Q at a base")
+        if (len(pairs) >= 2) != base:
+            found.append(
+                f"{codec.name(v)}: in-degree {len(pairs)} but "
+                f"intersection base is {base}"
+            )
+        if base and any(codec.letter[x] not in pres.q_set for _, x in pairs):
+            found.append(f"{codec.name(v)}: incoming label outside Q at a base")
         return found
 
     return _predecessor_sweep(pres, max_len, codec, verdict)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 from contextlib import nullcontext
 from itertools import islice
@@ -132,7 +131,10 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--window", type=int, help="oracle window (alignment suite)")
     p.add_argument("--samples", type=int, default=50, help="oracle sample size")
     p.add_argument(
-        "--seed", type=int, help="sampling seed (default MALCEV_SEED or 1729)"
+        "--seed",
+        type=int,
+        default=DEFAULT_SEED,
+        help=f"sampling seed (alignment suite; default {DEFAULT_SEED})",
     )
     p.set_defaults(func=cmd_verify)
 
@@ -331,18 +333,9 @@ def cmd_verify(args) -> int:
     elif args.suite == "indegree":
         violations = indegree_violations(pres, max_len)
     else:
-        seed = args.seed
-        if seed is None:  # only the alignment suite samples
-            env = os.environ.get("MALCEV_SEED", str(DEFAULT_SEED))
-            try:
-                seed = int(env)
-            except ValueError:
-                raise ValueError(
-                    f"MALCEV_SEED must be an integer, got {env!r}"
-                ) from None
         window = args.window if args.window is not None else max_len + 3
         report = verify_alignment(
-            pres, max_len, args.samples, window, seed=seed
+            pres, max_len, args.samples, window, seed=args.seed
         )
         violations = list(report.violations)
         summary.update(report.to_dict())
@@ -401,7 +394,7 @@ def run(argv=None) -> int:
         print(f"resource limit: out of memory ({_command_line(args)})", file=sys.stderr)
         return 4
     except (ValueError, OSError) as exc:
-        # PresentationError, WindowTooSmall, bad radius or seed, unwritable path
+        # PresentationError, WindowTooSmall, bad radius, unwritable path
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

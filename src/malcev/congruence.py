@@ -77,21 +77,22 @@ def _steps(words, partners):
                     yield w[:i] + repl + w[i + 2 :]
 
 
-def closure(seeds, partners) -> list:
+def closure(seeds, partners, name=format_word) -> list:
     """The deduplicated seeds, then every other word reachable from them by
     relation applications, in breadth-first discovery order.  partners is
     the index of the relations that the search reads: pres.partners for
     Words, or a _Codec's partners, the same index spelled in code points,
-    for code-point strings.  Seeds are read lazily and count against
-    DEFAULT_CAP, read at call time, so a huge stream of them raises
-    CapExceeded (naming the first seed) before it fills memory."""
+    for code-point strings; name formats a word likewise, as format_word or
+    the _Codec's name.  Seeds are read lazily and count against DEFAULT_CAP,
+    read at call time, so a huge stream of them raises CapExceeded (naming
+    the first seed) before it fills memory."""
     seen = set()
     order = []  # also the queue that _steps reads while it grows
     for v in chain(seeds, _steps(order, partners)):
         if v not in seen:
             if len(order) >= DEFAULT_CAP:
                 raise CapExceeded(
-                    f"closure of {format_word(order[0])} exceeds {DEFAULT_CAP} "
+                    f"closure of {name(order[0])} exceeds {DEFAULT_CAP} "
                     "words, the fixed word budget congruence.DEFAULT_CAP"
                 )
             seen.add(v)
@@ -180,7 +181,7 @@ def partition_agreement(pres: Presentation, max_len: int):
         """(sweep position of group's first word, violation), or None when
         group is the class of its first word."""
         root = group[0]
-        cls = set(closure((root,), codec.partners))
+        cls = set(closure((root,), codec.partners, codec.name))
         if cls != set(group):
             return (len(root), root), (
                 f"class of {codec.name(root)} has {len(cls)} words but its "

@@ -33,7 +33,6 @@ __all__ = [
     "build_presentation",
     "check_letters",
     "format_word",
-    "letter_from_token",
     "parse_word",
     "validate_generic",
 ]
@@ -84,13 +83,6 @@ Word = tuple  # tuple of Letter; the empty tuple is the identity
 class Relation(NamedTuple):
     left: Word
     right: Word
-
-
-def letter_from_token(token: str) -> Letter:
-    """Validate one token: alphabetic kind plus optional decimal index suffix."""
-    if _TOKEN_RE.fullmatch(token) is None:
-        raise UnknownToken(f"malformed token {token!r}")
-    return token
 
 
 @dataclass(frozen=True, eq=False)

@@ -221,6 +221,32 @@ def test_criterion_5_cayley_structure_largest_admitted_sizes(
     assert out.splitlines()[-1] == "violations: 0"
 
 
+@pytest.mark.parametrize("sweep", [codeterminism_violations, indegree_violations])
+@pytest.mark.parametrize(
+    "n, max_len, count, digest",
+    [
+        (1, 6, 4063, "1f592923d6cae28d0b01b982d4abaedc791ef781042214c96b98cd58b847969d"),
+        (2, 5, 1760, "c92a2fc4af67cc94ee88f0e79b6ba1ac2cc1913a40eff39673eace7d1735f39f"),
+        (5, 4, 590, "cf173f2fe5a5baa9bca56cc6f99777a6c4bb4a7821c6ecab98e1349f886525aa"),
+    ],
+    ids=["n1-max-len-6", "n2-max-len-5", "n5-max-len-4"],
+)
+def test_criterion_5_cayley_structure_fault_path_largest_admitted_sizes(
+    sweep, n, max_len, count, digest
+):
+    # with its first R word sent to the least other L word, every base's
+    # partner word reduces wrongly, so the clean texts disagree and every
+    # element is walked; the digest of the violations joined by newlines
+    # pins their text and order, the same for both suites
+    pres = build_presentation(n)
+    (right, left), *_ = pres.rewrite_map.items()
+    pres.rewrite_map[right] = min(w for w in pres.l_words if w != left)
+    label = f"criterion 5: {sweep.__name__} fault path, n={n}, max-len {max_len}"
+    found = timed(5, label, lambda: sweep(pres, max_len))
+    assert len(found) == count
+    assert hashlib.sha256("\n".join(found).encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("n, radius, budget", [(3, 4, 1), (1, 6, 3)])
 def test_criterion_5_cayley_ball_dot(n, radius, budget, capsys):
     # 64,347 vertices and 66,208 edges at n = 3; 235,036 and 247,224 at

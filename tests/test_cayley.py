@@ -20,7 +20,6 @@ from malcev.congruence import equality_class
 from malcev.presentation import (
     build_presentation,
     format_word,
-    letter_from_token,
     parse_word,
     validate_generic,
 )
@@ -263,7 +262,7 @@ def indegree_by_search(pres, max_len):
 
 def test_structure_suites_find_planted_non_codeterminism():
     # x v = z v is not right cancellative: x and z both reach x v by v
-    tok = lambda text: tuple(letter_from_token(t) for t in text.split())
+    tok = lambda text: tuple(text.split())
     broken = validate_generic([(tok("x v"), tok("z v"))])
     for max_len in range(4):
         found = codeterminism_violations(broken, max_len)
@@ -522,19 +521,20 @@ def test_closed_form_bases_match_filtered_elements(monkeypatch, n, max_len):
 @pytest.mark.parametrize("suite", [codeterminism_violations, indegree_violations])
 @pytest.mark.parametrize("n, max_len", [(1, 4), (3, 4)])
 def test_clean_sweep_walks_no_element(monkeypatch, suite, n, max_len):
-    # a clean sweep reduces whole texts and compares them as strings: the
-    # walk, the only caller of reduce_joined here, never runs
+    # a clean sweep reads the closed form on the tails alone, at most two
+    # letters long, and checks the elements as whole texts: the walk, which
+    # reads it on every element, never runs
     pres = build_presentation(n)
-    calls = []
-    reduce_joined = _Codec.reduce_joined
+    lengths = []
+    closed_form = cayley._predecessors
 
-    def counting(self, text, rules=None):
-        calls.append(text)
-        return reduce_joined(self, text, rules)
+    def recording(v, partners):
+        lengths.append(len(v))
+        return closed_form(v, partners)
 
-    monkeypatch.setattr(_Codec, "reduce_joined", counting)
+    monkeypatch.setattr(cayley, "_predecessors", recording)
     assert suite(pres, max_len) == []
-    assert len(calls) == 0
+    assert lengths and max(lengths) <= 2
 
 
 def test_sweep_walks_a_batch_whose_reduction_disagrees(m1, monkeypatch):

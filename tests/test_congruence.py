@@ -114,6 +114,19 @@ def test_cap_exceeded_names_the_fixed_budget(m1, monkeypatch):
     )
 
 
+def test_cap_exceeded_names_a_spelled_seed_by_its_tokens(m1, monkeypatch):
+    # partition_agreement searches code-point strings; the message names
+    # its first shared group's root, c b, by its tokens, as a Words search
+    # would, not by its code points
+    monkeypatch.setattr(congruence, "DEFAULT_CAP", 1)
+    with pytest.raises(CapExceeded) as info:
+        partition_agreement(m1, 2)
+    assert str(info.value) == (
+        "closure of c b exceeds 1 words, the fixed word budget "
+        "congruence.DEFAULT_CAP"
+    )
+
+
 def test_word_count_against_the_budget(m1, m3, m5):
     for pres in (m1, m3):
         for max_len in range(4):
@@ -319,9 +332,9 @@ def test_partition_agreement_searches_only_shared_groups(m3, monkeypatch):
     # searches fails if even one is
     calls = []
 
-    def counted(seeds, partners):
+    def counted(seeds, partners, name):
         calls.append(None)
-        return closure(seeds, partners)
+        return closure(seeds, partners, name)
 
     monkeypatch.setattr(congruence, "closure", counted)
     assert partition_agreement(m3, 4) == []

@@ -39,16 +39,10 @@ def gw(text):
     out = []
     for token in text.split():
         if token.endswith("^-1"):
-            out.append((_letter(token[:-3]), NEG))
+            out.append((token[:-3], NEG))
         else:
-            out.append((_letter(token), POS))
+            out.append((token, POS))
     return tuple(out)
-
-
-def _letter(token):
-    from malcev.presentation import letter_from_token
-
-    return letter_from_token(token)
 
 
 def test_format_group_word():

@@ -15,7 +15,6 @@ from malcev.presentation import (
     _free_words,
     build_presentation,
     format_word,
-    letter_from_token,
     parse_word,
     validate_generic,
 )
@@ -121,14 +120,6 @@ def test_format_round_trip(m2):
         assert format_word(parse_word(text, m2)) == text
 
 
-def test_letter_from_token():
-    assert letter_from_token("a") == Letter("a")
-    assert letter_from_token("A12") == "A12"
-    assert letter_from_token("x2") == "x2"
-    with pytest.raises(UnknownToken):
-        letter_from_token("2x")
-
-
 def test_validate_generic_accepts_family_relations(m2):
     pres = validate_generic(list(m2.relations))
     assert pres.n is None
@@ -141,7 +132,7 @@ def test_validate_generic_accepts_family_relations(m2):
 
 
 def tok(text):
-    return tuple(letter_from_token(t) for t in text.split())
+    return tuple(text.split())
 
 
 def test_validate_generic_rejects_position_overlap():
