@@ -12,17 +12,24 @@ one letter table, read off the relation list, holds for the alignment
 sweep, intersect_principal and the oracle alike.
 
 The oracle is a windowed brute-force search over common multiples.  The
-ideal of an element within the window is the word set of the same closure
-that enumerates equality classes, seeded with the element's literal
-extensions; the identity's ideal is every element and is never built.  No
-word of it is reduced: the closure is closed under the relations, so an
-ideal is a union of whole equality classes, each holding its normal form,
-and membership, meets and differences of ideals decide the same as on
-normal forms.  So the oracle's verdict does not depend on the rewriting
-code; only the description of a failing pair reduces words.  Each root's
-ideal is built once and dropped after its last use in the sample, and the
-sampled pairs are checked grouped by their shorter root, so each large
-ideal lives for one block of the sample.  The per-pair oracle,
+ideal of an element within the window is the closure, under the relations,
+of the element's literal extensions; the identity's ideal is every element
+and is never built.  It is read off the same closure that enumerates
+equality classes, run twice: once for the class C of the element, and once
+across the boundary.  A relation step inside a word c of C stays in C and
+one inside an extension x stays among the extensions, so the only steps
+out of the words c x rewrite c's last letter and x's first, and the ideal
+is those words together with the closure of what such a step gives.  No
+word of it is reduced: an ideal is a union of whole equality classes, each
+holding its normal form, and membership, meets and differences of ideals
+decide the same as on normal forms.  So the oracle's verdict does not
+depend on the rewriting code; only the description of a failing pair
+reduces words.  Each sampled pair is decided by the kind of its returned
+meet: an empty meet by disjoint ideals, a meet of p or q by one membership,
+and only a base-search meet by its common multiples.  Each root's ideal is
+built once and dropped after its last use in the sample, and the sampled
+pairs are checked grouped by their shorter element, so each large ideal
+lives for one block of the sample.  The per-pair oracle,
 brute_force_intersection, is minimised with the search-based divisibility
 of the congruence module and describes any pair that fails.
 """
@@ -34,7 +41,15 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import permutations, product
 
-from .congruence import DEFAULT_CAP, closure, count_over_budget, left_divides
+from . import congruence
+from .congruence import (
+    DEFAULT_CAP,
+    CapExceeded,
+    closure,
+    count_over_budget,
+    left_divides,
+    word_count,
+)
 from .presentation import Presentation, PresentationError, Word, format_word
 from .rewriting import (
     _left_divides_nf,
@@ -178,10 +193,43 @@ def _meet(p, q, shared, pres: Presentation):
     return "base-search", tuple(shared)
 
 
-def _ideal(root, window: int, pres: Presentation):
+def _boundary_swaps(pres: Presentation) -> dict:
+    """Letter x -> the partners of every relation side that begins with x,
+    in presentation order: the two-letter words that one relation step can
+    put in place of a letter x and the letter after it.  Built once per run
+    and read by _ideal."""
+    swaps = {}
+    for side, words in pres.partners.items():
+        swaps.setdefault(side[0], []).extend(words)
+    return swaps
+
+
+def _over_budget(root) -> CapExceeded:
+    """The error for an ideal of root over the word budget, worded as the
+    closure of its literal extensions would word it."""
+    return CapExceeded(
+        f"closure of {format_word(root)} exceeds {congruence.DEFAULT_CAP} "
+        "words, the fixed word budget congruence.DEFAULT_CAP"
+    )
+
+
+def _ideal(root, window: int, pres: Presentation, swaps: dict):
     """The elements of length <= window that root left-divides, as the
-    words of the closure of root's literal extensions.  None for the
-    identity, whose ideal is every element and is never built.
+    words of the closure of root's literal extensions, given swaps, the
+    index _boundary_swaps(pres).  None for the identity, whose ideal is
+    every element and is never built.
+
+    The closure is built from the class C of root.  It holds every c x with
+    c in C and |c x| <= window, and the closure of the words c[:-1] s x',
+    one for each partner s of a relation side that begins with c[-1] and
+    each x' with |c x'| < window.  This is exact: a relation step inside c
+    stays in C and one inside x stays among the extensions, so a step out
+    of the words c x crosses the boundary, rewriting c[-1] and x[0] into a
+    partner s, and lands on one of those words; everything after it lies
+    in their closure.  The whole ideal counts against DEFAULT_CAP, read at
+    call time: CapExceeded, naming root, is raised before any word is built
+    when the words c x alone exceed it, by the boundary closure when that
+    does, and else once the words c x are added to it.
 
     No word is reduced.  The closure is closed under the relations, so it
     is a union of whole equality classes, each holding its element's normal
@@ -189,12 +237,30 @@ def _ideal(root, window: int, pres: Presentation):
     does.  Meets and differences of ideals are again unions of classes."""
     if not root:
         return None
-    seeds = (
-        root + x
-        for extra in range(window - len(root) + 1)
-        for x in product(pres.generators, repeat=extra)
+    extra = window - len(root)
+    cls = closure((root,), pres.partners)
+    if len(cls) * word_count(pres, extra) > congruence.DEFAULT_CAP:
+        raise _over_budget(root)
+    letters = pres.generators
+    across = (
+        c[:-1] + s + x
+        for c in cls
+        for s in swaps.get(c[-1], ())
+        for k in range(extra)
+        for x in product(letters, repeat=k)
     )
-    return frozenset(closure(seeds, pres.partners))
+    # the boundary search runs first, so that its own word set is freed
+    # before the ideal grows to full size
+    try:
+        ideal = set(closure(across, pres.partners))
+    except CapExceeded:
+        raise _over_budget(root) from None
+    ideal.update(
+        c + x for c in cls for k in range(extra + 1) for x in product(letters, repeat=k)
+    )
+    if len(ideal) > congruence.DEFAULT_CAP:
+        raise _over_budget(root)
+    return ideal
 
 
 def _common(p_ideal, q_ideal):
@@ -214,7 +280,8 @@ def common_multiples(p: Word, q: Word, window: int, pres: Presentation):
             f"window {window} cannot reach a minimal common multiple of "
             f"{format_word(p)} and {format_word(q)}"
         )
-    common = _common(_ideal(p, window, pres), _ideal(q, window, pres))
+    swaps = _boundary_swaps(pres)
+    common = _common(_ideal(p, window, pres, swaps), _ideal(q, window, pres, swaps))
     if common is None:  # both are the identity
         return enumerate_elements(pres, window)
     return sorted({reduce_word(w, pres) for w in common}, key=element_key)
@@ -253,6 +320,10 @@ def _is_meet(gens, gen_ideals, common) -> bool:
     tests and the difference decide the same on their raw words as on
     normal forms: a generator, itself a normal form, is in an ideal exactly
     when its class is.
+
+    Three kinds of meet of a sampled pair (p, q) never reach this check;
+    _holds decides each by the predicate it reduces to: no generators
+    (disjoint ideals), (q,) (q in p's ideal) and (p,) (p in q's ideal).
     """
     if not all(common is None or g in common for g in gens):
         return False
@@ -264,18 +335,50 @@ def _is_meet(gens, gen_ideals, common) -> bool:
     return common is not None and not common.difference(*gen_ideals)
 
 
+def _meet_roots(p, q, gens) -> tuple:
+    """The roots whose ideals _holds reads to decide whether gens is the
+    meet of p and q, kind by kind as it reads them."""
+    if not gens:
+        return (p, q) if p and q else ()
+    if gens == (q,):
+        return (p,) if p else ()
+    if gens == (p,):
+        return (q,) if q else ()
+    return (p, q, *gens)
+
+
+def _holds(p, q, gens, ideal) -> bool:
+    """Whether gens is the meet of sampled elements p and q, given ideal,
+    which maps a root to its ideal, by the predicate _is_meet reduces to
+    for the kind of gens.  Each rests on root in ideal(root), which holds
+    as a sampled element is shorter than the window.
+
+    No generators: the ideals of p and q are disjoint, and neither is the
+    identity's, which meets every ideal.  (q,): q lies in p's ideal, or p is
+    the identity; the common multiples all lie in q's ideal.  (p,): the
+    mirror case.  Any other generators, from the base search or from a
+    fault, go through _is_meet with the common multiples."""
+    if not gens:
+        return bool(p and q) and ideal(p).isdisjoint(ideal(q))
+    if gens == (q,):
+        return not p or q in ideal(p)
+    if gens == (p,):
+        return not q or p in ideal(q)
+    return _is_meet(gens, [ideal(g) for g in gens], _common(ideal(p), ideal(q)))
+
+
 def _oracle_mismatches(sample, window: int, pres: Presentation, partners):
     """Check the meet of each sampled pair against the brute-force oracle.
 
     Shared Q extensions come from the letter table partners, the one the
-    sweep reads.  Each root's ideal is built once and dropped after its
-    last use: the uses of every root, as a sampled element or as a returned
-    generator, are counted before the first ideal is built.  The pairs are
-    checked grouped by the shorter nonempty root of the pair, whose ideal
-    is the larger, so each large ideal is held for one block of the sample:
-    the key is the root's rank by element_key among the sampled elements,
-    the identity last, and ties keep sample order.  Mismatches are reported
-    in sample order.
+    sweep reads.  Each pair is decided by _holds, which reads the ideals of
+    _meet_roots.  Each root's ideal is built once and dropped after its
+    last use: the uses of every root are counted before the first ideal is
+    built.  The pairs are checked grouped by the shorter nonempty element
+    of the pair, whose ideal is the larger, so each large ideal is held for
+    one block of the sample: the key is the element's rank by element_key
+    among the sampled elements, the identity last, and ties keep sample
+    order.  Mismatches are reported in sample order.
     """
     distinct = {w for pair in sample for w in pair}
     rank = {w: i for i, w in enumerate(sorted(distinct - {()}, key=element_key))}
@@ -288,7 +391,10 @@ def _oracle_mismatches(sample, window: int, pres: Presentation, partners):
             continue  # only partners raise, and the sweep reported those
         checks.append((p, q, gens))
         keys.append(min(rank[p], rank[q]))
-    uses = Counter(root for p, q, gens in checks for root in (p, q, *gens) if root)
+    uses = Counter(
+        root for p, q, gens in checks for root in _meet_roots(p, q, gens) if root
+    )
+    swaps = _boundary_swaps(pres)
     ideals = {}
 
     def ideal(root):
@@ -296,7 +402,7 @@ def _oracle_mismatches(sample, window: int, pres: Presentation, partners):
             return None
         found = ideals.get(root)
         if found is None:
-            found = ideals[root] = _ideal(root, window, pres)
+            found = ideals[root] = _ideal(root, window, pres, swaps)
         uses[root] -= 1
         if not uses[root]:
             del ideals[root]
@@ -305,9 +411,7 @@ def _oracle_mismatches(sample, window: int, pres: Presentation, partners):
     mismatches = {}  # position in checks -> description
     for i in sorted(range(len(checks)), key=keys.__getitem__):
         p, q, gens = checks[i]
-        common = _common(ideal(p), ideal(q))
-        gen_ideals = [ideal(g) for g in gens]
-        if not _is_meet(gens, gen_ideals, common):
+        if not _holds(p, q, gens, ideal):
             minimal = brute_force_intersection(p, q, window, pres)
             mismatches[i] = (
                 f"({format_word(p)}, {format_word(q)}): fast generators "
@@ -410,11 +514,11 @@ def verify_alignment(
     not built there.
 
     No per-pair result is stored.  The sample is drawn before the sweep.
-    The oracle reads the same table, builds the ideal of each sampled
-    element and returned generator once, checks the pairs grouped by their
-    shorter root, and drops each ideal after its last use.  A window in
-    which some sampled element has more literal extensions than the closure
-    cap is refused up front with a ValueError.
+    The oracle reads the same table, builds once each ideal that a pair's
+    check reads, checks the pairs grouped by their shorter element, and
+    drops each ideal after its last use.  A window in which some sampled
+    element has more literal extensions than the closure cap is refused up
+    front with a ValueError.
     """
     if pres.n is None:
         raise PresentationError("alignment verification needs the indexed family")

@@ -3,13 +3,13 @@ import random
 import tracemalloc
 import weakref
 from collections import Counter
-from itertools import chain, permutations, product
+from itertools import permutations, product
 
 import pytest
 
 from malcev import congruence, ideals
 from malcev.cayley import predecessors
-from malcev.congruence import left_divides
+from malcev.congruence import CapExceeded, left_divides
 from malcev.ideals import (
     DEFAULT_SEED,
     EMPTY,
@@ -59,6 +59,21 @@ def q_extensions(nf, pres):
     head, tail = nf[:-1], nf[-1:]
     pairs = (tail + (x,) for x in pres.q_letters)
     return frozenset(head + rewrite.get(pair, pair) for pair in pairs)
+
+
+def ideal_by_literal_extensions(root, window, pres):
+    """Reference ideal: the closure of every literal extension of root of
+    length <= window, the whole closure searched step by step."""
+    seeds = (
+        root + x
+        for extra in range(window - len(root) + 1)
+        for x in product(pres.generators, repeat=extra)
+    )
+    return frozenset(congruence.closure(seeds, pres.partners))
+
+
+def ideal(root, window, pres):
+    return ideals._ideal(root, window, pres, ideals._boundary_swaps(pres))
 
 
 def extension_letter_partners(pres, ext):
@@ -430,23 +445,87 @@ def test_non_principal_pairs_counted_exactly(m1, m2, m3):
 
 def test_meet_check_rejects_comparable_generators(m1):
     d, da = el("d", m1), el("d a", m1)
-    ideal_d, ideal_da = ideals._ideal(d, 3, m1), ideals._ideal(da, 3, m1)
+    ideal_d, ideal_da = ideal(d, 3, m1), ideal(da, 3, m1)
     assert ideals._is_meet((d,), [ideal_d], ideal_d)
     assert not ideals._is_meet((d, da), [ideal_d, ideal_da], ideal_d)
 
 
+@pytest.mark.parametrize(
+    "n, max_len, window", [(1, 3, 5), (2, 2, 4), (3, 3, 4), (12, 2, 3)]
+)
+def test_ideal_matches_the_closure_of_every_literal_extension(n, max_len, window):
+    # every nonempty element and 50 seeded raw words, at every window from
+    # their length up; at n = 12 token order differs from index order
+    pres = build_presentation(n)
+    swaps = ideals._boundary_swaps(pres)
+    rng = random.Random(n)
+    roots = enumerate_elements(pres, max_len)[1:] + [
+        tuple(rng.choices(pres.generators, k=rng.randint(1, max_len)))
+        for _ in range(50)
+    ]
+    for root in roots:
+        for w in range(len(root), window + 1):
+            expected = ideal_by_literal_extensions(root, w, pres)
+            assert ideals._ideal(root, w, pres, swaps) == expected, (root, w)
+
+
+def test_common_multiples_count_the_whole_ideal_against_the_cap(m1, monkeypatch):
+    # within window 4 the ideals of d and A1 hold 731 words each, 585 of
+    # them literal extensions; the budget is read at call time, and an
+    # overrun names the root whether the extensions alone exceed it or not
+    d, a1 = el("d", m1), el("A1", m1)
+    expected = common_multiples(d, a1, 4, m1)
+    monkeypatch.setattr(congruence, "DEFAULT_CAP", 731)
+    assert common_multiples(d, a1, 4, m1) == expected
+    for cap in (730, 600, 585, 584):
+        monkeypatch.setattr(congruence, "DEFAULT_CAP", cap)
+        with pytest.raises(CapExceeded, match=f"^closure of d exceeds {cap} words"):
+            common_multiples(d, a1, 4, m1)
+    # about 9.8 billion literal extensions within window 12: refused before
+    # they fill memory
+    with pytest.raises(CapExceeded, match="^closure of d exceeds 584 words"):
+        common_multiples(d, a1, 12, m1)
+
+
+def test_an_ideal_far_over_the_cap_builds_no_extension(m1, monkeypatch):
+    # the literal extensions are counted, not listed, before any is built
+    built = []
+    real = ideals.product
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ideals, "product", counting)
+    cap = congruence.DEFAULT_CAP
+    with pytest.raises(CapExceeded, match=f"^closure of d exceeds {cap} words"):
+        ideal(el("d", m1), 12, m1)
+    assert built == []
+
+
+def test_an_ideal_over_the_cap_across_the_boundary_names_its_root(monkeypatch):
+    # x y1 has the 19 other P·Q words over x, p1..p4 and y1..y4 as R
+    # partners, so within window 3 the 91 literal extensions of x reach 200
+    # words across the boundary, and the search from there is what overruns
+    letters = ("x", "p1", "p2", "p3", "p4")
+    rights = [(a, f"y{i}") for a in letters for i in range(1, 5)][1:]
+    pres = validate_generic([(("x", "y1"), right) for right in rights])
+    root = ("x",)
+    assert len(ideal_by_literal_extensions(root, 3, pres)) == 251
+    monkeypatch.setattr(congruence, "DEFAULT_CAP", 100)
+    with pytest.raises(CapExceeded, match="^closure of x exceeds 100 words"):
+        common_multiples(root, root, 3, pres)
+
+
 def test_oracle_builds_each_ideal_once(m1, monkeypatch):
     roots = Counter()
-    real = congruence.closure
+    real = ideals._ideal
 
-    def counting(seeds, partners):
-        seeds = iter(seeds)
-        first = next(seeds)  # the root itself, times the empty word
-        roots[first] += 1
-        return real(chain((first,), seeds), partners)
+    def counting(root, window, pres, swaps):
+        roots[root] += 1
+        return real(root, window, pres, swaps)
 
-    monkeypatch.setattr(congruence, "closure", counting)
-    monkeypatch.setattr(ideals, "closure", counting)
+    monkeypatch.setattr(ideals, "_ideal", counting)
     report = verify_alignment(m1, max_len=2, samples=70 * 70, window=4)
     assert report.ok and report.sampled == 70 * 70
     assert roots and max(roots.values()) == 1
@@ -454,39 +533,77 @@ def test_oracle_builds_each_ideal_once(m1, monkeypatch):
 
 
 def test_oracle_drops_each_ideal_after_its_last_use(m1, monkeypatch):
-    class Ideal(frozenset):  # a frozenset that takes a finalizer
+    class Ideal(set):  # a set that takes a finalizer
         pass
 
     alive, seen = set(), []
-    real_ideal, real_is_meet = ideals._ideal, ideals._is_meet
+    real_ideal, real_holds = ideals._ideal, ideals._holds
 
-    def tracked(root, window, pres):
+    def tracked(root, window, pres, swaps):
         if not root:
             return None
-        ideal = Ideal(real_ideal(root, window, pres))
+        ideal = Ideal(real_ideal(root, window, pres, swaps))
         alive.add(root)
         weakref.finalize(ideal, alive.discard, root)
         return ideal
 
-    def watched(gens, gen_ideals, common):
-        seen.append((set(alive), gens))
-        return real_is_meet(gens, gen_ideals, common)
+    def watched(p, q, gens, ideal):
+        seen.append((set(alive), ideals._meet_roots(p, q, gens)))
+        return real_holds(p, q, gens, ideal)
 
     monkeypatch.setattr(ideals, "_ideal", tracked)
-    monkeypatch.setattr(ideals, "_is_meet", watched)
+    monkeypatch.setattr(ideals, "_holds", watched)
     assert verify_alignment(m1, max_len=1, samples=81, window=3).ok
     built = set().union(*(live for live, _ in seen))
-    live, gens = seen[-1]  # only the last pair's ideals are still held
-    assert len(live) <= 2 + len(gens) < len(built)
+    live, roots = seen[-1]  # only the last pair's ideals are still held
+    assert len(live) <= len(roots) < len(built)
+
+
+@pytest.mark.parametrize("fault", ["none", "p", "q", "extra"])
+def test_oracle_reports_exactly_the_wrong_meets_of_each_kind(m1, monkeypatch, fault):
+    # on the exhaustive n = 1, window 4 sample, 400 seeded pairs get no
+    # generators, (p,), (q,) or one generator too many; the oracle reports
+    # exactly those whose generators differ from the brute-force minimal
+    # common multiples, in sample order, whichever check decides the pair
+    nfs = enumerate_elements(m1, 2)
+    sample = list(product(nfs, repeat=2))
+    planted = set(random.Random(fault).sample(sample, 400))
+    real = ideals._meet
+
+    def faulty(p, q, shared, pres):
+        provenance, gens = real(p, q, shared, pres)
+        if (p, q) in planted:
+            extra = (*gens, left_normal_form(p + q + ("a",), pres))
+            gens = {"none": (), "p": (p,), "q": (q,), "extra": extra}[fault]
+        return provenance, gens
+
+    monkeypatch.setattr(ideals, "_meet", faulty)
+    partners = ideals._letter_partners(m1.relations)
+    expected = []
+    for p, q in sample:
+        if (p, q) not in planted:
+            continue
+        shared = ideals._shared(p, q, partners)
+        gens = sorted(faulty(p, q, shared, m1)[1], key=element_key)
+        minimal = brute_force_intersection(p, q, 4, m1)
+        if gens != minimal:
+            expected.append(
+                f"({format_word(p)}, {format_word(q)}): fast generators "
+                f"{[format_word(g) for g in gens]} vs "
+                f"oracle {[format_word(m) for m in minimal]}"
+            )
+    assert ideals._oracle_mismatches(sample, 4, m1, partners) == expected
+    assert 0 < len(expected) <= len(planted)
+    assert fault == "extra" or len(expected) < len(planted)
 
 
 def test_oracle_does_not_depend_on_the_rewriting_code(m1, monkeypatch):
     # ideals are raw closure sets, so a planted fault in reduce_word reaches
     # neither an ideal nor the verdict of a clean sweep
     root = el("d", m1)
-    clean = ideals._ideal(root, 4, m1)
+    clean = ideal(root, 4, m1)
     monkeypatch.setattr(ideals, "reduce_word", lambda w, pres: w[::-1])
-    assert ideals._ideal(root, 4, m1) == clean
+    assert ideal(root, 4, m1) == clean
     assert verify_alignment(m1, 2, 4900, 4).ok
 
 
@@ -521,9 +638,11 @@ def test_oracle_reports_a_self_pair_with_a_wrong_meet(m1, monkeypatch):
 
 
 def test_oracle_memory_peak(m1):
-    # each large ideal is held for one block of the sample: 4.30 MiB traced
-    # on Python 3.11, against 7.59 MiB when the ideals were sets of normal
-    # forms checked in sample order; the bound is about 1.4 times 4.30 MiB
+    # each large ideal is held for one block of the sample: 4.09 MiB traced
+    # on Python 3.11 (4.27 MiB when each ideal was one closure of all its
+    # literal extensions), against 7.59 MiB when the ideals were sets of
+    # normal forms checked in sample order; the bound is about 1.4 times
+    # 4.30 MiB, an earlier reading
     tracemalloc.start()
     try:
         report = verify_alignment(m1, 2, 300, 5, seed=3)

@@ -15,6 +15,7 @@ import random
 
 import pytest
 
+from malcev import ideals
 from malcev.cayley import codeterminism_violations, indegree_violations, predecessors
 from malcev.congruence import _side_words, partition_agreement
 from malcev.presentation import PresentationError, validate_generic
@@ -34,6 +35,7 @@ from test_cayley import (
     predecessors_by_search,
 )
 from test_congruence import _per_group_partition_agreement, side_words_by_brute_force
+from test_ideals import ideal_by_literal_extensions
 from test_rewriting import plain_cancellativity_sweep, spelled_partners_as_words
 
 
@@ -196,3 +198,17 @@ def test_partition_agreement_matches_one_search_per_group(draw):
         assert partition_agreement(pres, max_len) == _per_group_partition_agreement(
             pres, max_len
         ), i
+
+
+@pytest.mark.parametrize("draw", ["small", "large"])
+def test_ideal_matches_the_closure_of_every_literal_extension(draw):
+    # 30 raw words of one to three letters per draw, each at every window
+    # from its length to two letters past it
+    rng = random.Random(draw)
+    for i, pres in enumerate(SMALL if draw == "small" else LARGE):
+        swaps = ideals._boundary_swaps(pres)
+        for _ in range(30):
+            root = tuple(rng.choices(pres.generators, k=rng.randint(1, 3)))
+            for window in range(len(root), len(root) + 3):
+                expected = ideal_by_literal_extensions(root, window, pres)
+                assert ideals._ideal(root, window, pres, swaps) == expected, (i, root)
