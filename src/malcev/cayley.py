@@ -18,7 +18,7 @@ it, and each edge is reduced and named if it fails.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .presentation import Presentation, Word
 from .rewriting import _Codec, _normal_forms, is_intersection_base
@@ -33,8 +33,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CayleyBall:
+class CayleyBall(NamedTuple):
     """All vertices reachable from root in at most radius steps, with every
     edge of the graph between them.  Vertices are normal forms, in BFS
     discovery order.

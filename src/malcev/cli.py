@@ -4,53 +4,48 @@ Exit codes: 0 success (or predicate true), 1 predicate false or verification
 violations, 2 usage or input errors, 3 internal invariant violations, 4 a
 resource limit: a search that ran out of its word budget (CapExceeded) or a
 command that ran out of memory (MemoryError).
+
+Only the presentation module is imported with this one; each command reads
+what it calls off the defining module when it runs (see _module), so a
+process loads only the modules that its commands use.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import importlib
 import json
 import sys
 from contextlib import nullcontext
 from itertools import islice
-from pathlib import Path
 
-from .cayley import (
-    build_ball,
-    codeterminism_violations,
-    export_dot,
-    indegree_violations,
-)
-from .congruence import (
-    DEFAULT_CAP,
-    CapExceeded,
-    count_over_budget,
-    partition_agreement,
-)
-from .group_derivation import (
-    OccurrenceMismatch,
-    certificate_text,
-    verify_obstruction,
-)
-from .ideals import (
-    DEFAULT_SEED,
-    AlignmentViolation,
-    intersect_principal,
-    verify_alignment,
-)
 from .presentation import (
+    DEFAULT_SEED,
+    CapExceeded,
+    InvariantViolation,
     Presentation,
     PresentationError,
     build_presentation,
     format_word,
     parse_word,
 )
-from .rewriting import cancellativity_violations, left_divides, left_normal_form
 
 __all__ = ["main", "run"]
 
 SUITES = ("nf-oracle", "cancellative", "codet", "indegree", "alignment")
+
+
+@functools.cache
+def _module(name: str):
+    """This package's module called name, imported on the first call.
+
+    Commands reach what they call through it, as attributes looked up at
+    call time, so a replacement made in the defining module is what runs.
+    An import statement in each command would load as little, but costs a
+    few microseconds on every call: about 5% of a one-word query.
+    """
+    return importlib.import_module(f"{__package__}.{name}")
 
 
 def _add_common(sub):
@@ -68,10 +63,11 @@ def build_parser() -> argparse.ArgumentParser:
     Reuse is safe: parse_args makes a fresh Namespace on every call, and
     eq's append action copies its None default, so -w values do not pile up
     across calls.  The subcommands' handlers (cmd_*) are bound when the
-    parser is built; the module globals they call, such as export_dot or
-    verify_alignment, are still looked up at call time.  build_parser stays
-    a plain function around the cached builder because bench/tracing.py
-    wraps only plain functions; a functools.cache object would go uncounted.
+    parser is built; the functions they call, such as export_dot or
+    verify_alignment, are looked up in their modules at call time.
+    build_parser stays a plain function around the cached builder because
+    bench/tracing.py wraps only plain functions; a functools.cache object
+    would go uncounted.
     """
     return _parser()
 
@@ -194,21 +190,22 @@ def _refuse_over_budget(flag: str, length: int, n: int) -> None:
     """Refuse up front a length whose words, all of which the command may
     iterate over, outnumber the word budget.  It needs only the 4+4n
     generators, so it runs before the build, which refuses an n below 1."""
-    count = count_over_budget(4 + 4 * n, length) if n >= 1 else None
+    congruence = _module("congruence")
+    count = congruence.count_over_budget(4 + 4 * n, length) if n >= 1 else None
     if count is not None:
         raise ValueError(
             f"{flag} {length} means {count} words of length <= {length} at "
-            f"n={n}, over the budget of {DEFAULT_CAP} words"
+            f"n={n}, over the budget of {congruence.DEFAULT_CAP} words"
         )
 
 
 def _refuse_huge_n(n: int) -> None:
     """Refuse up front an n whose 4+4n generators, the words of length one,
     outnumber the word budget, before its presentation fills memory."""
-    if 4 + 4 * n > DEFAULT_CAP:
+    cap = _module("congruence").DEFAULT_CAP
+    if 4 + 4 * n > cap:
         raise ValueError(
-            f"-n {n} means {4 + 4 * n} generators, over the budget of "
-            f"{DEFAULT_CAP} words"
+            f"-n {n} means {4 + 4 * n} generators, over the budget of {cap} words"
         )
 
 
@@ -236,8 +233,9 @@ def cmd_gen(args) -> int:
 
 
 def cmd_nf(args) -> int:
+    rewriting = _module("rewriting")
     pres = _presentation(args.n)
-    nf = format_word(left_normal_form(parse_word(args.word, pres), pres))
+    nf = format_word(rewriting.left_normal_form(parse_word(args.word, pres), pres))
     _emit(args, "nf", {"input": args.word, "normal_form": nf}, [], nf)
     return 0
 
@@ -245,9 +243,10 @@ def cmd_nf(args) -> int:
 def cmd_eq(args) -> int:
     if len(args.word) != 2:
         raise PresentationError("eq needs exactly two -w words")
+    rewriting = _module("rewriting")
     pres = _presentation(args.n)
-    nf1 = left_normal_form(parse_word(args.word[0], pres), pres)
-    nf2 = left_normal_form(parse_word(args.word[1], pres), pres)
+    nf1 = rewriting.left_normal_form(parse_word(args.word[0], pres), pres)
+    nf2 = rewriting.left_normal_form(parse_word(args.word[1], pres), pres)
     same = nf1 == nf2
     result = {"equal": same, "nf1": format_word(nf1), "nf2": format_word(nf2)}
     _emit(args, "eq", result, [], "true" if same else "false")
@@ -255,10 +254,11 @@ def cmd_eq(args) -> int:
 
 
 def cmd_divides(args) -> int:
+    rewriting = _module("rewriting")
     pres = _presentation(args.n)
     p = parse_word(args.p, pres)
     q = parse_word(args.q, pres)
-    witness = left_divides(p, q, pres)
+    witness = rewriting.left_divides(p, q, pres)
     found = witness is not None
     result = {"divides": found, "witness": format_word(witness) if found else None}
     _emit(args, "divides", result, [], format_word(witness) if found else "none")
@@ -266,10 +266,11 @@ def cmd_divides(args) -> int:
 
 
 def cmd_intersect(args) -> int:
+    rewriting = _module("rewriting")
     pres = _presentation(args.n)
-    p = left_normal_form(parse_word(args.p, pres), pres)
-    q = left_normal_form(parse_word(args.q, pres), pres)
-    res = intersect_principal(p, q, pres)
+    p = rewriting.left_normal_form(parse_word(args.p, pres), pres)
+    q = rewriting.left_normal_form(parse_word(args.q, pres), pres)
+    res = _module("ideals").intersect_principal(p, q, pres)
     result = {
         "kind": res.kind,
         "provenance": res.provenance,
@@ -285,13 +286,15 @@ def cmd_intersect(args) -> int:
 
 def cmd_ball(args) -> int:
     _refuse_over_budget("--radius", args.radius, args.n)
+    cayley = _module("cayley")
     pres = _presentation(args.n)
-    root = left_normal_form(parse_word(args.root, pres), pres)
-    ball = build_ball(root, args.radius, pres)
-    dot = export_dot(ball) if args.dot else None
+    root = _module("rewriting").left_normal_form(parse_word(args.root, pres), pres)
+    ball = cayley.build_ball(root, args.radius, pres)
+    dot = cayley.export_dot(ball) if args.dot else None
     dot_path = None
     if args.dot and args.dot != "-":
-        Path(args.dot).write_text(dot)
+        with open(args.dot, "w") as out:
+            out.write(dot)
         dot_path = args.dot
     result = {
         "root": format_word(root),
@@ -324,17 +327,19 @@ def cmd_verify(args) -> int:
     max_len = args.max_len
     summary = {"suite": args.suite, "max_len": max_len}
     if args.suite == "nf-oracle":
-        violations = partition_agreement(pres, max_len)
+        violations = _module("congruence").partition_agreement(pres, max_len)
     elif args.suite == "cancellative":
-        violations = cancellativity_violations(pres, max_len, max(1, max_len - 1))
+        violations = _module("rewriting").cancellativity_violations(
+            pres, max_len, max(1, max_len - 1)
+        )
         summary["factor_len"] = max(1, max_len - 1)
     elif args.suite == "codet":
-        violations = codeterminism_violations(pres, max_len)
+        violations = _module("cayley").codeterminism_violations(pres, max_len)
     elif args.suite == "indegree":
-        violations = indegree_violations(pres, max_len)
+        violations = _module("cayley").indegree_violations(pres, max_len)
     else:
         window = args.window if args.window is not None else max_len + 3
-        report = verify_alignment(
+        report = _module("ideals").verify_alignment(
             pres, max_len, args.samples, window, seed=args.seed
         )
         violations = list(report.violations)
@@ -361,9 +366,14 @@ def cmd_verify(args) -> int:
 
 
 def cmd_obstruct(args) -> int:
+    group_derivation = _module("group_derivation")
     pres = _presentation(args.n)
-    cert = verify_obstruction(pres)
-    text = certificate_text(cert, pres) if args.format == "text" else None
+    cert = group_derivation.verify_obstruction(pres)
+    text = (
+        group_derivation.certificate_text(cert, pres)
+        if args.format == "text"
+        else None
+    )
     _emit(args, "obstruct", cert.to_dict() if text is None else None, [], text)
     return 0
 
@@ -384,7 +394,7 @@ def run(argv=None) -> int:
     try:
         _refuse_huge_n(args.n)
         return args.func(args)
-    except (AlignmentViolation, OccurrenceMismatch) as exc:
+    except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 3
     except CapExceeded as exc:

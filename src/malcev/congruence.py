@@ -25,7 +25,14 @@ from itertools import chain, compress
 from operator import ne
 from typing import Optional
 
-from .presentation import Presentation, Word, _free_words, check_letters, format_word
+from .presentation import (
+    CapExceeded,
+    Presentation,
+    Word,
+    _free_words,
+    check_letters,
+    format_word,
+)
 from .rewriting import _Codec
 
 __all__ = [
@@ -57,10 +64,6 @@ def count_over_budget(generators: int, max_len: int) -> Optional[str]:
         return "more than 2^64"
     count = sum(generators**k for k in range(max_len + 1))
     return str(count) if count > DEFAULT_CAP else None
-
-
-class CapExceeded(RuntimeError):
-    """A closure grew past its cap on the number of words."""
 
 
 def _steps(words, partners):

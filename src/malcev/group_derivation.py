@@ -12,10 +12,10 @@ result is packaged with the replay's words and the monoid-side witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .presentation import (
+    InvariantViolation,
     Letter,
     Presentation,
     PresentationError,
@@ -61,12 +61,11 @@ LEFT_TO_RIGHT = "LR"
 RIGHT_TO_LEFT = "RL"
 
 
-class OccurrenceMismatch(ValueError):
+class OccurrenceMismatch(InvariantViolation, ValueError):
     """A derivation step does not apply where it claims to."""
 
 
-@dataclass(frozen=True)
-class DerivationStep:
+class DerivationStep(NamedTuple):
     """One move on a signed word; the words it acts on come from replay.
 
     insert: place letter^sign letter^-sign at position.
@@ -261,8 +260,7 @@ def build_obstruction_script(pres: Presentation):
     return tuple(steps)
 
 
-@dataclass(frozen=True)
-class ObstructionCertificate:
+class ObstructionCertificate(NamedTuple):
     """A replayed derivation of c a = B1 C1 over groups, paired with the
     normal forms showing the two words differ in the monoid.  trace[i] and
     trace[i + 1] are the words before and after steps[i]."""

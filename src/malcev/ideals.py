@@ -38,8 +38,8 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass
 from itertools import permutations, product
+from typing import NamedTuple
 
 from . import congruence
 from .congruence import (
@@ -50,7 +50,14 @@ from .congruence import (
     left_divides,
     word_count,
 )
-from .presentation import Presentation, PresentationError, Word, format_word
+from .presentation import (
+    DEFAULT_SEED,
+    InvariantViolation,
+    Presentation,
+    PresentationError,
+    Word,
+    format_word,
+)
 from .rewriting import (
     _left_divides_nf,
     count_elements,
@@ -79,10 +86,8 @@ EMPTY = "empty"
 PRINCIPAL = "principal"
 GENERATORS = "generators"
 
-DEFAULT_SEED = 1729
 
-
-class AlignmentViolation(RuntimeError):
+class AlignmentViolation(InvariantViolation, RuntimeError):
     """More intersection bases than the family admits; a bug or a foreign
     presentation."""
 
@@ -91,8 +96,7 @@ class WindowTooSmall(ValueError):
     """The brute-force window cannot contain a minimal common multiple."""
 
 
-@dataclass(frozen=True)
-class IntersectionResult:
+class IntersectionResult(NamedTuple):
     """Outcome of intersecting two principal right ideals.
 
     kind is one of empty/principal/generators; generators are normal forms
@@ -421,8 +425,7 @@ def _oracle_mismatches(sample, window: int, pres: Presentation, partners):
     return [mismatches[i] for i in sorted(mismatches)]
 
 
-@dataclass(frozen=True)
-class AlignmentReport:
+class AlignmentReport(NamedTuple):
     """Sweep summary: exhaustive generator counts plus spot checks against
     the brute-force oracle.  violations is empty on a clean run.
 

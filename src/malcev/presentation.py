@@ -14,13 +14,15 @@ partners listing, for every relation word, the words it can be swapped for.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 __all__ = [
     "AmbiguousRewrite",
+    "CapExceeded",
+    "DEFAULT_SEED",
     "ForeignLetter",
     "IndexOutOfRange",
+    "InvariantViolation",
     "LROverlap",
     "Letter",
     "NotBalanced",
@@ -70,6 +72,21 @@ class ForeignLetter(PresentationError):
     """A word uses letters outside the presentation's generators."""
 
 
+# Errors and defaults that the CLI names or reads before any command runs
+# live here, so that it need not import the modules that raise or use them.
+
+
+class InvariantViolation(Exception):
+    """A result broke an invariant of the family; the CLI exits 3."""
+
+
+class CapExceeded(RuntimeError):
+    """A closure grew past its cap on the number of words."""
+
+
+DEFAULT_SEED = 1729  # the alignment oracle's sampling seed
+
+
 BASE_KINDS = ("a", "b", "c", "d")
 INDEXED_KINDS = ("A", "B", "C", "D")
 
@@ -85,7 +102,6 @@ class Relation(NamedTuple):
     right: Word
 
 
-@dataclass(frozen=True, eq=False)
 class Presentation:
     """A balanced two-letter presentation together with its derived structure.
 
@@ -95,21 +111,20 @@ class Presentation:
     that token order is a total order on them.
     """
 
-    n: Optional[int]
-    generators: tuple
-    relations: tuple
-
-    def __post_init__(self):
-        if len(set(self.generators)) != len(self.generators):
+    def __init__(self, n: Optional[int], generators: tuple, relations: tuple):
+        self.n = n
+        self.generators = generators
+        self.relations = relations
+        if len(set(generators)) != len(generators):
             raise PresentationError("generators must have distinct tokens")
-        for left, right in self.relations:
+        for left, right in relations:
             if len(left) != 2 or len(right) != 2:
                 raise NotBalanced(
                     f"relation sides must have length 2: "
                     f"{format_word(left)} = {format_word(right)}"
                 )
-        sides = [side for rel in self.relations for side in rel]
-        generator_set = frozenset(self.generators)
+        sides = [side for rel in relations for side in rel]
+        generator_set = frozenset(generators)
         foreign = {x for side in sides for x in side} - generator_set
         if foreign:
             raise ForeignLetter(
@@ -123,8 +138,8 @@ class Presentation:
                 "letters occur in both positions: "
                 + " ".join(sorted(p_set & q_set))
             )
-        l_words = frozenset(left for left, _ in self.relations)
-        r_words = frozenset(right for _, right in self.relations)
+        l_words = frozenset(left for left, _ in relations)
+        r_words = frozenset(right for _, right in relations)
         if l_words & r_words:
             raise LROverlap(
                 "words occur on both sides: "
@@ -132,7 +147,7 @@ class Presentation:
             )
         rewrite_map = {}
         partners = {}
-        for left, right in self.relations:
+        for left, right in relations:
             if right in rewrite_map:
                 if rewrite_map[right] != left:
                     raise AmbiguousRewrite(
@@ -142,18 +157,14 @@ class Presentation:
             rewrite_map[right] = left
             partners.setdefault(left, []).append(right)
             partners.setdefault(right, []).append(left)
-        derived = {
-            "generator_set": generator_set,
-            "p_set": p_set,
-            "q_set": q_set,
-            "q_letters": tuple(x for x in self.generators if x in q_set),
-            "l_words": l_words,
-            "r_words": r_words,
-            "rewrite_map": rewrite_map,
-            "partners": {w: tuple(ws) for w, ws in partners.items()},
-        }
-        for name, value in derived.items():
-            object.__setattr__(self, name, value)
+        self.generator_set = generator_set
+        self.p_set = p_set
+        self.q_set = q_set
+        self.q_letters = tuple(x for x in generators if x in q_set)
+        self.l_words = l_words
+        self.r_words = r_words
+        self.rewrite_map = rewrite_map
+        self.partners = {w: tuple(ws) for w, ws in partners.items()}
 
     def __repr__(self) -> str:
         return (

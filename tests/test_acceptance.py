@@ -5,7 +5,6 @@ so a slow or wrong run fails the corresponding criterion and nothing else.
 Run with -rA (or -s) to see the lines for passing tests.
 """
 
-import dataclasses
 import hashlib
 import time
 
@@ -308,7 +307,7 @@ def test_criterion_8_obstruction_certificates():
         script = list(build_obstruction_script(pres))
         pos = next(i for i, s in enumerate(script) if s.kind == "relator")
         wrong = (script[pos].relation_index + 1) % len(pres.relations)
-        script[pos] = dataclasses.replace(script[pos], relation_index=wrong)
+        script[pos] = script[pos]._replace(relation_index=wrong)
         with pytest.raises(OccurrenceMismatch):
             validate_script(script, pres, start)
 

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import os
@@ -10,9 +9,10 @@ from pathlib import Path
 import pytest
 
 import malcev.cli as cli
+from malcev import cayley, congruence, group_derivation, ideals
 from malcev.cayley import CayleyBall
 from malcev.congruence import CapExceeded
-from malcev.group_derivation import ObstructionCertificate
+from malcev.group_derivation import ObstructionCertificate, OccurrenceMismatch
 from malcev.ideals import AlignmentViolation
 from malcev.cli import run
 from malcev.presentation import build_presentation
@@ -238,7 +238,7 @@ def test_obstruct_json_builds_no_text(monkeypatch, capsys):
     def boom(cert, pres):
         raise RuntimeError("certificate_text called for --format json")
 
-    monkeypatch.setattr(cli, "certificate_text", boom)
+    monkeypatch.setattr(group_derivation, "certificate_text", boom)
     assert run(["obstruct", "-n", "3", "--format", "json"]) == 0
     assert json.loads(out_of(capsys)[0])["command"] == "obstruct"
 
@@ -426,7 +426,7 @@ def test_ball_exports_dot_only_when_asked(monkeypatch, capsys):
     def boom(ball):
         raise RuntimeError("export_dot called without --dot")
 
-    monkeypatch.setattr(cli, "export_dot", boom)
+    monkeypatch.setattr(cayley, "export_dot", boom)
     assert run(["ball", "-n", "1", "--radius", "2", "--root", "d"]) == 0
     assert out_of(capsys)[0] == "root: d\nradius: 2\nvertices: 70\nedges: 72"
     assert run(["ball", "-n", "1", "--radius", "2", "--format", "json"]) == 0
@@ -452,17 +452,80 @@ def test_invariant_violation_exits_3(monkeypatch, capsys):
     def boom(p, q, pres):
         raise AlignmentViolation("planted")
 
-    monkeypatch.setattr(cli, "intersect_principal", boom)
+    monkeypatch.setattr(ideals, "intersect_principal", boom)
     assert run(["intersect", "-n", "1", "-p", "a", "-q", "b"]) == 3
     _, err = out_of(capsys)
     assert "invariant violation: planted" in err
+
+
+@pytest.mark.parametrize(
+    "module, name, error, argv, code, err",
+    [
+        (
+            ideals,
+            "verify_alignment",
+            AlignmentViolation,
+            ["verify", "-n", "1", "--suite", "alignment", "--max-len", "1"],
+            3,
+            "invariant violation: planted\n",
+        ),
+        (
+            group_derivation,
+            "verify_obstruction",
+            OccurrenceMismatch,
+            ["obstruct", "-n", "1"],
+            3,
+            "invariant violation: planted\n",
+        ),
+        (
+            congruence,
+            "partition_agreement",
+            CapExceeded,
+            ["verify", "-n", "1", "--suite", "nf-oracle", "--max-len", "1"],
+            4,
+            "resource limit: planted (verify -n 1 --suite nf-oracle --max-len 1)\n",
+        ),
+    ],
+)
+def test_errors_raised_in_lazily_loaded_modules_keep_their_exit_codes(
+    module, name, error, argv, code, err, monkeypatch, capsys
+):
+    # run names only the presentation module's classes, which these derive
+    # from or are
+    def boom(*args, **kwargs):
+        raise error("planted")
+
+    monkeypatch.setattr(module, name, boom)
+    assert run(argv) == code
+    assert out_of(capsys) == ("", err)
+
+
+def test_tampered_script_exits_3(monkeypatch, capsys):
+    real = group_derivation.build_obstruction_script
+
+    def tampered(pres):
+        script = list(real(pres))
+        script[2] = script[2]._replace(relation_index=0)
+        return tuple(script)
+
+    monkeypatch.setattr(group_derivation, "build_obstruction_script", tampered)
+    assert run(["obstruct", "-n", "1"]) == 3
+    assert out_of(capsys) == (
+        "",
+        "invariant violation: step 2: expected d a at position 0, found c b\n",
+    )
+
+
+def test_bad_word_exits_2(capsys):
+    assert run(["divides", "-n", "1", "-p", "d", "-q", "A2"]) == 2
+    assert out_of(capsys) == ("", "error: 'A2': index outside 1..1\n")
 
 
 def test_cap_exceeded_exits_4(monkeypatch, capsys):
     def boom(pres, max_len):
         raise CapExceeded("planted")
 
-    monkeypatch.setattr(cli, "partition_agreement", boom)
+    monkeypatch.setattr(congruence, "partition_agreement", boom)
     assert run(["verify", "-n", "1", "--suite", "nf-oracle", "--max-len", "1"]) == 4
     _, err = out_of(capsys)
     assert "resource limit: planted" in err
@@ -473,12 +536,12 @@ def test_cap_exceeded_names_the_command(monkeypatch, capsys):
     def boom(*args):
         raise CapExceeded("planted")
 
-    monkeypatch.setattr(cli, "partition_agreement", boom)
+    monkeypatch.setattr(congruence, "partition_agreement", boom)
     assert run(["verify", "-n", "2", "--suite", "nf-oracle", "--max-len", "1"]) == 4
     assert out_of(capsys) == (
         "", "resource limit: planted (verify -n 2 --suite nf-oracle --max-len 1)\n"
     )
-    monkeypatch.setattr(cli, "build_ball", boom)
+    monkeypatch.setattr(cayley, "build_ball", boom)
     assert run(["ball", "-n", "1", "--radius", "1"]) == 4
     assert out_of(capsys)[1] == "resource limit: planted (ball -n 1)\n"
 
@@ -487,7 +550,7 @@ def test_memory_error_exits_4(monkeypatch, capsys):
     def boom(*args, **kwargs):
         raise MemoryError
 
-    monkeypatch.setattr(cli, "verify_alignment", boom)
+    monkeypatch.setattr(ideals, "verify_alignment", boom)
     assert run(["verify", "-n", "2", "--suite", "alignment", "--max-len", "1"]) == 4
     assert out_of(capsys) == (
         "",
@@ -506,17 +569,17 @@ def test_memory_error_exits_4(monkeypatch, capsys):
 def test_alignment_checks_the_exact_non_principal_count(
     n, plant, found, expected, monkeypatch, capsys
 ):
-    real = cli.verify_alignment
+    real = ideals.verify_alignment
 
     def planted(*args, **kwargs):
         report = real(*args, **kwargs)
-        return dataclasses.replace(report, non_principal=plant(report.non_principal))
+        return report._replace(non_principal=plant(report.non_principal))
 
     argv = ["verify", "-n", str(n), "--suite", "alignment", "--max-len", "2"]
     argv += ["--samples", "0"]
     assert run(argv) == 0
     out_of(capsys)
-    monkeypatch.setattr(cli, "verify_alignment", planted)
+    monkeypatch.setattr(ideals, "verify_alignment", planted)
     assert run(argv) == 1
     assert out_of(capsys)[0].splitlines()[-2:] == [
         f"violation: {found} non-principal pairs, expected exactly {expected}",

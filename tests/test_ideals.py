@@ -1,4 +1,3 @@
-import dataclasses
 import random
 import tracemalloc
 import weakref
@@ -25,6 +24,7 @@ from malcev.ideals import (
     verify_alignment,
 )
 from malcev.presentation import (
+    Presentation,
     PresentationError,
     build_presentation,
     format_word,
@@ -42,6 +42,11 @@ from malcev.rewriting import (
 
 def el(text, pres):
     return left_normal_form(parse_word(text, pres), pres)
+
+
+def labelled_2(pres):
+    """pres, labelled as the family member n = 2."""
+    return Presentation(2, pres.generators, pres.relations)
 
 
 def gen_strs(result):
@@ -168,7 +173,7 @@ def test_verify_alignment_requires_indexed_family():
 def test_report_names_a_generator_count_over_the_bound(m1):
     report = verify_alignment(m1, max_len=1, samples=0, window=2)
     assert report.violations == ()
-    over = dataclasses.replace(report, max_generators=3)
+    over = report._replace(max_generators=3)
     assert over.violations == ("max generator count 3 exceeds bound 2",)
 
 
@@ -367,7 +372,7 @@ def test_shared_extension_sweep_matches_all_pairs(request, n, max_len):
     # "skew" is the foreign presentation labelled n = 2, whose letters d and
     # A1 share two extensions: every pair (u d, u A1) is reported
     if n == "skew":
-        pres = dataclasses.replace(validate_generic(_skew_relations()), n=2)
+        pres = labelled_2(validate_generic(_skew_relations()))
     else:
         pres = request.getfixturevalue(f"m{n}")
     window = max_len + 1
@@ -722,9 +727,9 @@ def test_intersect_principal_matches_the_extension_sets(n, max_len):
     # index order, "skew" must raise on the same pairs, and in "fork" the
     # letters c and e share a b through two R words
     if n == "skew":
-        pres = dataclasses.replace(validate_generic(_skew_relations()), n=2)
+        pres = labelled_2(validate_generic(_skew_relations()))
     elif n == "fork":
-        pres = dataclasses.replace(validate_generic(_FORK), n=2)
+        pres = labelled_2(validate_generic(_FORK))
     else:
         pres = build_presentation(n)
     nfs = enumerate_elements(pres, max_len)
@@ -748,7 +753,7 @@ def test_intersect_principal_matches_the_extension_sets(n, max_len):
 def test_foreign_presentation_trips_alignment_check():
     # d a = A1 C1 together with d b = A1 D1 gives the pair (d, A1) two
     # incomparable common extensions, which the family never does at n = 2
-    fake = dataclasses.replace(validate_generic(_skew_relations()), n=2)
+    fake = labelled_2(validate_generic(_skew_relations()))
     p = el("d", fake)
     q = el("A1", fake)
     with pytest.raises(AlignmentViolation):
