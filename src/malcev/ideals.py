@@ -11,10 +11,11 @@ only as u a and u b: u followed by what the letters a and b share, which
 one letter table, read off the relation list, holds for the alignment
 sweep, intersect_principal and the oracle alike.
 
-The oracle is a windowed brute-force search over common multiples.  The
-ideal of an element within the window is the closure, under the relations,
-of the element's literal extensions; the identity's ideal is every element
-and is never built.  It is read off the same closure that enumerates
+The oracle is a windowed brute-force search over common multiples.  A
+pair with the identity is decided by definition: 1M and qM meet in qM,
+whose only generator is q.  Every other ideal is a plain set of words, the
+closure under the relations of a nonempty element's literal extensions
+within the window.  It is read off the same closure that enumerates
 equality classes, run twice: once for the class C of the element, and once
 across the boundary.  A relation step inside a word c of C stays in C and
 one inside an extension x stays among the extensions, so the only steps
@@ -24,14 +25,15 @@ word of it is reduced: an ideal is a union of whole equality classes, each
 holding its normal form, and membership, meets and differences of ideals
 decide the same as on normal forms.  So the oracle's verdict does not
 depend on the rewriting code; only the description of a failing pair
-reduces words.  Each sampled pair is decided by the kind of its returned
-meet: an empty meet by disjoint ideals, a meet of p or q by one membership,
-and only a base-search meet by its common multiples.  Each root's ideal is
-built once and dropped after its last use in the sample, and the sampled
-pairs are checked grouped by their shorter element, so each large ideal
-lives for one block of the sample.  The per-pair oracle,
-brute_force_intersection, is minimised with the search-based divisibility
-of the congruence module and describes any pair that fails.
+reduces words.  Each sampled pair of nonempty elements is decided by the
+kind of its returned meet: an empty meet by disjoint ideals, a meet of p
+or q by one membership, and only a base-search meet by its common
+multiples.  Each root's ideal is built once and dropped after its last use
+in the sample, and the sampled pairs are checked grouped by their shorter
+element, so each large ideal lives for one block of the sample.  The
+per-pair oracle, brute_force_intersection, is minimised with the
+search-based divisibility of the congruence module and describes any pair
+that fails.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ from typing import NamedTuple
 
 from . import congruence
 from .congruence import (
-    DEFAULT_CAP,
     CapExceeded,
     closure,
     count_over_budget,
@@ -217,11 +218,10 @@ def _over_budget(root) -> CapExceeded:
     )
 
 
-def _ideal(root, window: int, pres: Presentation, swaps: dict):
-    """The elements of length <= window that root left-divides, as the
-    words of the closure of root's literal extensions, given swaps, the
-    index _boundary_swaps(pres).  None for the identity, whose ideal is
-    every element and is never built.
+def _ideal(root, window: int, pres: Presentation, swaps: dict) -> set:
+    """The elements of length <= window that a nonempty root left-divides,
+    as the words of the closure of root's literal extensions, given swaps,
+    the index _boundary_swaps(pres).
 
     The closure is built from the class C of root.  It holds every c x with
     c in C and |c x| <= window, and the closure of the words c[:-1] s x',
@@ -239,8 +239,6 @@ def _ideal(root, window: int, pres: Presentation, swaps: dict):
     is a union of whole equality classes, each holding its element's normal
     form, and an element lies in it exactly when any word of its class
     does.  Meets and differences of ideals are again unions of classes."""
-    if not root:
-        return None
     extra = window - len(root)
     cls = closure((root,), pres.partners)
     if len(cls) * word_count(pres, extra) > congruence.DEFAULT_CAP:
@@ -255,25 +253,13 @@ def _ideal(root, window: int, pres: Presentation, swaps: dict):
     )
     # the boundary search runs first, so that its own word set is freed
     # before the ideal grows to full size
-    try:
-        ideal = set(closure(across, pres.partners))
-    except CapExceeded:
-        raise _over_budget(root) from None
+    ideal = set(closure(across, pres.partners, name=lambda _: format_word(root)))
     ideal.update(
         c + x for c in cls for k in range(extra + 1) for x in product(letters, repeat=k)
     )
     if len(ideal) > congruence.DEFAULT_CAP:
         raise _over_budget(root)
     return ideal
-
-
-def _common(p_ideal, q_ideal):
-    """Meet of two ideals from _ideal; None only when both are None."""
-    if p_ideal is None:
-        return q_ideal
-    if q_ideal is None:
-        return p_ideal
-    return p_ideal & q_ideal
 
 
 def common_multiples(p: Word, q: Word, window: int, pres: Presentation):
@@ -285,9 +271,10 @@ def common_multiples(p: Word, q: Word, window: int, pres: Presentation):
             f"{format_word(p)} and {format_word(q)}"
         )
     swaps = _boundary_swaps(pres)
-    common = _common(_ideal(p, window, pres, swaps), _ideal(q, window, pres, swaps))
-    if common is None:  # both are the identity
+    found = [_ideal(root, window, pres, swaps) for root in (p, q) if root]
+    if not found:  # the identity's ideal is every element
         return enumerate_elements(pres, window)
+    common = set.intersection(*found)
     return sorted({reduce_word(w, pres) for w in common}, key=element_key)
 
 
@@ -312,8 +299,8 @@ def brute_force_intersection(p: Word, q: Word, window: int, pres: Presentation):
 
 def _is_meet(gens, gen_ideals, common) -> bool:
     """Whether gens are exactly the minimal elements of common, the common
-    multiples within the window (None: every element), given gen_ideals,
-    the ideal of each generator.
+    multiples within the window, given gen_ideals, the ideal of each
+    generator.
 
     It holds when every generator is a common multiple, none lies in
     another's ideal, and every common multiple lies in some generator's
@@ -329,81 +316,81 @@ def _is_meet(gens, gen_ideals, common) -> bool:
     _holds decides each by the predicate it reduces to: no generators
     (disjoint ideals), (q,) (q in p's ideal) and (p,) (p in q's ideal).
     """
-    if not all(common is None or g in common for g in gens):
+    if not all(g in common for g in gens):
         return False
     pairs = permutations(zip(gens, gen_ideals), 2)
-    if any(h_ideal is None or g in h_ideal for (g, _), (_, h_ideal) in pairs):
+    if any(g in h_ideal for (g, _), (_, h_ideal) in pairs):
         return False
-    if () in gens:  # the identity divides everything
-        return True
-    return common is not None and not common.difference(*gen_ideals)
+    return not common.difference(*gen_ideals)
 
 
 def _meet_roots(p, q, gens) -> tuple:
     """The roots whose ideals _holds reads to decide whether gens is the
-    meet of p and q, kind by kind as it reads them."""
+    meet of nonempty p and q, kind by kind as it reads them."""
     if not gens:
-        return (p, q) if p and q else ()
+        return (p, q)
     if gens == (q,):
-        return (p,) if p else ()
+        return (p,)
     if gens == (p,):
-        return (q,) if q else ()
+        return (q,)
     return (p, q, *gens)
 
 
 def _holds(p, q, gens, ideal) -> bool:
-    """Whether gens is the meet of sampled elements p and q, given ideal,
-    which maps a root to its ideal, by the predicate _is_meet reduces to
-    for the kind of gens.  Each rests on root in ideal(root), which holds
-    as a sampled element is shorter than the window.
+    """Whether gens, none of them the identity, is the meet of sampled
+    nonempty elements p and q, given ideal, which maps a root to its ideal,
+    by the predicate _is_meet reduces to for the kind of gens.  Each rests
+    on root in ideal(root), which holds as a sampled element is shorter
+    than the window.
 
-    No generators: the ideals of p and q are disjoint, and neither is the
-    identity's, which meets every ideal.  (q,): q lies in p's ideal, or p is
-    the identity; the common multiples all lie in q's ideal.  (p,): the
-    mirror case.  Any other generators, from the base search or from a
-    fault, go through _is_meet with the common multiples."""
+    No generators: the ideals of p and q are disjoint.  (q,): q lies in p's
+    ideal; the common multiples all lie in q's ideal.  (p,): the mirror
+    case.  Any other generators, from the base search or from a fault, go
+    through _is_meet with the common multiples."""
     if not gens:
-        return bool(p and q) and ideal(p).isdisjoint(ideal(q))
+        return ideal(p).isdisjoint(ideal(q))
     if gens == (q,):
-        return not p or q in ideal(p)
+        return q in ideal(p)
     if gens == (p,):
-        return not q or p in ideal(q)
-    return _is_meet(gens, [ideal(g) for g in gens], _common(ideal(p), ideal(q)))
+        return p in ideal(q)
+    return _is_meet(gens, [ideal(g) for g in gens], ideal(p) & ideal(q))
 
 
 def _oracle_mismatches(sample, window: int, pres: Presentation, partners):
     """Check the meet of each sampled pair against the brute-force oracle.
 
     Shared Q extensions come from the letter table partners, the one the
-    sweep reads.  Each pair is decided by _holds, which reads the ideals of
+    sweep reads.  A pair with the identity is decided by definition: it
+    holds exactly when its generators are the other element alone, or the
+    identity alone for the pair of identities.  So is a pair of nonempty
+    elements whose generators include the identity, which divides neither.
+    Every other pair is decided by _holds, which reads the ideals of
     _meet_roots.  Each root's ideal is built once and dropped after its
     last use: the uses of every root are counted before the first ideal is
-    built.  The pairs are checked grouped by the shorter nonempty element
-    of the pair, whose ideal is the larger, so each large ideal is held for
-    one block of the sample: the key is the element's rank by element_key
-    among the sampled elements, the identity last, and ties keep sample
-    order.  Mismatches are reported in sample order.
+    built.  Those pairs are checked grouped by their shorter element, whose
+    ideal is the larger, so each large ideal is held for one block of the
+    sample: the key is the element's rank by element_key among the sampled
+    elements, and ties keep sample order.  Mismatches are described after
+    the check, in sample order.
     """
-    distinct = {w for pair in sample for w in pair}
-    rank = {w: i for i, w in enumerate(sorted(distinct - {()}, key=element_key))}
-    rank[()] = len(rank)  # the identity's ideal is never built
-    checks, keys = [], []
+    distinct = {w for pair in sample for w in pair if w}
+    rank = {w: i for i, w in enumerate(sorted(distinct, key=element_key))}
+    checks, grouped, wrong = [], [], []  # grouped, wrong: positions in checks
     for p, q in sample:
         try:
             _, gens = _meet(p, q, _shared(p, q, partners), pres)
         except AlignmentViolation:
             continue  # only partners raise, and the sweep reported those
+        if p and q and () not in gens:
+            grouped.append(len(checks))
+        elif gens != (p or q,):
+            wrong.append(len(checks))
         checks.append((p, q, gens))
-        keys.append(min(rank[p], rank[q]))
-    uses = Counter(
-        root for p, q, gens in checks for root in _meet_roots(p, q, gens) if root
-    )
+    uses = Counter(root for i in grouped for root in _meet_roots(*checks[i]))
     swaps = _boundary_swaps(pres)
     ideals = {}
 
     def ideal(root):
-        if not root:
-            return None
         found = ideals.get(root)
         if found is None:
             found = ideals[root] = _ideal(root, window, pres, swaps)
@@ -412,17 +399,16 @@ def _oracle_mismatches(sample, window: int, pres: Presentation, partners):
             del ideals[root]
         return found
 
-    mismatches = {}  # position in checks -> description
-    for i in sorted(range(len(checks)), key=keys.__getitem__):
+    for i in sorted(grouped, key=lambda i: min(rank[checks[i][0]], rank[checks[i][1]])):
         p, q, gens = checks[i]
         if not _holds(p, q, gens, ideal):
-            minimal = brute_force_intersection(p, q, window, pres)
-            mismatches[i] = (
-                f"({format_word(p)}, {format_word(q)}): fast generators "
-                f"{[format_word(g) for g in sorted(gens, key=element_key)]} vs "
-                f"oracle {[format_word(m) for m in minimal]}"
-            )
-    return [mismatches[i] for i in sorted(mismatches)]
+            wrong.append(i)
+    return [
+        f"({format_word(p)}, {format_word(q)}): fast generators "
+        f"{[format_word(g) for g in sorted(gens, key=element_key)]} vs oracle "
+        f"{[format_word(m) for m in brute_force_intersection(p, q, window, pres)]}"
+        for p, q, gens in map(checks.__getitem__, sorted(wrong))
+    ]
 
 
 class AlignmentReport(NamedTuple):
@@ -542,7 +528,7 @@ def verify_alignment(
             raise ValueError(
                 f"window {window} is too large for the oracle: the ideal of "
                 f"{format_word(shortest)} has {seeds} seed words, over the "
-                f"closure cap of {DEFAULT_CAP}"
+                f"closure cap of {congruence.DEFAULT_CAP}"
             )
     partners = _letter_partners(pres.relations) if max_len else {}
     max_generators = 1  # every element divides itself

@@ -246,6 +246,22 @@ def test_criterion_5_cayley_structure_fault_path_largest_admitted_sizes(
     assert hashlib.sha256("\n".join(found).encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("sweep", [codeterminism_violations, indegree_violations])
+def test_criterion_5_cayley_structure_fault_path_above_16_relations(sweep):
+    # n = 12 has 25 relations, so each edge word is reduced through the
+    # codec's regex filter of the R words; the same fault as above makes
+    # 53 violations, the same text for both suites.  The walks took 0.47 s
+    # and 0.69 s on a 2-core host with Python 3.11
+    pres = build_presentation(12)
+    (right, left), *_ = pres.rewrite_map.items()
+    pres.rewrite_map[right] = min(w for w in pres.l_words if w != left)
+    label = f"criterion 5: {sweep.__name__} fault path, n=12, max-len 3"
+    found = timed(2, label, lambda: sweep(pres, 3))
+    assert len(found) == 53
+    digest = "051007437b03d0f9d915f0c0c5bbe2545f00c980f2c2952e47e82289423e76e6"
+    assert hashlib.sha256("\n".join(found).encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("n, radius, budget", [(3, 4, 1), (1, 6, 3)])
 def test_criterion_5_cayley_ball_dot(n, radius, budget, capsys):
     # 64,347 vertices and 66,208 edges at n = 3; 235,036 and 247,224 at

@@ -545,8 +545,6 @@ def test_oracle_drops_each_ideal_after_its_last_use(m1, monkeypatch):
     real_ideal, real_holds = ideals._ideal, ideals._holds
 
     def tracked(root, window, pres, swaps):
-        if not root:
-            return None
         ideal = Ideal(real_ideal(root, window, pres, swaps))
         alive.add(root)
         weakref.finalize(ideal, alive.discard, root)
@@ -564,15 +562,32 @@ def test_oracle_drops_each_ideal_after_its_last_use(m1, monkeypatch):
     assert len(live) <= len(roots) < len(built)
 
 
-@pytest.mark.parametrize("fault", ["none", "p", "q", "extra"])
-def test_oracle_reports_exactly_the_wrong_meets_of_each_kind(m1, monkeypatch, fault):
+_FAULTS = ["none", "p", "q", "extra"]
+
+
+@pytest.mark.parametrize(
+    "pairs, fault",
+    [("all", f) for f in _FAULTS] + [("with-identity", f) for f in _FAULTS],
+    ids=_FAULTS + [f"with-identity-{f}" for f in _FAULTS],
+)
+def test_oracle_reports_exactly_the_wrong_meets_of_each_kind(
+    m1, monkeypatch, pairs, fault
+):
     # on the exhaustive n = 1, window 4 sample, 400 seeded pairs get no
     # generators, (p,), (q,) or one generator too many; the oracle reports
     # exactly those whose generators differ from the brute-force minimal
-    # common multiples, in sample order, whichever check decides the pair
+    # common multiples, in sample order, whichever check decides the pair.
+    # The 139 pairs that hold the identity, shuffled, are all planted: each
+    # is decided by definition, and only (1, 1) and a meet of the other
+    # element alone hold
     nfs = enumerate_elements(m1, 2)
     sample = list(product(nfs, repeat=2))
-    planted = set(random.Random(fault).sample(sample, 400))
+    if pairs == "all":
+        planted = set(random.Random(fault).sample(sample, 400))
+    else:
+        sample = [(p, q) for p, q in sample if not (p and q)]
+        random.Random(fault).shuffle(sample)
+        planted = set(sample)
     real = ideals._meet
 
     def faulty(p, q, shared, pres):
@@ -584,22 +599,47 @@ def test_oracle_reports_exactly_the_wrong_meets_of_each_kind(m1, monkeypatch, fa
 
     monkeypatch.setattr(ideals, "_meet", faulty)
     partners = ideals._letter_partners(m1.relations)
-    expected = []
+    expected, oracle = [], {}
     for p, q in sample:
         if (p, q) not in planted:
             continue
         shared = ideals._shared(p, q, partners)
         gens = sorted(faulty(p, q, shared, m1)[1], key=element_key)
-        minimal = brute_force_intersection(p, q, 4, m1)
+        minimal = oracle[p, q] = brute_force_intersection(p, q, 4, m1)
         if gens != minimal:
             expected.append(
                 f"({format_word(p)}, {format_word(q)}): fast generators "
                 f"{[format_word(g) for g in gens]} vs "
                 f"oracle {[format_word(m) for m in minimal]}"
             )
+    if pairs == "with-identity":
+        # the check builds no ideal, and a wrong pair's description reads
+        # the minimal common multiples found above
+        monkeypatch.setattr(
+            ideals, "_ideal", lambda root, *args: pytest.fail(f"ideal of {root}")
+        )
+        monkeypatch.setattr(
+            ideals, "brute_force_intersection", lambda p, q, w, pres: oracle[p, q]
+        )
     assert ideals._oracle_mismatches(sample, 4, m1, partners) == expected
     assert 0 < len(expected) <= len(planted)
-    assert fault == "extra" or len(expected) < len(planted)
+    if pairs == "all":
+        assert fault == "extra" or len(expected) < len(planted)
+    else:  # a planted (p,) is wrong when p alone is the identity, (q,) likewise
+        wrong = {"none": 139, "p": 69, "q": 69, "extra": 139}[fault]
+        assert len(expected) == wrong
+
+
+def test_window_refusal_names_the_budget_read_at_call_time(m1, monkeypatch):
+    # the ideal of a within window 4 has 585 seed words, over a budget of
+    # 100 set after import, and the refusal names that budget
+    monkeypatch.setattr(congruence, "DEFAULT_CAP", 100)
+    with pytest.raises(ValueError) as raised:
+        verify_alignment(m1, 1, 5, 4)
+    assert str(raised.value) == (
+        "window 4 is too large for the oracle: the ideal of a has 585 seed "
+        "words, over the closure cap of 100"
+    )
 
 
 def test_oracle_does_not_depend_on_the_rewriting_code(m1, monkeypatch):
