@@ -3,7 +3,8 @@
 Exit codes: 0 success (or predicate true), 1 predicate false or verification
 violations, 2 usage or input errors, 3 internal invariant violations, 4 a
 resource limit: a search that ran out of its word budget (CapExceeded) or a
-command that ran out of memory (MemoryError).
+command that ran out of memory (MemoryError), 141 (128 + SIGPIPE) output
+cut off by a closed pipe, with nothing printed.
 
 Only the presentation module is imported with this one; each command reads
 what it calls off the defining module when it runs (see _module), so a
@@ -16,6 +17,7 @@ import argparse
 import functools
 import importlib
 import json
+import os
 import sys
 from contextlib import nullcontext
 from itertools import islice
@@ -60,6 +62,10 @@ def build_parser() -> argparse.ArgumentParser:
     """The process's one parser, built on the first call and reused after;
     callers must not modify it.
 
+    Its commands attribute maps each command name to that command's own
+    parser: the subparsers action's choices, built with the parser, so a
+    rebuilt parser never pairs with an old table.  run dispatches on it.
+
     Reuse is safe: parse_args makes a fresh Namespace on every call, and
     eq's append action copies its None default, so -w values do not pile up
     across calls.  The subcommands' handlers (cmd_*) are bound when the
@@ -80,6 +86,7 @@ def _parser() -> argparse.ArgumentParser:
         "group-derivation certificates for the monoid family M_n.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     p = sub.add_parser("gen", help="print generators, relations and derived sets")
     _add_common(p)
@@ -386,9 +393,27 @@ def _command_line(args) -> str:
 
 
 def run(argv=None) -> int:
+    """Run one command in-process and return its exit code.
+
+    An argv that starts with a command name is parsed by that command's
+    parser alone, and its leftover tokens are refused by the top-level
+    parser, with the message and exit code that parsing the whole argv
+    there gives; the top-level parser would pass the same tail to the same
+    parser after scanning every token itself.  Any other argv (empty, -h,
+    an unknown command, an option before the command) goes to the
+    top-level parser.  Either way one argparse tree parses the argv.
+    """
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = parser.commands.get(argv[0]) if argv else None
     try:
-        args = parser.parse_args(argv)
+        if command is None:
+            args = parser.parse_args(argv)
+        else:
+            args, extras = command.parse_known_args(argv[1:])
+            if extras:
+                parser.error(f"unrecognized arguments: {' '.join(extras)}")
+            args.command = argv[0]
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
@@ -403,6 +428,9 @@ def run(argv=None) -> int:
     except MemoryError:
         print(f"resource limit: out of memory ({_command_line(args)})", file=sys.stderr)
         return 4
+    except BrokenPipeError:
+        # the reader closed the pipe, as head does: stop without a message
+        return 141
     except (ValueError, OSError) as exc:
         # PresentationError, WindowTooSmall, bad radius, unwritable path
         print(f"error: {exc}", file=sys.stderr)
@@ -410,7 +438,16 @@ def run(argv=None) -> int:
 
 
 def main(argv=None) -> None:
-    raise SystemExit(run(argv))
+    code = run(argv)
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        code = 141
+    if code == 141:
+        # as in the Python docs' note on SIGPIPE: with fd 1 on devnull, the
+        # flush at interpreter exit has no closed pipe left to fail on
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -6,6 +6,7 @@ Run with -rA (or -s) to see the lines for passing tests.
 """
 
 import hashlib
+import random
 import time
 
 import pytest
@@ -385,3 +386,33 @@ def test_criterion_9_alignment_sweep_sizes(m1, m3):
         lambda: verify_alignment(m10000, 1, 1, 2),
     )
     assert report.ok
+
+
+def test_criterion_10_cli_query_throughput(capsys):
+    # 2,000 fixed queries through run() at n <= 5, each closed-form on normal
+    # forms, so parsing and output dominate; one parser serves every call, and
+    # one rebuilt per call (about 2.3 ms) would alone take 4.6 s
+    rng = random.Random(2000)
+    letters = {n: build_presentation(n).generators for n in range(1, 6)}
+    argvs = []
+    for i in range(2000):
+        n = rng.randint(1, 5)
+        w1, w2 = (
+            " ".join(rng.choices(letters[n], k=rng.randint(1, 6))) for _ in "pq"
+        )
+        argvs.append(
+            (
+                ["nf", "-n", str(n), "-w", w1],
+                ["eq", "-n", str(n), "-w", w1, "-w", w2],
+                ["divides", "-n", str(n), "-p", w1, "-q", w2],
+                ["intersect", "-n", str(n), "-p", w1, "-q", w2],
+            )[i % 4]
+        )
+
+    codes = timed(
+        1.5,
+        "criterion 10: 2,000 nf, eq, divides and intersect queries in-process",
+        lambda: [run(argv) for argv in argvs],
+    )
+    assert set(codes) <= {0, 1}
+    assert capsys.readouterr().err == ""

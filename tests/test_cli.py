@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -669,6 +670,124 @@ def test_entry_point_raises_system_exit():
     with pytest.raises(SystemExit) as info:
         cli.main(["eq", "-n", "1", "-w", "a", "-w", "b"])
     assert info.value.code == 1
+
+
+@pytest.mark.parametrize(
+    "argv, first_line",
+    [
+        (["ball", "-n", "1", "--radius", "5", "--dot", "-"], b"digraph cayley {\n"),
+        (["gen", "-n", "2"], None),
+    ],
+    ids=["in-run", "at-the-last-flush"],
+)
+def test_closed_output_pipe_exits_141_silently(argv, first_line):
+    # stdout is block-buffered, as on any pipe: the ball's DOT, about 2 MB,
+    # far past what a pipe holds, meets the closed pipe inside run, and gen's
+    # few lines, left in the buffer, only at main's flush
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "malcev.cli", *argv],
+        env={**env, "PYTHONPATH": src},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    if first_line is not None:
+        assert proc.stdout.readline() == first_line
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (141, b"")
+
+
+# argv that the top-level parser once read whole: usage errors, help, "--",
+# abbreviations, bad ints and choices, and argv that name no command first
+PARSE_TABLE = [
+    [],
+    ["-h"],
+    ["--help"],
+    ["frob"],
+    ["frob", "-n", "1"],
+    ["-n", "1", "nf", "-w", "a"],
+    ["--format", "json", "gen", "-n", "1"],
+    ["--", "gen", "-n", "1"],
+    ["nf", "-h"],
+    ["verify", "--help"],
+    ["gen", "-n", "1", "-h", "--bogus"],
+    ["nf", "-n", "1", "-w", "a", "--bogus"],
+    ["intersect", "-n", "1", "-p", "A1", "-q", "d", "extra", "-x"],
+    ["nf", "-n", "1"],
+    ["nf", "-n", "1", "-w"],
+    ["nf", "-n", "x", "-w", "a"],
+    ["ball", "-n", "1", "--radius", "two"],
+    ["gen", "-n", "1", "--format", "xml"],
+    ["verify", "-n", "1", "--suite", "bogus", "--max-len", "1"],
+    ["verify", "-n", "1", "--s", "codet", "--max-len", "1"],
+    ["verify", "-n", "1", "--suite", "codet", "--max-len", "1", "--seed", "x"],
+    ["gen", "-n", "1", "--", "extra"],
+    ["nf", "-n", "1", "--", "-w", "a"],
+    ["nf", "-n", "1", "--wor", "d a"],
+    ["nf", "-n", "1", "-w", "d a", "--form", "json"],
+    ["gen", "-n=1"],
+    ["gen", "-n1", "--format=json"],
+    ["eq", "-n", "1", "-w", "d a", "-w", "A1 C1"],
+    ["divides", "-n", "1", "-p", "d", "-q", "A1 C1 b"],
+    ["verify", "-n", "1", "--sui", "codet", "--max-len", "1"],
+]
+
+
+def _parsed_by_the_top_level_parser(argv):
+    """The namespace (None on a usage error) and exit code given by
+    parse_args on the whole argv and, for a valid argv, its handler."""
+    try:
+        args = cli.build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return None, int(exc.code or 0)
+    return args, args.func(args)
+
+
+def _record_parses(monkeypatch):
+    """The namespaces that every ArgumentParser.parse_known_args call
+    returns from now on, in the order the calls return."""
+    parsed = []
+    real = argparse.ArgumentParser.parse_known_args
+
+    def recording(self, *args, **kwargs):
+        result = real(self, *args, **kwargs)
+        parsed.append(result[0])
+        return result
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", recording)
+    return parsed
+
+
+@pytest.mark.parametrize(
+    "argv", PARSE_TABLE, ids=lambda argv: " ".join(argv) or "empty"
+)
+def test_parsing_matches_the_top_level_parser(argv, monkeypatch, capsys):
+    expected, code = _parsed_by_the_top_level_parser(argv)
+    streams = capsys.readouterr()
+    parsed = _record_parses(monkeypatch)
+    assert run(argv) == code
+    assert capsys.readouterr() == streams
+    if expected is not None:
+        assert vars(parsed[-1]) == vars(expected)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["nf", "-n", "1", "-w", "d a"],
+        ["gen", "-n", "2", "--format", "json"],
+        ["verify", "-n", "1", "--suite", "codet", "--max-len", "1"],
+    ],
+    ids=["nf", "gen", "verify"],
+)
+def test_a_command_is_parsed_once(argv, monkeypatch, capsys):
+    parsed = _record_parses(monkeypatch)
+    assert run(argv) == 0
+    assert len(parsed) == 1
+    assert parsed[0].command == argv[0]
 
 
 # sha256 of each command's exact --format json stdout: a refactor that keeps
