@@ -12,7 +12,8 @@ by a count.  When every tail's predecessors are the standard ones and pass
 the suite's verdict, the elements and the bases, built from shorter
 elements, are reduced as joined code-point texts (see rewriting).
 Otherwise every element is walked plainly: its predecessors are read off
-it, and each edge is reduced and named if it fails.
+it, and each edge is reduced, a batch of elements at a time, and named if
+it fails.
 """
 
 from __future__ import annotations
@@ -187,8 +188,9 @@ def _predecessor_sweep(pres: Presentation, max_len: int, codec, verdict):
     element is sliced: each _BATCH of elements, joined, must reduce to
     itself, and each _BATCH of h + r to the joined h + w.  Otherwise, or
     when a text disagrees, every element v is walked plainly: its pairs
-    read off v itself, each edge word reduced on its own and named if it
-    does not reach v, then v's verdict."""
+    read off v itself, each edge word named if it does not reach v, then
+    v's verdict.  The walk reduces the edge words of each _BATCH of
+    elements as one joined text, whose words come back in order."""
     partners = {  # L word -> its R partners, read only from max_len 2 on
         a + b: rs
         for (a, b), rs in (codec.partners.items() if max_len >= 2 else ())
@@ -218,17 +220,20 @@ def _predecessor_sweep(pres: Presentation, max_len: int, codec, verdict):
 
     violations = []
     found = sum(len(words) for *_, words in checks) - 1 if clean else 0
-    for v in () if clean else spelled:  # the plain walk
-        pairs = _predecessors(v, partners)
-        found += len(pairs)
-        for u, x in pairs:
-            target = codec.reduce_text(u + x)
-            if target != v:
-                violations.append(
-                    f"edge {codec.name(u)} --{codec.letter[x]}--> "
-                    f"reaches {codec.name(target)}, not {codec.name(v)}"
-                )
-        violations += verdict(v, pairs)
+    for start in () if clean else range(0, len(spelled), _BATCH):  # the plain walk
+        batch = spelled[start : start + _BATCH]
+        edges = [_predecessors(v, partners) for v in batch]
+        joined = "\n".join(u + x for pairs in edges for u, x in pairs)
+        targets = iter(codec.reduce_joined(joined))
+        for v, pairs in zip(batch, edges):
+            found += len(pairs)
+            for (u, x), target in zip(pairs, targets):
+                if target != v:
+                    violations.append(
+                        f"edge {codec.name(u)} --{codec.letter[x]}--> "
+                        f"reaches {codec.name(target)}, not {codec.name(v)}"
+                    )
+            violations += verdict(v, pairs)
     # the elements come in element_key order, the shorter ones first
     expected = len(pres.generators) * bisect_left(spelled, max_len, key=len)
     if found != expected:

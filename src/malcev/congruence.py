@@ -2,11 +2,11 @@
 
 Relations preserve length, so the class of a word under the generated
 congruence is finite and breadth-first search enumerates it exactly.  One
-search, closure, serves both equality classes and the ideal oracle of the
-ideals module; it reads only the partner index of the relations, so it runs
-on Words and on their code-point strings alike.  The search never reduces a
-word: it is deliberately independent of the normal-form machinery, the
-oracle the rewriting module is checked against.
+search, closure, enumerates equality classes; it reads only the partner
+index of the relations, so it runs on Words and on their code-point strings
+alike.  The search never reduces a word: it is deliberately independent of
+the normal-form machinery, the oracle the rewriting module is checked
+against.
 
 The classes back the nf-oracle suite, which searches only the classes that
 two or more words share.  A word with no relation side among its two-letter

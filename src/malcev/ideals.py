@@ -13,40 +13,43 @@ sweep, intersect_principal and the oracle alike.
 
 The oracle is a windowed brute-force search over common multiples.  A
 pair with the identity is decided by definition: 1M and qM meet in qM,
-whose only generator is q.  Every other ideal is a plain set of words, the
-closure under the relations of a nonempty element's literal extensions
-within the window.  It is read off the same closure that enumerates
-equality classes, run twice: once for the class C of the element, and once
-across the boundary.  A relation step inside a word c of C stays in C and
-one inside an extension x stays among the extensions, so the only steps
-out of the words c x rewrite c's last letter and x's first, and the ideal
-is those words together with the closure of what such a step gives.  No
+whose only generator is q.  Every other ideal is the closure under the
+relations of a nonempty root's literal extensions within the window, and
+it is held as its antichain: its words with no proper prefix in it.  The
+ideal is closed under right extension (if w = root x then w z = root x z),
+so it is exactly the words within the window that begin with a word of
+the antichain.  The antichain is found by a search that extends a word
+only across its last letter: from root, by relation steps inside a word
+and by the steps y -> y[:-1] s, for each partner s of a relation side
+y[-1] g, which give y g.  Any relation step on an extension y z falls
+inside y, inside z, which keeps it in y's subtree, or across the seam, so
+these steps reach a prefix of every word of the ideal (see _ideal).  No
 word of it is reduced: an ideal is a union of whole equality classes, each
-holding its normal form, and membership, meets and differences of ideals
-decide the same as on normal forms.  So the oracle's verdict does not
-depend on the rewriting code; only the description of a failing pair
-reduces words.  Each sampled pair of nonempty elements is decided by the
-kind of its returned meet: an empty meet by disjoint ideals, a meet of p
-or q by one membership, and only a base-search meet by its common
-multiples.  Each root's ideal is built once and dropped after its last use
-in the sample, and the sampled pairs are checked grouped by their shorter
-element, so each large ideal lives for one block of the sample.  The
-per-pair oracle, brute_force_intersection, is minimised with the
-search-based divisibility of the congruence module and describes any pair
-that fails.
+holding its normal form, so membership and meets decide the same as on
+normal forms, and the oracle's verdict does not depend on the rewriting
+code; only the description of a failing pair reduces words.  On
+antichains a word lies in an ideal when a prefix of it is in the
+antichain; two ideals are disjoint when no word of either antichain is a
+prefix of a word of the other; and their meet's antichain is the words of
+each antichain that lie in the other ideal.  Each sampled pair of nonempty
+elements is decided by the kind of its returned meet: an empty meet by
+disjoint ideals, a meet of p or q by one membership, and only a
+base-search meet by the antichain of its common multiples.  Each root's
+ideal is built once and held for the run, and the pairs are checked in
+sample order.  The per-pair oracle, brute_force_intersection, expands and
+reduces only the meet's antichain, is minimised with the search-based
+divisibility of the congruence module, and describes any pair that fails.
 """
 
 from __future__ import annotations
 
 import random
-from collections import Counter
 from itertools import permutations, product
 from typing import NamedTuple
 
 from . import congruence
 from .congruence import (
     CapExceeded,
-    closure,
     count_over_budget,
     left_divides,
     word_count,
@@ -218,53 +221,121 @@ def _over_budget(root) -> CapExceeded:
     )
 
 
-def _ideal(root, window: int, pres: Presentation, swaps: dict) -> set:
-    """The elements of length <= window that a nonempty root left-divides,
-    as the words of the closure of root's literal extensions, given swaps,
-    the index _boundary_swaps(pres).
+class _Ideal:
+    """An ideal within a window, held as its antichain: its words with no
+    proper prefix in it.  The ideal is closed under right extension within
+    the window, so it is exactly the words of length <= window that begin
+    with a word of the antichain, and the subtrees of those words are
+    disjoint.  prefixes holds every nonempty prefix of the antichain's
+    words."""
 
-    The closure is built from the class C of root.  It holds every c x with
-    c in C and |c x| <= window, and the closure of the words c[:-1] s x',
-    one for each partner s of a relation side that begins with c[-1] and
-    each x' with |c x'| < window.  This is exact: a relation step inside c
-    stays in C and one inside x stays among the extensions, so a step out
-    of the words c x crosses the boundary, rewriting c[-1] and x[0] into a
-    partner s, and lands on one of those words; everything after it lies
-    in their closure.  The whole ideal counts against DEFAULT_CAP, read at
-    call time: CapExceeded, naming root, is raised before any word is built
-    when the words c x alone exceed it, by the boundary closure when that
-    does, and else once the words c x are added to it.
+    __slots__ = ("antichain", "prefixes", "window")
+
+    def __init__(self, antichain, window: int):
+        self.antichain = frozenset(antichain)
+        self.prefixes = frozenset(
+            a[:k] for a in self.antichain for k in range(1, len(a) + 1)
+        )
+        self.window = window
+
+    def __contains__(self, w) -> bool:
+        """Whether the word w lies in the ideal: it fits the window and a
+        prefix of it is in the antichain."""
+        return len(w) <= self.window and not self.antichain.isdisjoint(
+            w[:k] for k in range(1, len(w) + 1)
+        )
+
+    def isdisjoint(self, other: "_Ideal") -> bool:
+        """Whether no word lies in both ideals: no word of either antichain
+        is a prefix of a word of the other.  If one is, the longer of the
+        two lies in both; a common word begins with a word of each, and the
+        shorter of those is a prefix of the longer."""
+        return self.antichain.isdisjoint(
+            other.prefixes
+        ) and other.antichain.isdisjoint(self.prefixes)
+
+    def __and__(self, other: "_Ideal") -> "_Ideal":
+        """The meet of two ideals within one window, as its antichain: the
+        words of each antichain that lie in the other ideal.  A common word
+        begins with a word of each antichain, and the longer of those lies
+        in both ideals.  The result is an antichain: were a word a of one
+        part a proper prefix of a word b of the other's antichain, a would
+        begin with a word of b's antichain, which would be a proper prefix
+        of b."""
+        return _Ideal(
+            [a for a in self.antichain if a in other]
+            + [b for b in other.antichain if b in self],
+            self.window,
+        )
+
+
+def _ideal(root, window: int, pres: Presentation, swaps: dict) -> _Ideal:
+    """The elements of length <= window that a nonempty root left-divides:
+    the closure of root's literal extensions, held as its antichain, given
+    swaps, the index _boundary_swaps(pres).
+
+    The closure is closed under right extension within the window: if
+    w = root x in the monoid, then w z = root (x z).  So it is a union of
+    whole prefix subtrees, and its antichain is found by a search over
+    words that need not be extended letter by letter.  Let P be the
+    smallest set that holds root and is closed under (a) one relation step
+    inside a word and (b) y -> y[:-1] s for each partner s of a relation
+    side that begins with y[-1], when |y| < window.  Then the closure is
+    the words y x with y in P and |y x| <= window.  Sound: (a) keeps a word
+    in its class, and y[:-1] s equals y g for the side y[-1] g.  Complete:
+    a relation step on y z falls inside y, which (a) covers; inside z,
+    which stays in y's subtree; or across the seam, which (b) covers.  The
+    search skips a word that has a proper prefix among the words found: it
+    is not in the antichain, the words found with no proper prefix among
+    them.  Every word of the antichain is still stepped from, so the
+    completeness argument holds for the subtrees of the antichain, and
+    they are the whole closure.
+
+    The whole ideal counts against DEFAULT_CAP, read at call time: every
+    word found lies in it, so CapExceeded, naming root, is raised when the
+    search finds more words than the cap, or else when the subtrees of the
+    antichain hold more.  A root longer than the window has an empty ideal.
 
     No word is reduced.  The closure is closed under the relations, so it
     is a union of whole equality classes, each holding its element's normal
     form, and an element lies in it exactly when any word of its class
-    does.  Meets and differences of ideals are again unions of classes."""
-    extra = window - len(root)
-    cls = closure((root,), pres.partners)
-    if len(cls) * word_count(pres, extra) > congruence.DEFAULT_CAP:
+    does.  Meets of ideals are again unions of classes."""
+    partners = pres.partners
+    found = {root} if len(root) <= window else set()
+    queue = list(found)
+
+    def covered(y) -> bool:
+        """Whether a proper prefix of y is among the words found; none is
+        shorter than root."""
+        return not found.isdisjoint(y[:k] for k in range(len(root), len(y)))
+
+    for y in queue:
+        if covered(y):
+            continue
+        steps = [
+            y[:i] + s + y[i + 2 :]
+            for i in range(len(y) - 1)
+            for s in partners.get(y[i : i + 2], ())
+        ]
+        if len(y) < window:
+            steps += [y[:-1] + s for s in swaps.get(y[-1], ())]
+        for z in steps:
+            if z not in found:
+                if len(found) >= congruence.DEFAULT_CAP:
+                    raise _over_budget(root)
+                found.add(z)
+                queue.append(z)
+    antichain = [y for y in found if not covered(y)]
+    size = sum(word_count(pres, window - len(y)) for y in antichain)
+    if size > congruence.DEFAULT_CAP:
         raise _over_budget(root)
-    letters = pres.generators
-    across = (
-        c[:-1] + s + x
-        for c in cls
-        for s in swaps.get(c[-1], ())
-        for k in range(extra)
-        for x in product(letters, repeat=k)
-    )
-    # the boundary search runs first, so that its own word set is freed
-    # before the ideal grows to full size
-    ideal = set(closure(across, pres.partners, name=lambda _: format_word(root)))
-    ideal.update(
-        c + x for c in cls for k in range(extra + 1) for x in product(letters, repeat=k)
-    )
-    if len(ideal) > congruence.DEFAULT_CAP:
-        raise _over_budget(root)
-    return ideal
+    return _Ideal(antichain, window)
 
 
 def common_multiples(p: Word, q: Word, window: int, pres: Presentation):
     """Normal forms of length <= window divisible by both normal forms p and
-    q, sorted by element_key."""
+    q, sorted by element_key.  Only the meet of the two ideals is listed
+    and reduced: it lies in each ideal, which is within the word budget."""
     if window < max(len(p), len(q)) + 1:
         raise WindowTooSmall(
             f"window {window} cannot reach a minimal common multiple of "
@@ -274,8 +345,14 @@ def common_multiples(p: Word, q: Word, window: int, pres: Presentation):
     found = [_ideal(root, window, pres, swaps) for root in (p, q) if root]
     if not found:  # the identity's ideal is every element
         return enumerate_elements(pres, window)
-    common = set.intersection(*found)
-    return sorted({reduce_word(w, pres) for w in common}, key=element_key)
+    common = found[0] if len(found) == 1 else found[0] & found[1]
+    words = (
+        a + x
+        for a in common.antichain
+        for k in range(window - len(a) + 1)
+        for x in product(pres.generators, repeat=k)
+    )
+    return sorted({reduce_word(w, pres) for w in words}, key=element_key)
 
 
 def minimal_elements(elements, pres: Presentation):
@@ -298,8 +375,8 @@ def brute_force_intersection(p: Word, q: Word, window: int, pres: Presentation):
 
 
 def _is_meet(gens, gen_ideals, common) -> bool:
-    """Whether gens are exactly the minimal elements of common, the common
-    multiples within the window, given gen_ideals, the ideal of each
+    """Whether gens are exactly the minimal elements of common, the ideal of
+    common multiples within the window, given gen_ideals, the ideal of each
     generator.
 
     It holds when every generator is a common multiple, none lies in
@@ -307,10 +384,11 @@ def _is_meet(gens, gen_ideals, common) -> bool:
     ideal.  A minimal element then lies in the ideal of a generator, which
     it must equal.  A generator is minimal: a proper divisor of it in common
     would lie in the ideal of another generator, which would then divide it.
-    The ideals are unions of whole equality classes, so the membership
-    tests and the difference decide the same on their raw words as on
-    normal forms: a generator, itself a normal form, is in an ideal exactly
-    when its class is.
+    The last test reads only common's antichain: a word of it lies in a
+    generator's ideal exactly when its whole subtree does.  The ideals are
+    unions of whole equality classes, so the membership tests decide the
+    same on their raw words as on normal forms: a generator, itself a
+    normal form, is in an ideal exactly when its class is.
 
     Three kinds of meet of a sampled pair (p, q) never reach this check;
     _holds decides each by the predicate it reduces to: no generators
@@ -321,19 +399,7 @@ def _is_meet(gens, gen_ideals, common) -> bool:
     pairs = permutations(zip(gens, gen_ideals), 2)
     if any(g in h_ideal for (g, _), (_, h_ideal) in pairs):
         return False
-    return not common.difference(*gen_ideals)
-
-
-def _meet_roots(p, q, gens) -> tuple:
-    """The roots whose ideals _holds reads to decide whether gens is the
-    meet of nonempty p and q, kind by kind as it reads them."""
-    if not gens:
-        return (p, q)
-    if gens == (q,):
-        return (p,)
-    if gens == (p,):
-        return (q,)
-    return (p, q, *gens)
+    return all(any(c in i for i in gen_ideals) for c in common.antichain)
 
 
 def _holds(p, q, gens, ideal) -> bool:
@@ -346,7 +412,7 @@ def _holds(p, q, gens, ideal) -> bool:
     No generators: the ideals of p and q are disjoint.  (q,): q lies in p's
     ideal; the common multiples all lie in q's ideal.  (p,): the mirror
     case.  Any other generators, from the base search or from a fault, go
-    through _is_meet with the common multiples."""
+    through _is_meet with the meet of the two ideals."""
     if not gens:
         return ideal(p).isdisjoint(ideal(q))
     if gens == (q,):
@@ -357,36 +423,18 @@ def _holds(p, q, gens, ideal) -> bool:
 
 
 def _oracle_mismatches(sample, window: int, pres: Presentation, partners):
-    """Check the meet of each sampled pair against the brute-force oracle.
+    """Check the meet of each sampled pair against the brute-force oracle,
+    in sample order, and describe each pair that fails.
 
     Shared Q extensions come from the letter table partners, the one the
     sweep reads.  A pair with the identity is decided by definition: it
     holds exactly when its generators are the other element alone, or the
     identity alone for the pair of identities.  So is a pair of nonempty
     elements whose generators include the identity, which divides neither.
-    Every other pair is decided by _holds, which reads the ideals of
-    _meet_roots.  Each root's ideal is built once and dropped after its
-    last use: the uses of every root are counted before the first ideal is
-    built.  Those pairs are checked grouped by their shorter element, whose
-    ideal is the larger, so each large ideal is held for one block of the
-    sample: the key is the element's rank by element_key among the sampled
-    elements, and ties keep sample order.  Mismatches are described after
-    the check, in sample order.
+    Every other pair is decided by _holds.  Each root's ideal is built the
+    first time a check reads it and held for the run: an ideal is only its
+    antichain and the prefixes of its words.
     """
-    distinct = {w for pair in sample for w in pair if w}
-    rank = {w: i for i, w in enumerate(sorted(distinct, key=element_key))}
-    checks, grouped, wrong = [], [], []  # grouped, wrong: positions in checks
-    for p, q in sample:
-        try:
-            _, gens = _meet(p, q, _shared(p, q, partners), pres)
-        except AlignmentViolation:
-            continue  # only partners raise, and the sweep reported those
-        if p and q and () not in gens:
-            grouped.append(len(checks))
-        elif gens != (p or q,):
-            wrong.append(len(checks))
-        checks.append((p, q, gens))
-    uses = Counter(root for i in grouped for root in _meet_roots(*checks[i]))
     swaps = _boundary_swaps(pres)
     ideals = {}
 
@@ -394,20 +442,25 @@ def _oracle_mismatches(sample, window: int, pres: Presentation, partners):
         found = ideals.get(root)
         if found is None:
             found = ideals[root] = _ideal(root, window, pres, swaps)
-        uses[root] -= 1
-        if not uses[root]:
-            del ideals[root]
         return found
 
-    for i in sorted(grouped, key=lambda i: min(rank[checks[i][0]], rank[checks[i][1]])):
-        p, q, gens = checks[i]
-        if not _holds(p, q, gens, ideal):
-            wrong.append(i)
+    wrong = []
+    for p, q in sample:
+        try:
+            _, gens = _meet(p, q, _shared(p, q, partners), pres)
+        except AlignmentViolation:
+            continue  # only partners raise, and the sweep reported those
+        if p and q and () not in gens:
+            holds = _holds(p, q, gens, ideal)
+        else:
+            holds = gens == (p or q,)
+        if not holds:
+            wrong.append((p, q, gens))
     return [
         f"({format_word(p)}, {format_word(q)}): fast generators "
         f"{[format_word(g) for g in sorted(gens, key=element_key)]} vs oracle "
         f"{[format_word(m) for m in brute_force_intersection(p, q, window, pres)]}"
-        for p, q, gens in map(checks.__getitem__, sorted(wrong))
+        for p, q, gens in wrong
     ]
 
 
@@ -504,10 +557,9 @@ def verify_alignment(
 
     No per-pair result is stored.  The sample is drawn before the sweep.
     The oracle reads the same table, builds once each ideal that a pair's
-    check reads, checks the pairs grouped by their shorter element, and
-    drops each ideal after its last use.  A window in which some sampled
-    element has more literal extensions than the closure cap is refused up
-    front with a ValueError.
+    check reads, and checks the pairs in sample order.  A window in which
+    some sampled element has more literal extensions than the closure cap
+    is refused up front with a ValueError.
     """
     if pres.n is None:
         raise PresentationError("alignment verification needs the indexed family")

@@ -263,6 +263,20 @@ def test_criterion_5_cayley_structure_fault_path_above_16_relations(sweep):
     assert hashlib.sha256("\n".join(found).encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("sweep", [codeterminism_violations, indegree_violations])
+def test_criterion_5_cayley_structure_fault_path_n200(sweep):
+    # 646,820 elements under 401 relations, each batch of their edge words
+    # reduced as one text; the same fault as above makes one violation.
+    # The walks took 0.96 s and 1.52 s on a 2-core host with Python 3.11,
+    # and 1.11 s and 1.78 s with each edge word reduced on its own
+    pres = build_presentation(200)
+    (right, left), *_ = pres.rewrite_map.items()
+    pres.rewrite_map[right] = min(w for w in pres.l_words if w != left)
+    label = f"criterion 5: {sweep.__name__} fault path, n=200, max-len 2"
+    found = timed(3, label, lambda: sweep(pres, 2))
+    assert found == ["edge A1 --C1--> reaches A1 D1, not d a"]
+
+
 @pytest.mark.parametrize("n, radius, budget", [(3, 4, 1), (1, 6, 3)])
 def test_criterion_5_cayley_ball_dot(n, radius, budget, capsys):
     # 64,347 vertices and 66,208 edges at n = 3; 235,036 and 247,224 at
@@ -386,6 +400,22 @@ def test_criterion_9_alignment_sweep_sizes(m1, m3):
         lambda: verify_alignment(m10000, 1, 1, 2),
     )
     assert report.ok
+
+
+def test_criterion_9_alignment_oracle_largest_windows(m1, m2):
+    # every pair at n = 1, max-len 2, at window 7, the largest the CLI
+    # admits there, and 2,000 sampled pairs at n = 2, max-len 3, window 6,
+    # each ideal held as its antichain: 0.014 s and 0.027 s on a 2-core
+    # host with Python 3.11, against 11.7 s and 5.3 s end to end when each
+    # ideal was its set of words
+    for pres, max_len, samples, window in ((m1, 2, 4900, 7), (m2, 3, 2000, 6)):
+        report = timed(
+            2,
+            f"criterion 9: alignment oracle at n = {pres.n}, max-len {max_len}, "
+            f"window {window}, {samples} samples",
+            lambda: verify_alignment(pres, max_len, samples, window),
+        )
+        assert report.ok and report.sampled == samples
 
 
 def test_criterion_10_cli_query_throughput(capsys):

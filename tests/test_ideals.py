@@ -1,6 +1,5 @@
 import random
 import tracemalloc
-import weakref
 from collections import Counter
 from itertools import permutations, product
 
@@ -79,6 +78,17 @@ def ideal_by_literal_extensions(root, window, pres):
 
 def ideal(root, window, pres):
     return ideals._ideal(root, window, pres, ideals._boundary_swaps(pres))
+
+
+def ideal_words(root, window, pres):
+    """Every word of root's ideal: each word of its antichain followed by
+    each word over the generators that keeps it within the window."""
+    return frozenset(
+        a + x
+        for a in ideal(root, window, pres).antichain
+        for extra in range(window - len(a) + 1)
+        for x in product(pres.generators, repeat=extra)
+    )
 
 
 def extension_letter_partners(pres, ext):
@@ -462,7 +472,6 @@ def test_ideal_matches_the_closure_of_every_literal_extension(n, max_len, window
     # every nonempty element and 50 seeded raw words, at every window from
     # their length up; at n = 12 token order differs from index order
     pres = build_presentation(n)
-    swaps = ideals._boundary_swaps(pres)
     rng = random.Random(n)
     roots = enumerate_elements(pres, max_len)[1:] + [
         tuple(rng.choices(pres.generators, k=rng.randint(1, max_len)))
@@ -471,7 +480,18 @@ def test_ideal_matches_the_closure_of_every_literal_extension(n, max_len, window
     for root in roots:
         for w in range(len(root), window + 1):
             expected = ideal_by_literal_extensions(root, w, pres)
-            assert ideals._ideal(root, w, pres, swaps) == expected, (root, w)
+            assert ideal_words(root, w, pres) == expected, (root, w)
+
+
+def test_ideal_matches_the_closure_of_every_literal_extension_at_window_7(m1):
+    # the largest window the CLI admits at n = 1: every letter and 20
+    # seeded two-letter words, whose closures hold 74,898 to 374,491 words
+    rng = random.Random(7)
+    roots = [(x,) for x in m1.generators]
+    roots += [tuple(rng.choices(m1.generators, k=2)) for _ in range(20)]
+    for root in roots:
+        expected = ideal_by_literal_extensions(root, 7, m1)
+        assert ideal_words(root, 7, m1) == expected, root
 
 
 def test_common_multiples_count_the_whole_ideal_against_the_cap(m1, monkeypatch):
@@ -537,29 +557,40 @@ def test_oracle_builds_each_ideal_once(m1, monkeypatch):
     assert () not in roots  # the identity's ideal is never built
 
 
-def test_oracle_drops_each_ideal_after_its_last_use(m1, monkeypatch):
-    class Ideal(set):  # a set that takes a finalizer
-        pass
+def test_oracle_holds_each_ideal_as_an_antichain(m1, monkeypatch):
+    # no word of an ideal the exhaustive oracle builds is a prefix of
+    # another, and each ideal's prefixes are those of its words; the
+    # oracle builds the ideal of every nonempty element, and of the
+    # generators of base-search meets
+    built = {}
+    real = ideals._ideal
 
-    alive, seen = set(), []
-    real_ideal, real_holds = ideals._ideal, ideals._holds
+    def kept(root, window, pres, swaps):
+        built[root] = real(root, window, pres, swaps)
+        return built[root]
 
-    def tracked(root, window, pres, swaps):
-        ideal = Ideal(real_ideal(root, window, pres, swaps))
-        alive.add(root)
-        weakref.finalize(ideal, alive.discard, root)
-        return ideal
+    monkeypatch.setattr(ideals, "_ideal", kept)
+    assert verify_alignment(m1, max_len=2, samples=70 * 70, window=5).ok
+    assert set(built) > set(enumerate_elements(m1, 2)[1:])
+    for found in built.values():
+        words = found.antichain
+        prefixes = {a[:k] for a in words for k in range(1, len(a))}
+        assert words and words.isdisjoint(prefixes)
+        assert found.prefixes == prefixes | words
 
-    def watched(p, q, gens, ideal):
-        seen.append((set(alive), ideals._meet_roots(p, q, gens)))
-        return real_holds(p, q, gens, ideal)
 
-    monkeypatch.setattr(ideals, "_ideal", tracked)
-    monkeypatch.setattr(ideals, "_holds", watched)
-    assert verify_alignment(m1, max_len=1, samples=81, window=3).ok
-    built = set().union(*(live for live, _ in seen))
-    live, roots = seen[-1]  # only the last pair's ideals are still held
-    assert len(live) <= len(roots) < len(built)
+def test_window_7_oracle_memory_peak(m1):
+    # every pair at n = 1, max-len 2, at the largest window the CLI admits:
+    # 0.47 MiB traced on Python 3.11; as word sets the ideals filled about
+    # 685 MB of peak RSS
+    tracemalloc.start()
+    try:
+        report = verify_alignment(m1, 2, 70 * 70, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok and report.sampled == 70 * 70
+    assert peak < 50 * 2**20, f"{peak / 2**20:.2f} MiB"
 
 
 _FAULTS = ["none", "p", "q", "extra"]
@@ -643,18 +674,18 @@ def test_window_refusal_names_the_budget_read_at_call_time(m1, monkeypatch):
 
 
 def test_oracle_does_not_depend_on_the_rewriting_code(m1, monkeypatch):
-    # ideals are raw closure sets, so a planted fault in reduce_word reaches
-    # neither an ideal nor the verdict of a clean sweep
+    # ideals are antichains of raw words, never reduced, so a planted fault
+    # in reduce_word reaches neither an ideal nor the verdict of a clean sweep
     root = el("d", m1)
-    clean = ideal(root, 4, m1)
+    clean = ideal_words(root, 4, m1)
     monkeypatch.setattr(ideals, "reduce_word", lambda w, pres: w[::-1])
-    assert ideal(root, 4, m1) == clean
+    assert ideal_words(root, 4, m1) == clean
     assert verify_alignment(m1, 2, 4900, 4).ok
 
 
 def test_oracle_reports_mismatches_in_sample_order(m1, monkeypatch):
     # with no divisibility every meet is the shared extensions, so many
-    # sampled meets are wrong; the pairs are checked grouped by root, and
+    # sampled meets are wrong; the ideals are shared across the sample, and
     # the mismatches come back as a pair-by-pair check reports them
     monkeypatch.setattr(ideals, "_left_divides_nf", lambda p, q, pres: None)
     nfs = enumerate_elements(m1, 2)
@@ -683,11 +714,10 @@ def test_oracle_reports_a_self_pair_with_a_wrong_meet(m1, monkeypatch):
 
 
 def test_oracle_memory_peak(m1):
-    # each large ideal is held for one block of the sample: 4.09 MiB traced
-    # on Python 3.11 (4.27 MiB when each ideal was one closure of all its
-    # literal extensions), against 7.59 MiB when the ideals were sets of
-    # normal forms checked in sample order; the bound is about 1.4 times
-    # 4.30 MiB, an earlier reading
+    # each ideal is held as its prefix antichain: 0.07 MiB traced on Python
+    # 3.11, against 4.09 MiB when each was its set of words, held for one
+    # block of the sample, and 7.59 MiB when the ideals were sets of normal
+    # forms; the bound is about 1.4 times 4.30 MiB, a reading with word sets
     tracemalloc.start()
     try:
         report = verify_alignment(m1, 2, 300, 5, seed=3)

@@ -35,7 +35,7 @@ from test_cayley import (
     predecessors_by_search,
 )
 from test_congruence import _per_group_partition_agreement, side_words_by_brute_force
-from test_ideals import ideal_by_literal_extensions
+from test_ideals import ideal_by_literal_extensions, ideal_words
 from test_rewriting import plain_cancellativity_sweep, spelled_partners_as_words
 
 
@@ -206,9 +206,8 @@ def test_ideal_matches_the_closure_of_every_literal_extension(draw):
     # from its length to two letters past it
     rng = random.Random(draw)
     for i, pres in enumerate(SMALL if draw == "small" else LARGE):
-        swaps = ideals._boundary_swaps(pres)
         for _ in range(30):
             root = tuple(rng.choices(pres.generators, k=rng.randint(1, 3)))
             for window in range(len(root), len(root) + 3):
                 expected = ideal_by_literal_extensions(root, window, pres)
-                assert ideals._ideal(root, window, pres, swaps) == expected, (i, root)
+                assert ideal_words(root, window, pres) == expected, (i, root)
