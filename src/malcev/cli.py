@@ -166,10 +166,10 @@ def _presentation(n: int) -> Presentation:
 def _built(build, n: int) -> Presentation:
     """build(n), for the last 8 (build, n) pairs asked for.
 
-    A presentation holds about 2 KiB per unit of n (tracemalloc, Python
-    3.11: 11 KiB at n = 5, 24 MiB at n = 10,000), so the cache pins at most
-    8 times the largest one asked for: under 2 MiB while n <= 100, and
-    about 4 GiB at the largest n the CLI accepts, 249,999.
+    A presentation holds about 1.8 KiB per unit of n (tracemalloc, Python
+    3.11: 9 KiB at n = 5, 17.5 MiB at n = 10,000), so the cache pins at
+    most 8 times the largest one asked for: under 2 MiB while n <= 100, and
+    about 3.5 GiB at the largest n the CLI accepts, 249,999.
     """
     return build(n)
 

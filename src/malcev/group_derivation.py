@@ -19,7 +19,6 @@ from .presentation import (
     Letter,
     Presentation,
     PresentationError,
-    Relation,
     Word,
     format_word,
 )
@@ -205,55 +204,30 @@ def is_relator_product(
 def build_obstruction_script(pres: Presentation):
     """The derivation forcing c a = B1 C1 in any group satisfying the
     relations: expand across the c b = B_n D_n and d-side relations, then
-    walk the index ladder down from n to 1."""
+    walk the index ladder down from n to 1.  It reads each relation's index
+    off the layout that build_presentation states; apply_step checks that
+    the relation is there when the script is replayed."""
     n = pres.n
     if n is None:
         raise PresentationError("obstruction scripts need the indexed family")
-    a, b, c, d = "a", "b", "c", "d"
-    A, B, C, D = ({i: f"{k}{i}" for i in range(1, n + 1)} for k in "ABCD")
-    index_of = {rel: i for i, rel in enumerate(pres.relations)}
-
     steps = []
 
     def push(kind, position, **kw):
         steps.append(DerivationStep(kind=kind, position=position, **kw))
 
-    push(INSERT, 1, letter=b, sign=POS)
-    push(INSERT, 3, letter=d, sign=NEG)
-    push(
-        RELATOR,
-        0,
-        relation_index=index_of[Relation((c, b), (B[n], D[n]))],
-        direction=LEFT_TO_RIGHT,
-    )
-    push(
-        RELATOR,
-        2,
-        relation_index=index_of[Relation((A[n], D[n]), (d, b))],
-        direction=RIGHT_TO_LEFT,
-        inverted=True,
-    )
-    push(
-        RELATOR,
-        4,
-        relation_index=index_of[Relation((d, a), (A[1], C[1]))],
-        direction=LEFT_TO_RIGHT,
-    )
+    push(INSERT, 1, letter="b", sign=POS)
+    push(INSERT, 3, letter="d", sign=NEG)
+    # c b = B_n D_n, A_n D_n = d b and d a = A1 C1
+    push(RELATOR, 0, relation_index=n + 1, direction=LEFT_TO_RIGHT)
+    push(RELATOR, 2, relation_index=n, direction=RIGHT_TO_LEFT, inverted=True)
+    push(RELATOR, 4, relation_index=0, direction=LEFT_TO_RIGHT)
     push(CANCEL, 1)
     for k in range(n, 1, -1):
-        push(INSERT, 1, letter=C[k], sign=POS)
+        # B_k C_k = B_{k-1} D_{k-1} and A_{k-1} D_{k-1} = A_k C_k
+        push(INSERT, 1, letter=f"C{k}", sign=POS)
+        push(RELATOR, 0, relation_index=2 * n + 2 - k, direction=LEFT_TO_RIGHT)
         push(
-            RELATOR,
-            0,
-            relation_index=index_of[Relation((B[k], C[k]), (B[k - 1], D[k - 1]))],
-            direction=LEFT_TO_RIGHT,
-        )
-        push(
-            RELATOR,
-            2,
-            relation_index=index_of[Relation((A[k - 1], D[k - 1]), (A[k], C[k]))],
-            direction=RIGHT_TO_LEFT,
-            inverted=True,
+            RELATOR, 2, relation_index=k - 1, direction=RIGHT_TO_LEFT, inverted=True
         )
         push(CANCEL, 1)
     push(CANCEL, 1)

@@ -335,7 +335,9 @@ def _ideal(root, window: int, pres: Presentation, swaps: dict) -> _Ideal:
 def common_multiples(p: Word, q: Word, window: int, pres: Presentation):
     """Normal forms of length <= window divisible by both normal forms p and
     q, sorted by element_key.  Only the meet of the two ideals is listed
-    and reduced: it lies in each ideal, which is within the word budget."""
+    and reduced: it lies in each ideal, which is within the word budget.
+    The identity's ideal is every element, counted against DEFAULT_CAP,
+    read at call time, before any is listed."""
     if window < max(len(p), len(q)) + 1:
         raise WindowTooSmall(
             f"window {window} cannot reach a minimal common multiple of "
@@ -344,6 +346,8 @@ def common_multiples(p: Word, q: Word, window: int, pres: Presentation):
     swaps = _boundary_swaps(pres)
     found = [_ideal(root, window, pres, swaps) for root in (p, q) if root]
     if not found:  # the identity's ideal is every element
+        if count_elements(pres, window) > congruence.DEFAULT_CAP:
+            raise _over_budget(())
         return enumerate_elements(pres, window)
     common = found[0] if len(found) == 1 else found[0] & found[1]
     words = (

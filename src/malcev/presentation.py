@@ -6,9 +6,10 @@ C_1..C_n, D_1..D_n and 2n+1 relations, each pairing two two-letter words.
 A generator is its token, the string the paper and the output spell it with
 ("a", "A2"), and a word is a tuple of tokens.  Every algorithm downstream
 consumes the derived structure computed here: the first-letter class P, the
-second-letter class Q, the left/right relation word sets L and R, the
-rewrite map sending each R word to its L partner, and the two-way index
-partners listing, for every relation word, the words it can be swapped for.
+second-letter class Q, the set L of left relation words, the rewrite map
+sending each right relation word to its L partner, whose keys are the set R
+of right relation words, and the two-way index partners listing, for every
+relation word, the words it can be swapped for.
 """
 
 from __future__ import annotations
@@ -108,63 +109,69 @@ class Presentation:
     Construction validates the relations: every side has length 2 and uses
     only the generators, P and Q are disjoint, L and R are disjoint, and the
     rewrite map is functional.  The generators must be distinct tokens, so
-    that token order is a total order on them.
+    that token order is a total order on them.  The constructor reads the
+    relations once and keeps only what the package reads: generator_set,
+    p_set and q_set, l_words, rewrite_map, r_words (its key view), and
+    partners, each relation word mapped to the tuple of its partners in
+    presentation order.
     """
 
     def __init__(self, n: Optional[int], generators: tuple, relations: tuple):
         self.n = n
         self.generators = generators
         self.relations = relations
-        if len(set(generators)) != len(generators):
+        self.generator_set = frozenset(generators)
+        if len(self.generator_set) != len(generators):
             raise PresentationError("generators must have distinct tokens")
+        # one pass over the relations; it raises NotBalanced, and the later
+        # rules above are checked after it, in the order listed
+        p_set, q_set, l_words = set(), set(), set()
+        rewrite_map, partners = {}, {}
+        ambiguous = None  # the first R word given two distinct left partners
         for left, right in relations:
             if len(left) != 2 or len(right) != 2:
                 raise NotBalanced(
                     f"relation sides must have length 2: "
                     f"{format_word(left)} = {format_word(right)}"
                 )
-        sides = [side for rel in relations for side in rel]
-        generator_set = frozenset(generators)
-        foreign = {x for side in sides for x in side} - generator_set
+            p_set.add(left[0])
+            p_set.add(right[0])
+            q_set.add(left[1])
+            q_set.add(right[1])
+            l_words.add(left)
+            if right not in rewrite_map:  # a relation given twice adds nothing
+                rewrite_map[right] = left
+                partners[left] = (*partners.get(left, ()), right)
+                partners[right] = (*partners.get(right, ()), left)
+            elif ambiguous is None and rewrite_map[right] != left:
+                ambiguous = right
+        foreign = (p_set | q_set) - self.generator_set
         if foreign:
             raise ForeignLetter(
                 "relation letters outside the generators: "
                 + " ".join(sorted(foreign))
             )
-        p_set = frozenset(side[0] for side in sides)
-        q_set = frozenset(side[1] for side in sides)
         if p_set & q_set:
             raise PQOverlap(
                 "letters occur in both positions: "
                 + " ".join(sorted(p_set & q_set))
             )
-        l_words = frozenset(left for left, _ in relations)
-        r_words = frozenset(right for _, right in relations)
+        r_words = rewrite_map.keys()
         if l_words & r_words:
             raise LROverlap(
                 "words occur on both sides: "
                 + ", ".join(sorted(format_word(w) for w in l_words & r_words))
             )
-        rewrite_map = {}
-        partners = {}
-        for left, right in relations:
-            if right in rewrite_map:
-                if rewrite_map[right] != left:
-                    raise AmbiguousRewrite(
-                        f"{format_word(right)} has two distinct left partners"
-                    )
-                continue  # a relation given twice adds no partner
-            rewrite_map[right] = left
-            partners.setdefault(left, []).append(right)
-            partners.setdefault(right, []).append(left)
-        self.generator_set = generator_set
+        if ambiguous is not None:
+            raise AmbiguousRewrite(
+                f"{format_word(ambiguous)} has two distinct left partners"
+            )
         self.p_set = p_set
         self.q_set = q_set
-        self.q_letters = tuple(x for x in generators if x in q_set)
         self.l_words = l_words
         self.r_words = r_words
         self.rewrite_map = rewrite_map
-        self.partners = {w: tuple(ws) for w, ws in partners.items()}
+        self.partners = partners
 
     def __repr__(self) -> str:
         return (
@@ -175,7 +182,16 @@ class Presentation:
 
 def build_presentation(n: int) -> Presentation:
     """Construct the n-th presentation of the family (4+4n generators,
-    2n+1 relations)."""
+    2n+1 relations).
+
+    The relations are laid out by index, which build_obstruction_script
+    reads without searching for them:
+        0           d a = A1 C1
+        i           A_i D_i = A_{i+1} C_{i+1}, for 1 <= i < n
+        n           A_n D_n = d b
+        n + 1       c b = B_n D_n
+        2n + 1 - i  B_{i+1} C_{i+1} = B_i D_i, for 1 <= i < n
+    """
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise PresentationError(f"n must be a positive integer, got {n!r}")
     A, B, C, D = ({i: f"{k}{i}" for i in range(1, n + 1)} for k in INDEXED_KINDS)

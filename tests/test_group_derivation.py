@@ -297,7 +297,7 @@ def test_verify_obstruction_refuses_a_monoid_that_identifies_the_witness(m1):
         verify_obstruction(fused)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 12, 50])
 def test_verify_obstruction(n):
     pres = build_presentation(n)
     cert = verify_obstruction(pres)

@@ -52,6 +52,11 @@ def gen_strs(result):
     return [format_word(g) for g in result.generators]
 
 
+def q_letters(pres):
+    """The Q letters, in generator order."""
+    return tuple(x for x in pres.generators if x in pres.q_set)
+
+
 def q_extensions(nf, pres):
     """Reference: normal forms of nf times each Q letter, for a normal form
     nf, by one boundary step.  For a normal form p and a letter x, the
@@ -61,7 +66,7 @@ def q_extensions(nf, pres):
     with p[-2]."""
     rewrite = pres.rewrite_map
     head, tail = nf[:-1], nf[-1:]
-    pairs = (tail + (x,) for x in pres.q_letters)
+    pairs = (tail + (x,) for x in q_letters(pres))
     return frozenset(head + rewrite.get(pair, pair) for pair in pairs)
 
 
@@ -292,7 +297,7 @@ def test_exhaustive_sweep_matches_per_pair_oracle(m1):
 def test_q_extensions_match_reduction(n, request):
     pres = request.getfixturevalue(f"m{n}")
     for w in enumerate_elements(pres, 3):
-        expected = {reduce_word(w + (x,), pres) for x in pres.q_letters}
+        expected = {reduce_word(w + (x,), pres) for x in q_letters(pres)}
         assert q_extensions(w, pres) == expected, format_word(w)
 
 
@@ -322,7 +327,7 @@ def test_oracle_catches_a_planted_extension_fault(m1, monkeypatch, plant, flagge
 
     def planted(nf, pres):
         if plant == "drop":
-            return real(nf, pres) - {reduce_word(nf + pres.q_letters[:1], pres)}
+            return real(nf, pres) - {reduce_word(nf + q_letters(pres)[:1], pres)}
         return real(nf, pres) | {cc}
 
     monkeypatch.setattr(
@@ -849,3 +854,23 @@ def test_common_multiples_with_identity(m3):
 def test_common_multiples_of_identity_with_itself(m1):
     one = el("1", m1)
     assert common_multiples(one, one, 3, m1) == enumerate_elements(m1, 3)
+
+
+def test_common_multiples_of_identity_with_itself_count_against_the_cap(
+    m1, monkeypatch
+):
+    # the identity's ideal is every element: 534 within window 3 at n = 1,
+    # counted before any is listed, against the budget read at call time
+    one = el("1", m1)
+    expected = enumerate_elements(m1, 3)
+    assert len(expected) == 534
+    monkeypatch.setattr(congruence, "DEFAULT_CAP", 534)
+    assert common_multiples(one, one, 3, m1) == expected
+    monkeypatch.setattr(congruence, "DEFAULT_CAP", 533)
+    with pytest.raises(CapExceeded, match="^closure of 1 exceeds 533 words"):
+        common_multiples(one, one, 3, m1)
+    # 1,787,580 elements within window 7, refused at the default budget
+    monkeypatch.undo()
+    cap = congruence.DEFAULT_CAP
+    with pytest.raises(CapExceeded, match=f"^closure of 1 exceeds {cap} words"):
+        common_multiples(one, one, 7, m1)

@@ -87,7 +87,74 @@ def test_derived_structure_invariants():
                 for side, other in (rel, rel[::-1])
                 if side == word
             ]
-        assert pres.q_letters == tuple(x for x in pres.generators if x in pres.q_set)
+        q_letters = tuple(x for x in pres.generators if x in pres.q_set)
+        indices = range(1, n + 1)
+        assert q_letters == ("a", "b", *(f"{k}{i}" for k in "CD" for i in indices))
+
+
+def test_relation_layout_through_n50():
+    # the indices build_presentation's docstring gives, which
+    # build_obstruction_script reads without searching; from n = 10 on,
+    # token order (A10 before A2) differs from index order
+    for n in range(1, 51):
+        rels = build_presentation(n).relations
+        assert len(rels) == 2 * n + 1
+        assert rels[0] == (("d", "a"), ("A1", "C1"))
+        for i in range(1, n):
+            j = i + 1
+            assert rels[i] == ((f"A{i}", f"D{i}"), (f"A{j}", f"C{j}"))
+            assert rels[2 * n + 1 - i] == ((f"B{j}", f"C{j}"), (f"B{i}", f"D{i}"))
+        assert rels[n] == ((f"A{n}", f"D{n}"), ("d", "b"))
+        assert rels[n + 1] == (("c", "b"), (f"B{n}", f"D{n}"))
+
+
+@pytest.mark.parametrize(
+    "generators, relations, error, message",
+    [
+        # a foreign letter in the first relation, an unbalanced side later
+        (
+            "x u z v",
+            [("x w", "z v"), ("x u v", "z v")],
+            NotBalanced,
+            "relation sides must have length 2: x u v = z v",
+        ),
+        # u both first and second in the first relation, w foreign later
+        (
+            "x u z v",
+            [("x u", "u v"), ("x w", "z v")],
+            ForeignLetter,
+            "relation letters outside the generators: w",
+        ),
+        # z v on both sides first, u both first and second later
+        (
+            "x u z v y w",
+            [("x u", "z v"), ("z v", "y w"), ("u w", "z w")],
+            PQOverlap,
+            "letters occur in both positions: u",
+        ),
+        # z v given two left partners first, then z v on both sides
+        (
+            "x u z v y w",
+            [("x u", "z v"), ("y w", "z v"), ("z v", "x w")],
+            LROverlap,
+            "words occur on both sides: z v",
+        ),
+        # two generators share a token, and a side is unbalanced
+        (
+            "x u x",
+            [("x u u", "x u")],
+            PresentationError,
+            "generators must have distinct tokens",
+        ),
+    ],
+    ids=["balance-foreign", "foreign-pq", "pq-lr", "lr-ambiguous", "tokens-balance"],
+)
+def test_constructor_raises_the_earlier_refusal(generators, relations, error, message):
+    rels = tuple((tok(left), tok(right)) for left, right in relations)
+    with pytest.raises(PresentationError) as caught:
+        Presentation(None, tok(generators), rels)
+    assert type(caught.value) is error
+    assert str(caught.value) == message
 
 
 @pytest.mark.parametrize("bad", [0, -1, "2", 1.5, None])
