@@ -14,6 +14,11 @@ elements, are reduced as joined code-point texts (see rewriting).
 Otherwise every element is walked plainly: its predecessors are read off
 it, and each edge is reduced, a batch of elements at a time, and named if
 it fails.
+
+A ball is held as its vertices' names, each normal form's tokens joined by
+".": its breadth-first search builds each target's name from its source's,
+and the DOT export joins the names as they are.  No vertex is held as a
+tuple of tokens; Words are derived from the names only on request.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from bisect import bisect_left
 from typing import NamedTuple
 
 from .presentation import Presentation, Word
-from .rewriting import _Codec, _normal_forms, is_intersection_base
+from .rewriting import _Codec, _normal_forms
 
 __all__ = [
     "CayleyBall",
@@ -36,34 +41,47 @@ __all__ = [
 
 class CayleyBall(NamedTuple):
     """All vertices reachable from root in at most radius steps, with every
-    edge of the graph between them.  Vertices are normal forms, in BFS
-    discovery order.
+    edge of the graph between them.  Vertices are normal forms, held as
+    their names in BFS discovery order: a vertex's tokens joined by ".",
+    the identity "" (it is named "1" only in the DOT).  Names are injective
+    because no token is empty or holds a "." (build_ball refuses others).
 
-    The edges are not stored.  Their sources are vertices[:sources], the
-    vertices short of the radius, and every source u has one edge per
-    generator x, to u[:-1] followed by steps[u[-1:]][i] for x the i-th
-    generator: the boundary step of u's last letter (see build_ball)."""
+    The edges are not stored.  Their sources are names[:sources], the
+    vertices short of the radius, and every source s with last token t has
+    one edge per generator x, to s less t followed by steps[t][i] for x the
+    i-th generator: the name of the boundary step of t (see build_ball).
+    vertices and edges spell the same ball as Words, for tests."""
 
     root: Word
     radius: int
-    vertices: tuple
+    names: list
     sources: int
     generators: tuple
-    steps: dict  # last letter (or () at the identity) -> steps in generator order
+    steps: dict  # last token ("" at the identity) -> step names in generator order
 
     @property
     def edge_count(self) -> int:
         return self.sources * len(self.generators)
 
     @property
+    def vertices(self) -> tuple:
+        return tuple(map(_word, self.names))
+
+    @property
     def edges(self) -> tuple:
         """Every (source, label Letter, target), sources in BFS order and
         labels in generator order."""
         return tuple(
-            (u, x, u[:-1] + step)
-            for u in self.vertices[: self.sources]
-            for x, step in zip(self.generators, self.steps[u[-1:]])
+            (_word(s), x, _word(s[: len(s) - len(t)] + step))
+            for s in self.names[: self.sources]
+            for t in (s.rpartition(".")[2],)
+            for x, step in zip(self.generators, self.steps[t])
         )
+
+
+def _word(name: str) -> Word:
+    """The normal form a vertex name spells."""
+    return tuple(name.split(".")) if name else ()
 
 
 def build_ball(root: Word, radius: int, pres: Presentation) -> CayleyBall:
@@ -71,9 +89,12 @@ def build_ball(root: Word, radius: int, pres: Presentation) -> CayleyBall:
 
     Each edge target is one boundary step, not a reduction pass: for a
     normal form u, the normal form of u x is u[:-1] followed by the pair
-    u[-1] x, or by its L partner when that pair is an R word.  The steps of
-    a last letter are looked up once, at the first level where it ends a
-    source.  A root that is not a normal form gives a wrong ball.
+    u[-1] x, or by its L partner when that pair is an R word.  The search
+    runs on vertex names: a source's last token is read off its name, its
+    steps' names are built once per last token, at the first level where
+    it ends a source, and each target's name is the source's name less its
+    last token, followed by a step's name.  A root that is not a normal
+    form gives a wrong ball.
 
     Every target is one letter longer than its source, so a level's targets
     are new to the levels before it and can only repeat among themselves:
@@ -81,26 +102,33 @@ def build_ball(root: Word, radius: int, pres: Presentation) -> CayleyBall:
     """
     if radius < 0:
         raise ValueError(f"radius must be nonnegative, got {radius}")
-    rewrite = pres.rewrite_map
     generators = pres.generators
+    if "" in pres.generator_set or "." in " ".join(generators):
+        raise ValueError(
+            "vertex names need generator tokens that are nonempty and hold no '.'"
+        )
+    rewrite = pres.rewrite_map
     steps = {}
-    vertices = [root]
-    start = 0  # the current level is vertices[start:]
+    names = [".".join(root)]
+    start = 0  # the current level is names[start:]
     for _ in range(radius):
-        level = vertices[start:]
-        start = len(vertices)
-        for tail in {u[-1:] for u in level}.difference(steps):
-            steps[tail] = tuple(
-                rewrite.get(tail + (x,), tail + (x,)) for x in generators
+        level = names[start:]
+        start = len(names)
+        tails = [s.rpartition(".")[2] for s in level]
+        for t in set(tails).difference(steps):
+            steps[t] = generators if not t else tuple(
+                f"{t}.{x}" if (left := rewrite.get((t, x))) is None else ".".join(left)
+                for x in generators
             )
+        # only the identity has the last token "", and it is its own head
         targets = [
             head + step
-            for u in level
-            for head in (u[:-1],)
-            for step in steps[u[-1:]]
+            for s, t in zip(level, tails)
+            for head in (s[: len(s) - len(t)],)
+            for step in steps[t]
         ]
-        vertices += dict.fromkeys(targets)
-    return CayleyBall(root, radius, tuple(vertices), start, generators, steps)
+        names += dict.fromkeys(targets)
+    return CayleyBall(root, radius, names, start, generators, steps)
 
 
 def predecessors(v: Word, pres: Presentation) -> frozenset:
@@ -137,27 +165,30 @@ def export_dot(ball: CayleyBall) -> str:
     normal form's tokens joined by '.', the identity by '1'.
 
     Names are injective, so the edges are sorted by sorting the sources
-    alone.  Every edge line of a source u shares the prefix up to the
-    target's name of u[:-1]; the rest depends only on u[-1:] and the label,
-    and is written once per last letter, in label order.  Each source's
-    lines are then one join.
+    alone.  Every edge line of a source shares the prefix up to its name
+    less its last token, the head of each target's name; the rest depends
+    only on that token and the label, and is written once per last token,
+    in label order.  Each source's lines are then one join.
     """
     gens = ball.generators
     order = sorted(range(len(gens)), key=gens.__getitem__)  # label order
     suffixes = {
-        tail: [f'{".".join(row[i])}" [label="{gens[i]}"];' for i in order]
-        for tail, row in ball.steps.items()
+        t: [f'{row[i]}" [label="{gens[i]}"];' for i in order]
+        for t, row in ball.steps.items()
     }
-    # only the root can be the identity: every other vertex is longer
-    names = [".".join(ball.root) or "1", *map(".".join, ball.vertices[1:])]
-    parts = ["digraph cayley {", '  "' + '";\n  "'.join(names) + '";']
-    # the sources are the first vertices; only their names are kept
-    sources = sorted(zip(names, ball.vertices[: ball.sources]))
-    del names
-    for source, u in sources:
-        # the target's name up to its step: source less u's last token
-        prefix = f'  "{source}" -> "{source[: -len(u[-1])] if u else ""}'
-        parts.append(prefix + ("\n" + prefix).join(suffixes[u[-1:]]))
+    names = ball.names
+    # only the root can be the identity, "": every other vertex is longer
+    first = "" if names[0] else "1"
+    parts = ["digraph cayley {", '  "' + first + '";\n  "'.join(names) + '";']
+    sources = names[: ball.sources]
+    sources.sort()
+    if sources and not sources[0]:  # the identity sorts as its name, "1"
+        del sources[0]
+        sources.insert(bisect_left(sources, "1"), "")
+    for s in sources:
+        t = s.rpartition(".")[2]
+        prefix = f'  "{s or "1"}" -> "{s[: len(s) - len(t)]}'
+        parts.append(prefix + ("\n" + prefix).join(suffixes[t]))
     parts.append("}\n")
     return "\n".join(parts)
 
@@ -258,11 +289,14 @@ def indegree_violations(pres: Presentation, max_len: int):
     holds exactly at intersection bases and that incoming labels of bases
     lie in Q.  Every edge increases length by one, since relations preserve
     length and every predecessor is checked to reduce to its element.  An
-    element is a base exactly when its last two letters are."""
+    element is a base exactly when its last two letters are an L word (see
+    is_intersection_base), so the L words are spelled once, not each
+    element's last two letters decoded."""
     codec = _Codec(pres)
+    bases = set(map(codec.encode, pres.l_words))
 
     def verdict(v, pairs):
-        base = len(v) >= 2 and is_intersection_base(codec.decode(v[-2:]), pres)
+        base = v[-2:] in bases
         found = []
         if (len(pairs) >= 2) != base:
             found.append(

@@ -298,6 +298,8 @@ def cmd_ball(args) -> int:
     root = _module("rewriting").left_normal_form(parse_word(args.root, pres), pres)
     ball = cayley.build_ball(root, args.radius, pres)
     dot = cayley.export_dot(ball) if args.dot else None
+    vertices, edges = len(ball.names), ball.edge_count
+    del ball  # the output's copies of the DOT need its room
     dot_path = None
     if args.dot and args.dot != "-":
         with open(args.dot, "w") as out:
@@ -306,8 +308,8 @@ def cmd_ball(args) -> int:
     result = {
         "root": format_word(root),
         "radius": args.radius,
-        "vertex_count": len(ball.vertices),
-        "edge_count": ball.edge_count,
+        "vertex_count": vertices,
+        "edge_count": edges,
         "dot_path": dot_path,
     }
     if args.dot == "-":
@@ -317,7 +319,7 @@ def cmd_ball(args) -> int:
     else:
         text = (
             f"root: {result['root']}\nradius: {args.radius}\n"
-            f"vertices: {len(ball.vertices)}\nedges: {ball.edge_count}"
+            f"vertices: {vertices}\nedges: {edges}"
         )
         if dot_path:
             text += f"\ndot: {dot_path}"

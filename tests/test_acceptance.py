@@ -267,8 +267,10 @@ def test_criterion_5_cayley_structure_fault_path_above_16_relations(sweep):
 def test_criterion_5_cayley_structure_fault_path_n200(sweep):
     # 646,820 elements under 401 relations, each batch of their edge words
     # reduced as one text; the same fault as above makes one violation.
-    # The walks took 0.96 s and 1.52 s on a 2-core host with Python 3.11,
-    # and 1.11 s and 1.78 s with each edge word reduced on its own
+    # The walks took 0.82-0.90 s and 0.91-0.95 s on a 2-core host with
+    # Python 3.11; 0.84-1.01 s and 1.37-1.38 s when indegree decoded each
+    # element's last two letters for is_intersection_base, and 1.11 s and
+    # 1.78 s with each edge word reduced on its own
     pres = build_presentation(200)
     (right, left), *_ = pres.rewrite_map.items()
     pres.rewrite_map[right] = min(w for w in pres.l_words if w != left)

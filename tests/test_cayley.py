@@ -18,6 +18,7 @@ from malcev.cayley import (
 from malcev.cli import run
 from malcev.congruence import equality_class
 from malcev.presentation import (
+    Presentation,
     build_presentation,
     format_word,
     parse_word,
@@ -225,6 +226,38 @@ def test_export_dot_edge_order(m1):
     quoted = [l.split('"')[1::2] for l in edge_lines]  # [source, target, label]
     keys = [(source, label) for source, _, label in quoted]
     assert keys == sorted(keys)
+
+
+def test_ball_refuses_tokens_that_break_names():
+    # a vertex is named by its tokens joined by ".", so the names of x.y
+    # and of x y would coincide
+    tok = lambda text: tuple(text.split())
+    for left in ("x.y v", "x. v", ".x v"):
+        pres = validate_generic([(tok(left), tok("z w"))])
+        with pytest.raises(ValueError, match="hold no '.'"):
+            build_ball((), 1, pres)
+    # the constructor takes any distinct tokens, the empty one too
+    empty = Presentation(None, ("", "v", "z", "w"), ((("", "v"), ("z", "w")),))
+    with pytest.raises(ValueError, match="nonempty"):
+        build_ball((), 0, empty)
+
+
+def test_export_dot_sorts_the_identity_as_1():
+    # "0" and "!" sort before "1": the identity's edges come after theirs
+    tok = lambda text: tuple(text.split())
+    pres = validate_generic([(tok("0 v"), tok("! w")), (tok("z v"), tok("0 w"))])
+    for root in ((), ("0",), ("z",)):
+        for radius in range(4):
+            ball = build_ball(root, radius, pres)
+            reference = ball_by_reduction(root, radius, pres)
+            assert (ball.vertices, ball.edges) == reference[2:], (root, radius)
+            assert export_dot(ball) == _export_dot_reference(reference), (root, radius)
+    lines = export_dot(build_ball((), 1, pres)).splitlines()
+    sources = [line.split('"')[1] for line in lines if "->" in line]
+    assert sources == ["1"] * 5
+    lines = export_dot(build_ball((), 2, pres)).splitlines()
+    sources = list(dict.fromkeys(line.split('"')[1] for line in lines if "->" in line))
+    assert sources == ["!", "0", "1", "v", "w", "z"]
 
 
 def test_no_structure_violations_small(m1, m2):

@@ -802,6 +802,14 @@ GOLDEN_JSON = [
         "c7f2acbc98fca15b16b471ed57e109b8f5afb15d82d5cf15df9e237563d46079",
     ),
     (
+        ["ball", "-n", "3", "--root", "A3 C2", "--radius", "4", "--dot", "-"],
+        "042b4a72fde1f7838d02a2920088d53fb75b16c846321cb1862e309f7248c55e",
+    ),
+    (  # the identity root, named "1" in the vertex list and the edge sort
+        ["ball", "-n", "2", "--radius", "3", "--dot", "-"],
+        "778218a9f2d73e5cefa81c260186c8e8f7184dbc9cdbed34b98678fff3c7f679",
+    ),
+    (
         ["intersect", "-n", "1", "-p", "A1", "-q", "d"],
         "b32150f7ee763f9c25948e48dfbfe73b1f515a657726692a1290d02f7b2cbb87",
     ),
@@ -828,7 +836,17 @@ GOLDEN_JSON = [
 @pytest.mark.parametrize(
     "argv, digest",
     GOLDEN_JSON,
-    ids=["ball", "ball-n1-r5", "intersect", "alignment", "nf-oracle", "nf", "obstruct"],
+    ids=[
+        "ball",
+        "ball-n1-r5",
+        "ball-n3-r4",
+        "ball-identity",
+        "intersect",
+        "alignment",
+        "nf-oracle",
+        "nf",
+        "obstruct",
+    ],
 )
 def test_golden_json_output(argv, digest, capsys):
     assert run(argv + ["--format", "json"]) == 0
