@@ -16,11 +16,10 @@ from __future__ import annotations
 import argparse
 import functools
 import importlib
-import json
 import os
 import sys
 from contextlib import nullcontext
-from itertools import islice
+from json.encoder import encode_basestring_ascii
 
 from .presentation import (
     DEFAULT_SEED,
@@ -175,22 +174,100 @@ def _built(build, n: int) -> Presentation:
 
 
 def _emit(args, command, result, violations, text) -> None:
-    """Write text, or the JSON document as it is encoded, then a newline, to
-    --output or stdout; each write joins up to 65,536 encoder chunks."""
-    if args.format == "json":
-        doc = {
-            "command": command,
-            "n": args.n,
-            "result": result,
-            "violations": list(violations),
-        }
-        chunks = json.JSONEncoder(indent=2).iterencode(doc)
-    else:
-        chunks = iter((text,))
-    with open(args.output, "w") if args.output else nullcontext(sys.stdout) as out:
-        for group in iter(lambda: "".join(islice(chunks, 65536)), ""):
-            out.write(group)
+    """Write text, or the JSON document, then a newline, to --output or
+    stdout.  The document is written by _write_json as it is encoded, never
+    held whole as one string."""
+    output = args.output
+    with open(output, "w") if output is not None else nullcontext(sys.stdout) as out:
+        if args.format == "json":
+            doc = {
+                "command": command,
+                "n": args.n,
+                "result": result,
+                "violations": list(violations),
+            }
+            _write_json(doc, out.write)
+        else:
+            out.write(text)
         out.write("\n")
+
+
+_FLUSH_PIECES = 65536
+
+
+def _write_json(doc, write) -> None:
+    """Pass write the bytes of json.JSONEncoder(indent=2).encode(doc), in
+    one call per 65,536 pieces and once more at the end.
+
+    With indent set, json never uses its C encoder; this writer takes the
+    C string escaper and int.__repr__ directly.  Only str, int, bool,
+    None, and dicts with str keys, lists and tuples of them are written:
+    anything else, a float included, raises TypeError.
+    """
+    pieces = []
+    append = pieces.append
+
+    def flush() -> None:
+        # the pieces go before the write, which may hold an encoded copy
+        text = "".join(pieces)
+        pieces.clear()
+        write(text)
+
+    def encode(o, nl: str) -> None:
+        if isinstance(o, str):
+            append(encode_basestring_ascii(o))
+        elif o is None:
+            append("null")
+        elif o is True:
+            append("true")
+        elif o is False:
+            append("false")
+        elif isinstance(o, int):
+            append(int.__repr__(o))
+        elif isinstance(o, dict):
+            if not o:
+                append("{}")
+                return
+            inner = nl + "  "
+            lead, sep = "{" + inner, "," + inner
+            for key, value in o.items():
+                if not isinstance(key, str):
+                    raise TypeError(f"keys must be str, not {type(key).__name__}")
+                name = encode_basestring_ascii(key)
+                # a str or int value, the common leaves, shares its entry's piece
+                kind = type(value)
+                if kind is str:
+                    append(f"{lead}{name}: {encode_basestring_ascii(value)}")
+                elif kind is int:
+                    append(f"{lead}{name}: {int.__repr__(value)}")
+                else:
+                    append(f"{lead}{name}: ")
+                    encode(value, inner)
+                lead = sep
+                if len(pieces) >= _FLUSH_PIECES:
+                    flush()
+            append(nl + "}")
+        elif isinstance(o, (list, tuple)):
+            if not o:
+                append("[]")
+                return
+            inner = nl + "  "
+            lead, sep = "[" + inner, "," + inner
+            for item in o:
+                append(lead)
+                if type(item) is str:
+                    append(encode_basestring_ascii(item))
+                else:
+                    encode(item, inner)
+                lead = sep
+                if len(pieces) >= _FLUSH_PIECES:
+                    flush()
+            append(nl + "]")
+        else:
+            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+    encode(doc, "\n")
+    flush()
 
 
 def _refuse_over_budget(flag: str, length: int, n: int) -> None:
@@ -297,11 +374,11 @@ def cmd_ball(args) -> int:
     pres = _presentation(args.n)
     root = _module("rewriting").left_normal_form(parse_word(args.root, pres), pres)
     ball = cayley.build_ball(root, args.radius, pres)
-    dot = cayley.export_dot(ball) if args.dot else None
+    dot = cayley.export_dot(ball) if args.dot is not None else None
     vertices, edges = len(ball.names), ball.edge_count
     del ball  # the output's copies of the DOT need its room
     dot_path = None
-    if args.dot and args.dot != "-":
+    if args.dot is not None and args.dot != "-":
         with open(args.dot, "w") as out:
             out.write(dot)
         dot_path = args.dot
@@ -321,7 +398,7 @@ def cmd_ball(args) -> int:
             f"root: {result['root']}\nradius: {args.radius}\n"
             f"vertices: {vertices}\nedges: {edges}"
         )
-        if dot_path:
+        if dot_path is not None:
             text += f"\ndot: {dot_path}"
     _emit(args, "ball", result, [], text)
     return 0

@@ -420,10 +420,8 @@ def test_criterion_9_alignment_oracle_largest_windows(m1, m2):
         assert report.ok and report.sampled == samples
 
 
-def test_criterion_10_cli_query_throughput(capsys):
-    # 2,000 fixed queries through run() at n <= 5, each closed-form on normal
-    # forms, so parsing and output dominate; one parser serves every call, and
-    # one rebuilt per call (about 2.3 ms) would alone take 4.6 s
+def _criterion_10_queries():
+    """2,000 fixed nf, eq, divides and intersect argvs at n <= 5."""
     rng = random.Random(2000)
     letters = {n: build_presentation(n).generators for n in range(1, 6)}
     argvs = []
@@ -440,7 +438,14 @@ def test_criterion_10_cli_query_throughput(capsys):
                 ["intersect", "-n", str(n), "-p", w1, "-q", w2],
             )[i % 4]
         )
+    return argvs
 
+
+def test_criterion_10_cli_query_throughput(capsys):
+    # 2,000 fixed queries through run() at n <= 5, each closed-form on normal
+    # forms, so parsing and output dominate; one parser serves every call, and
+    # one rebuilt per call (about 2.3 ms) would alone take 4.6 s
+    argvs = _criterion_10_queries()
     codes = timed(
         1.5,
         "criterion 10: 2,000 nf, eq, divides and intersect queries in-process",
@@ -448,3 +453,17 @@ def test_criterion_10_cli_query_throughput(capsys):
     )
     assert set(codes) <= {0, 1}
     assert capsys.readouterr().err == ""
+
+
+def test_criterion_10_cli_query_throughput_json(capsys):
+    # the same 2,000 queries with --format json, each answer a JSON document
+    argvs = [argv + ["--format", "json"] for argv in _criterion_10_queries()]
+    codes = timed(
+        1.5,
+        "criterion 10: 2,000 queries in-process with --format json",
+        lambda: [run(argv) for argv in argvs],
+    )
+    assert set(codes) <= {0, 1}
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.count('\n  "command": ') == 2000

@@ -1,7 +1,9 @@
 import argparse
 import hashlib
+import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -282,6 +284,22 @@ def test_dot_to_missing_directory_exits_2(tmp_path, capsys):
     _, err = out_of(capsys)
     assert err.startswith("error:")
     assert str(target) in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "-n", "1", "--output", ""],
+        ["ball", "-n", "1", "--radius", "1", "--dot", ""],
+    ],
+    ids=["output", "dot"],
+)
+def test_empty_path_exits_2(argv, capsys):
+    # an empty path is a path that cannot be opened, not a missing option
+    assert run(argv) == 2
+    out, err = out_of(capsys)
+    assert out == ""
+    assert err.startswith("error:")
 
 
 @pytest.mark.parametrize("suite", ["nf-oracle", "codet", "alignment"])
@@ -893,17 +911,110 @@ STREAMED_JSON = [
 ]
 
 
-def test_json_is_written_as_it_is_encoded(monkeypatch, capsys):
-    # the document is never built whole by json.dumps, and its bytes stay
-    def whole(*args, **kwargs):
-        raise AssertionError("the whole document was built by json.dumps")
+class _Writes(io.StringIO):
+    """A stdout that records the length of each write."""
 
-    monkeypatch.setattr(cli.json, "dumps", whole)
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, text):
+        self.sizes.append(len(text))
+        return super().write(text)
+
+
+def test_json_is_written_as_it_is_encoded(monkeypatch, capsys):
+    # the document is written in parts, never as one whole string, and its
+    # bytes stay; at n = 10,000 the certificate's 9 MB take five parts of
+    # 65,536 pieces and a rest
     for argv, digest in STREAMED_JSON:
         assert run(argv + ["--format", "json"]) == 0
         captured = capsys.readouterr()
         assert captured.err == ""
         assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
+    stdout = _Writes()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert run(["obstruct", "-n", "10000", "--format", "json"]) == 0
+    assert max(stdout.sizes) < len(stdout.getvalue()) // 4
+
+
+def _fuzz_string(rng):
+    alphabet = (
+        ['"', "\\", "/", " ", "a", "Z", "0", "\x7f", "\u00e9", "\u4e2d", "\u2028"]
+        + [chr(c) for c in range(32)]
+        + ["\U0001f600", "\U0010ffff", "\ud800", "\udfff", "\udc00\ud800"]
+    )
+    return "".join(rng.choices(alphabet, k=rng.randint(0, 8)))
+
+
+def _fuzz_value(rng, depth):
+    # leaves only below depth 4, strings twice as often as the rest
+    pick = rng.randrange(10 if depth < 4 else 6)
+    if pick in (0, 1):
+        return _fuzz_string(rng)
+    if pick == 2:
+        return rng.choice([0, -1, 2**64, -(2**100), rng.randint(-(10**6), 10**6)])
+    if pick == 3:
+        return rng.choice([True, False, None])
+    if pick in (4, 5):
+        return rng.choice(["", [], (), {}])
+    items = [_fuzz_value(rng, depth + 1) for _ in range(rng.randint(0, 5))]
+    if pick == 6:
+        return items
+    if pick == 7:
+        return tuple(items)
+    return {_fuzz_string(rng): item for item in items}
+
+
+def test_json_writer_matches_the_json_module():
+    rng = random.Random(35)
+    for _ in range(2000):
+        doc = _fuzz_value(rng, 0)
+        parts = []
+        cli._write_json(doc, parts.append)
+        assert "".join(parts) == json.JSONEncoder(indent=2).encode(doc)
+
+
+def test_json_writer_keeps_the_json_module_on_subclasses():
+    # json writes a str or int subclass as it writes the base type
+    class Word(str):
+        pass
+
+    class Count(int):
+        pass
+
+    doc = {Word("w"): [Word("a"), Count(3), True], "d": {"k": Count(-4)}}
+    parts = []
+    cli._write_json(doc, parts.append)
+    assert "".join(parts) == json.JSONEncoder(indent=2).encode(doc)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [1.5, {"x": [0.0]}, {1: "a"}, [object()]],
+    ids=["float", "nested-float", "int-key", "object"],
+)
+def test_json_writer_refuses_other_types(doc):
+    with pytest.raises(TypeError):
+        cli._write_json(doc, lambda text: None)
+
+
+def test_json_over_65536_pieces_to_stdout_and_output(monkeypatch, tmp_path):
+    # 70,000 strings take 140,000 pieces: three writes, then the newline
+    result = [f"w{i}" for i in range(70000)]
+    expected = json.JSONEncoder(indent=2).encode(
+        {"command": "gen", "n": 1, "result": result, "violations": []}
+    ) + "\n"
+    stdout = _Writes()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    args = argparse.Namespace(format="json", n=1, output=None)
+    cli._emit(args, "gen", result, [], None)
+    assert stdout.getvalue() == expected
+    assert len(stdout.sizes) == 4
+    target = tmp_path / "out.json"
+    args.output = str(target)
+    cli._emit(args, "gen", result, [], None)
+    assert target.read_bytes() == expected.encode()
 
 
 @pytest.mark.parametrize(
