@@ -14,9 +14,11 @@ factors is alone in its class, and the words that hold a side are counted
 from the relations alone, so the lone words are searched only when a shared
 group fails its search or that count is not the number of shared words.
 The Cayley graph's predecessors are read off normal forms instead.
-The search-based left divisibility backs the brute-force alignment oracle
-and its cross-check; production callers use the closed form in the
-rewriting module.
+closure also builds the brute-force alignment oracle's ideals, each from
+two searches: the class of its root and the words one letter longer that
+the boundary steps reach.  The search-based left divisibility minimises
+that oracle's common multiples and backs its cross-check; production
+callers use the closed form in the rewriting module.
 """
 
 from __future__ import annotations

@@ -369,8 +369,8 @@ def test_criterion_9_alignment_sweep_sizes(m1, m3):
             lambda: verify_alignment(pres, max_len, samples, window),
         )
         assert report.ok
-    # 50 sampled pairs checked by the brute-force oracle; at window 5 the
-    # ideal of a one-letter root is the closure of 69,905 seed words
+    # 50 sampled pairs checked by the brute-force oracle; each ideal is the
+    # class of its root and the words one letter longer, at any window
     report = timed(
         5,
         "criterion 9: alignment oracle at n = 3, max-len 2, window 5",
@@ -405,9 +405,9 @@ def test_criterion_9_alignment_sweep_sizes(m1, m3):
 
 
 def test_criterion_9_alignment_oracle_largest_windows(m1, m2):
-    # every pair at n = 1, max-len 2, at window 7, the largest the CLI
-    # admits there, and 2,000 sampled pairs at n = 2, max-len 3, window 6,
-    # each ideal held as its antichain: 0.014 s and 0.027 s on a 2-core
+    # every pair at n = 1, max-len 2, at window 7, and 2,000 sampled pairs
+    # at n = 2, max-len 3, window 6, each ideal held as its window-free
+    # antichain: 0.014 s and 0.027 s on a 2-core
     # host with Python 3.11, against 11.7 s and 5.3 s end to end when each
     # ideal was its set of words
     for pres, max_len, samples, window in ((m1, 2, 4900, 7), (m2, 3, 2000, 6)):

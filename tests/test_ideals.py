@@ -1,4 +1,5 @@
 import random
+import time
 import tracemalloc
 from collections import Counter
 from itertools import permutations, product
@@ -81,8 +82,8 @@ def ideal_by_literal_extensions(root, window, pres):
     return frozenset(congruence.closure(seeds, pres.partners))
 
 
-def ideal(root, window, pres):
-    return ideals._ideal(root, window, pres, ideals._boundary_swaps(pres))
+def ideal(root, pres):
+    return ideals._ideal(root, pres, ideals._boundary_swaps(pres))
 
 
 def ideal_words(root, window, pres):
@@ -90,7 +91,7 @@ def ideal_words(root, window, pres):
     each word over the generators that keeps it within the window."""
     return frozenset(
         a + x
-        for a in ideal(root, window, pres).antichain
+        for a in ideal(root, pres).antichain
         for extra in range(window - len(a) + 1)
         for x in product(pres.generators, repeat=extra)
     )
@@ -465,7 +466,7 @@ def test_non_principal_pairs_counted_exactly(m1, m2, m3):
 
 def test_meet_check_rejects_comparable_generators(m1):
     d, da = el("d", m1), el("d a", m1)
-    ideal_d, ideal_da = ideal(d, 3, m1), ideal(da, 3, m1)
+    ideal_d, ideal_da = ideal(d, m1), ideal(da, m1)
     assert ideals._is_meet((d,), [ideal_d], ideal_d)
     assert not ideals._is_meet((d, da), [ideal_d, ideal_da], ideal_d)
 
@@ -489,8 +490,8 @@ def test_ideal_matches_the_closure_of_every_literal_extension(n, max_len, window
 
 
 def test_ideal_matches_the_closure_of_every_literal_extension_at_window_7(m1):
-    # the largest window the CLI admits at n = 1: every letter and 20
-    # seeded two-letter words, whose closures hold 74,898 to 374,491 words
+    # every letter and 20 seeded two-letter words at n = 1, whose closures
+    # within window 7 hold 74,898 to 374,491 words
     rng = random.Random(7)
     roots = [(x,) for x in m1.generators]
     roots += [tuple(rng.choices(m1.generators, k=2)) for _ in range(20)]
@@ -499,26 +500,25 @@ def test_ideal_matches_the_closure_of_every_literal_extension_at_window_7(m1):
         assert ideal_words(root, 7, m1) == expected, root
 
 
-def test_common_multiples_count_the_whole_ideal_against_the_cap(m1, monkeypatch):
-    # within window 4 the ideals of d and A1 hold 731 words each, 585 of
-    # them literal extensions; the budget is read at call time, and an
-    # overrun names the root whether the extensions alone exceed it or not
+def test_common_multiples_count_the_words_they_list_against_the_cap(
+    m1, monkeypatch
+):
+    # the meet of the ideals of d and A1 has four antichain words of length
+    # 2, whose subtrees hold 4 * 73 = 292 words within window 4; the budget
+    # is read at call time, and an overrun names p
     d, a1 = el("d", m1), el("A1", m1)
     expected = common_multiples(d, a1, 4, m1)
-    monkeypatch.setattr(congruence, "DEFAULT_CAP", 731)
+    monkeypatch.setattr(congruence, "DEFAULT_CAP", 292)
     assert common_multiples(d, a1, 4, m1) == expected
-    for cap in (730, 600, 585, 584):
-        monkeypatch.setattr(congruence, "DEFAULT_CAP", cap)
-        with pytest.raises(CapExceeded, match=f"^closure of d exceeds {cap} words"):
-            common_multiples(d, a1, 4, m1)
-    # about 9.8 billion literal extensions within window 12: refused before
-    # they fill memory
-    with pytest.raises(CapExceeded, match="^closure of d exceeds 584 words"):
-        common_multiples(d, a1, 12, m1)
+    monkeypatch.setattr(congruence, "DEFAULT_CAP", 291)
+    with pytest.raises(CapExceeded, match="^closure of d exceeds 291 words"):
+        common_multiples(d, a1, 4, m1)
+    with pytest.raises(CapExceeded, match="^closure of A1 exceeds 291 words"):
+        common_multiples(a1, d, 4, m1)
 
 
-def test_an_ideal_far_over_the_cap_builds_no_extension(m1, monkeypatch):
-    # the literal extensions are counted, not listed, before any is built
+def test_common_multiples_over_the_cap_list_no_word(m1, monkeypatch):
+    # about 4.9 billion words within window 12: counted, not listed
     built = []
     real = ideals.product
 
@@ -529,14 +529,25 @@ def test_an_ideal_far_over_the_cap_builds_no_extension(m1, monkeypatch):
     monkeypatch.setattr(ideals, "product", counting)
     cap = congruence.DEFAULT_CAP
     with pytest.raises(CapExceeded, match=f"^closure of d exceeds {cap} words"):
-        ideal(el("d", m1), 12, m1)
+        common_multiples(el("d", m1), el("A1", m1), 12, m1)
     assert built == []
+
+
+def test_common_multiples_refuse_a_huge_window_at_once(m1):
+    # each subtree's count stops once the budget is spent, so 8^999,998 is
+    # never computed
+    cap = congruence.DEFAULT_CAP
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded, match=f"^closure of d exceeds {cap} words"):
+        common_multiples(el("d", m1), el("A1", m1), 10**6, m1)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_an_ideal_over_the_cap_across_the_boundary_names_its_root(monkeypatch):
     # x y1 has the 19 other P·Q words over x, p1..p4 and y1..y4 as R
-    # partners, so within window 3 the 91 literal extensions of x reach 200
-    # words across the boundary, and the search from there is what overruns
+    # partners, so within window 3 the ideal of x holds its 91 literal
+    # extensions and 160 words reached across the boundary, that begin with
+    # a p letter; counting those is what overruns
     letters = ("x", "p1", "p2", "p3", "p4")
     rights = [(a, f"y{i}") for a in letters for i in range(1, 5)][1:]
     pres = validate_generic([(("x", "y1"), right) for right in rights])
@@ -547,13 +558,31 @@ def test_an_ideal_over_the_cap_across_the_boundary_names_its_root(monkeypatch):
         common_multiples(root, root, 3, pres)
 
 
+@pytest.mark.parametrize("n, max_len", [(1, 3), (2, 2), (12, 2)])
+def test_sweep_calls_no_divisibility(monkeypatch, n, max_len):
+    # a swept pair is u a, u b, two distinct normal forms of one length, so
+    # neither divides the other and the sweep asks no divisibility at all
+    pres = build_presentation(n)
+    expected = verify_alignment(pres, max_len, 0, max_len + 1)
+    calls = []
+    real = ideals._left_divides_nf
+
+    def counting(p, q, pres):
+        calls.append((p, q))
+        return real(p, q, pres)
+
+    monkeypatch.setattr(ideals, "_left_divides_nf", counting)
+    assert verify_alignment(pres, max_len, 0, max_len + 1) == expected
+    assert calls == []
+
+
 def test_oracle_builds_each_ideal_once(m1, monkeypatch):
     roots = Counter()
     real = ideals._ideal
 
-    def counting(root, window, pres, swaps):
+    def counting(root, pres, swaps):
         roots[root] += 1
-        return real(root, window, pres, swaps)
+        return real(root, pres, swaps)
 
     monkeypatch.setattr(ideals, "_ideal", counting)
     report = verify_alignment(m1, max_len=2, samples=70 * 70, window=4)
@@ -564,30 +593,30 @@ def test_oracle_builds_each_ideal_once(m1, monkeypatch):
 
 def test_oracle_holds_each_ideal_as_an_antichain(m1, monkeypatch):
     # no word of an ideal the exhaustive oracle builds is a prefix of
-    # another, and each ideal's prefixes are those of its words; the
-    # oracle builds the ideal of every nonempty element, and of the
-    # generators of base-search meets
+    # another, each ideal's prefixes are those of its words, and every word
+    # has the root's length or one more; the oracle builds the ideal of
+    # every nonempty element, and of the generators of base-search meets
     built = {}
     real = ideals._ideal
 
-    def kept(root, window, pres, swaps):
-        built[root] = real(root, window, pres, swaps)
+    def kept(root, pres, swaps):
+        built[root] = real(root, pres, swaps)
         return built[root]
 
     monkeypatch.setattr(ideals, "_ideal", kept)
     assert verify_alignment(m1, max_len=2, samples=70 * 70, window=5).ok
     assert set(built) > set(enumerate_elements(m1, 2)[1:])
-    for found in built.values():
+    for root, found in built.items():
         words = found.antichain
         prefixes = {a[:k] for a in words for k in range(1, len(a))}
         assert words and words.isdisjoint(prefixes)
         assert found.prefixes == prefixes | words
+        assert {len(a) for a in words} <= {len(root), len(root) + 1}
 
 
 def test_window_7_oracle_memory_peak(m1):
-    # every pair at n = 1, max-len 2, at the largest window the CLI admits:
-    # 0.47 MiB traced on Python 3.11; as word sets the ideals filled about
-    # 685 MB of peak RSS
+    # every pair at n = 1, max-len 2, at window 7: 0.47 MiB traced on
+    # Python 3.11; as word sets the ideals filled about 685 MB of peak RSS
     tracemalloc.start()
     try:
         report = verify_alignment(m1, 2, 70 * 70, 7)
@@ -657,7 +686,7 @@ def test_oracle_reports_exactly_the_wrong_meets_of_each_kind(
         monkeypatch.setattr(
             ideals, "brute_force_intersection", lambda p, q, w, pres: oracle[p, q]
         )
-    assert ideals._oracle_mismatches(sample, 4, m1, partners) == expected
+    assert ideals._oracle_mismatches(sample, m1, partners) == expected
     assert 0 < len(expected) <= len(planted)
     if pairs == "all":
         assert fault == "extra" or len(expected) < len(planted)
@@ -666,16 +695,18 @@ def test_oracle_reports_exactly_the_wrong_meets_of_each_kind(
         assert len(expected) == wrong
 
 
-def test_window_refusal_names_the_budget_read_at_call_time(m1, monkeypatch):
-    # the ideal of a within window 4 has 585 seed words, over a budget of
-    # 100 set after import, and the refusal names that budget
-    monkeypatch.setattr(congruence, "DEFAULT_CAP", 100)
-    with pytest.raises(ValueError) as raised:
-        verify_alignment(m1, 1, 5, 4)
-    assert str(raised.value) == (
-        "window 4 is too large for the oracle: the ideal of a has 585 seed "
-        "words, over the closure cap of 100"
-    )
+def test_ideal_over_a_cap_read_at_call_time_names_its_root(m1, monkeypatch):
+    # the class of d is d alone, and the closure of its boundary steps A1 C1
+    # and A1 D1 adds d a and d b, which d's class covers; that closure fits
+    # a budget of 4 and overruns one of 3, both set after import, and the
+    # overrun names the root, not the first boundary step
+    d = el("d", m1)
+    monkeypatch.setattr(congruence, "DEFAULT_CAP", 4)
+    raw = {parse_word(w, m1) for w in ("A1 C1", "A1 D1")}
+    assert ideal(d, m1).antichain == {d} | raw
+    monkeypatch.setattr(congruence, "DEFAULT_CAP", 3)
+    with pytest.raises(CapExceeded, match="^closure of d exceeds 3 words"):
+        ideal(d, m1)
 
 
 def test_oracle_does_not_depend_on_the_rewriting_code(m1, monkeypatch):
@@ -697,11 +728,9 @@ def test_oracle_reports_mismatches_in_sample_order(m1, monkeypatch):
     rng = random.Random(11)
     sample = [(rng.choice(nfs), rng.choice(nfs)) for _ in range(300)]
     partners = ideals._letter_partners(m1.relations)
-    found = ideals._oracle_mismatches(sample, 5, m1, partners)
+    found = ideals._oracle_mismatches(sample, m1, partners)
     one_by_one = [
-        m
-        for pair in sample
-        for m in ideals._oracle_mismatches([pair], 5, m1, partners)
+        m for pair in sample for m in ideals._oracle_mismatches([pair], m1, partners)
     ]
     assert len(found) >= 10
     assert found == one_by_one
