@@ -33,6 +33,7 @@ __all__ = [
     "CayleyBall",
     "build_ball",
     "codeterminism_violations",
+    "dot_pieces",
     "export_dot",
     "indegree_violations",
     "predecessors",
@@ -157,40 +158,65 @@ def _predecessors(v, partners) -> tuple:
 
 
 def export_dot(ball: CayleyBall) -> str:
-    """Serialize a ball in DOT format.
+    """Serialize a ball in DOT format: the pieces of dot_pieces(ball),
+    joined.
 
     Node names are quoted ('.'-joined tokens are not bare DOT identifiers);
     vertices appear in BFS order and edges sorted by source name then label,
     so equal balls export to identical strings.  A vertex is named by its
     normal form's tokens joined by '.', the identity by '1'.
+    """
+    return "".join(dot_pieces(ball))
+
+
+# vertex lines per piece of dot_pieces: bounds what one piece holds
+_DOT_LINES = 1024
+
+
+def dot_pieces(ball: CayleyBall, quote: str = '"', nl: str = "\n") -> list:
+    """export_dot(ball) as pieces to join, written with quote for each '"'
+    and nl for each line break: its only characters that JSON escapes.
+    The rest are names and labels, made of generator tokens, "." and "1",
+    so for tokens that JSON writes as themselves (the family's letters and
+    digits), quote '\\"' and nl '\\n' spell the DOT as a JSON string does,
+    less its enclosing quotes.  Every piece but the first begins with a
+    line break, and the last is the last line's break alone.  A piece holds
+    one line, the lines of up to _DOT_LINES vertices or one source's edge
+    lines, never the whole DOT.
 
     Names are injective, so the edges are sorted by sorting the sources
     alone.  Every edge line of a source shares the prefix up to its name
     less its last token, the head of each target's name; the rest depends
     only on that token and the label, and is written once per last token,
-    in label order.  Each source's lines are then one join.
+    in label order.  Each source's lines are then one join: its prefix,
+    which begins with a line break, joins "" and those ends.
     """
+    q = quote
     gens = ball.generators
     order = sorted(range(len(gens)), key=gens.__getitem__)  # label order
     suffixes = {
-        t: [f'{row[i]}" [label="{gens[i]}"];' for i in order]
+        t: ["", *[f"{row[i]}{q} [label={q}{gens[i]}{q}];" for i in order]]
         for t, row in ball.steps.items()
     }
     names = ball.names
+    opening, line = f"{nl}  {q}", f"{q};{nl}  {q}"
     # only the root can be the identity, "": every other vertex is longer
-    first = "" if names[0] else "1"
-    parts = ["digraph cayley {", '  "' + first + '";\n  "'.join(names) + '";']
+    pieces = ["digraph cayley {", f"{opening}{names[0] or '1'}{q};"]
+    for start in range(1, len(names), _DOT_LINES):
+        chunk = names[start : start + _DOT_LINES]
+        pieces.append(opening + line.join(chunk) + f"{q};")
     sources = names[: ball.sources]
     sources.sort()
     if sources and not sources[0]:  # the identity sorts as its name, "1"
         del sources[0]
         sources.insert(bisect_left(sources, "1"), "")
+    arrow = f"{q} -> {q}"
     for s in sources:
         t = s.rpartition(".")[2]
-        prefix = f'  "{s or "1"}" -> "{s[: len(s) - len(t)]}'
-        parts.append(prefix + ("\n" + prefix).join(suffixes[t]))
-    parts.append("}\n")
-    return "\n".join(parts)
+        prefix = f"{opening}{s or '1'}{arrow}{s[: len(s) - len(t)]}"
+        pieces.append(prefix.join(suffixes[t]))
+    pieces += (nl + "}", nl)
+    return pieces
 
 
 # elements, or heads of bases, per joined text: bounds what one text holds

@@ -18,7 +18,9 @@ import functools
 import importlib
 import os
 import sys
+from bisect import bisect_right
 from contextlib import nullcontext
+from itertools import accumulate
 from json.encoder import encode_basestring_ascii
 
 from .presentation import (
@@ -165,10 +167,11 @@ def _presentation(n: int) -> Presentation:
 def _built(build, n: int) -> Presentation:
     """build(n), for the last 8 (build, n) pairs asked for.
 
-    A presentation holds about 1.8 KiB per unit of n (tracemalloc, Python
-    3.11: 9 KiB at n = 5, 17.5 MiB at n = 10,000), so the cache pins at
-    most 8 times the largest one asked for: under 2 MiB while n <= 100, and
-    about 3.5 GiB at the largest n the CLI accepts, 249,999.
+    A presentation holds 1.4 to 1.8 KiB per unit of n (tracemalloc, Python
+    3.11: 9 KiB at n = 5, 155 KiB at n = 100, 17.5 MiB at n = 10,000,
+    334 MiB at n = 249,999), so the cache pins at most 8 times the largest
+    one asked for: under 2 MiB while n <= 100, and about 2.6 GiB at the
+    largest n the CLI accepts, 249,999.
     """
     return build(n)
 
@@ -176,7 +179,8 @@ def _built(build, n: int) -> Presentation:
 def _emit(args, command, result, violations, text) -> None:
     """Write text, or the JSON document, then a newline, to --output or
     stdout.  The document is written by _write_json as it is encoded, never
-    held whole as one string."""
+    held whole as one string.  text is a str, or a _Pieces, whose bounded
+    joins are written in turn."""
     output = args.output
     with open(output, "w") if output is not None else nullcontext(sys.stdout) as out:
         if args.format == "json":
@@ -187,9 +191,40 @@ def _emit(args, command, result, violations, text) -> None:
                 "violations": list(violations),
             }
             _write_json(doc, out.write)
-        else:
+        elif isinstance(text, str):
             out.write(text)
+        else:
+            out.writelines(text)
         out.write("\n")
+
+
+# characters per join of a _Pieces, past its first piece: one join holds a
+# bounded share of the text
+_JOIN_CHARS = 1 << 16
+
+
+class _Pieces:
+    """A text held as pieces to join, such as a ball's DOT.
+
+    Iterating it gives joins of consecutive pieces, each holding at most
+    _JOIN_CHARS characters past its first piece, so no string holds the
+    whole text.  As a JSON value its pieces must already be escaped:
+    _write_json writes them as they are, between two quotes.  It is not a
+    str subclass, so no str branch of the writer takes it."""
+
+    __slots__ = ("pieces",)
+
+    def __init__(self, pieces: list):
+        self.pieces = pieces
+
+    def __iter__(self):
+        pieces = self.pieces
+        ends = list(accumulate(map(len, pieces)))  # ends[i]: pieces[: i + 1]
+        start = 0
+        while start < len(pieces):
+            stop = bisect_right(ends, ends[start] + _JOIN_CHARS, start + 1)
+            yield "".join(pieces[start:stop])
+            start = stop
 
 
 _FLUSH_PIECES = 65536
@@ -197,12 +232,16 @@ _FLUSH_PIECES = 65536
 
 def _write_json(doc, write) -> None:
     """Pass write the bytes of json.JSONEncoder(indent=2).encode(doc), in
-    one call per 65,536 pieces and once more at the end.
+    one call per 65,536 pieces, one more per join of a _Pieces, and once
+    more at the end.
 
     With indent set, json never uses its C encoder; this writer takes the
     C string escaper and int.__repr__ directly.  Only str, int, bool,
     None, and dicts with str keys, lists and tuples of them are written:
-    anything else, a float included, raises TypeError.
+    anything else, a float included, raises TypeError.  A _Pieces, whose
+    pieces are already escaped, is written as the JSON string they spell:
+    a quote, its bounded joins, each ending a call to write, and a quote.
+    The escaper never sees its text, and no string holds it whole.
     """
     pieces = []
     append = pieces.append
@@ -263,6 +302,12 @@ def _write_json(doc, write) -> None:
                 if len(pieces) >= _FLUSH_PIECES:
                     flush()
             append(nl + "]")
+        elif isinstance(o, _Pieces):
+            append('"')
+            for part in o:
+                append(part)
+                flush()
+            append('"')
         else:
             raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
@@ -369,18 +414,29 @@ def cmd_intersect(args) -> int:
 
 
 def cmd_ball(args) -> int:
+    """Build the ball and write its counts, and its DOT to --dot FILE or,
+    given --dot -, as the output.  The DOT is written from
+    cayley.dot_pieces in bounded joins, never held as one string.  For
+    --dot - in JSON the pieces are built with \\" and \\n for each quote
+    and line break, so they are the DOT as JSON escapes it: every other
+    character is a name's or a label's, and the family's tokens are
+    letters and digits, which JSON writes as themselves."""
     _refuse_over_budget("--radius", args.radius, args.n)
     cayley = _module("cayley")
     pres = _presentation(args.n)
     root = _module("rewriting").left_normal_form(parse_word(args.root, pres), pres)
     ball = cayley.build_ball(root, args.radius, pres)
-    dot = cayley.export_dot(ball) if args.dot is not None else None
+    dot = None
+    if args.dot is not None:
+        escaped = args.dot == "-" and args.format == "json"
+        quote, nl = ('\\"', "\\n") if escaped else ('"', "\n")
+        dot = _Pieces(cayley.dot_pieces(ball, quote, nl))
     vertices, edges = len(ball.names), ball.edge_count
-    del ball  # the output's copies of the DOT need its room
+    del ball  # the DOT's pieces need its room
     dot_path = None
     if args.dot is not None and args.dot != "-":
         with open(args.dot, "w") as out:
-            out.write(dot)
+            out.writelines(dot)
         dot_path = args.dot
     result = {
         "root": format_word(root),
@@ -390,9 +446,9 @@ def cmd_ball(args) -> int:
         "dot_path": dot_path,
     }
     if args.dot == "-":
-        result["dot"] = dot
-        # the copy rstrip makes of the whole DOT is read only as text
-        text = dot.rstrip("\n") if args.format == "text" else None
+        result["dot"] = text = dot
+        if args.format == "text":
+            dot.pieces.pop()  # the last line's break: _emit writes it
     else:
         text = (
             f"root: {result['root']}\nradius: {args.radius}\n"

@@ -51,6 +51,7 @@ from .presentation import (
     Presentation,
     PresentationError,
     Word,
+    _free_words,
     format_word,
 )
 from .rewriting import (
@@ -311,8 +312,8 @@ def common_multiples(p: Word, q: Word, window: int, pres: Presentation):
     counted first against DEFAULT_CAP, read at call time; each subtree's
     count stops once the budget is spent, so a huge window costs no more
     than a small one to refuse.  The identity's ideal is every element,
-    counted by count_elements before any is listed.  An overrun names p, or
-    q when p is the identity."""
+    counted before any is listed, length by length up to the first that
+    passes the budget.  An overrun names p, or q when p is the identity."""
     if window < max(len(p), len(q)) + 1:
         raise WindowTooSmall(
             f"window {window} cannot reach a minimal common multiple of "
@@ -321,7 +322,8 @@ def common_multiples(p: Word, q: Word, window: int, pres: Presentation):
     swaps = _boundary_swaps(pres)
     found = [_ideal(root, pres, swaps) for root in (p, q) if root]
     if not found:  # the identity's ideal is every element
-        if count_elements(pres, window) > congruence.DEFAULT_CAP:
+        cap = congruence.DEFAULT_CAP
+        if _free_words(pres.generators, pres.rewrite_map, window, cap) > cap:
             raise _over_budget(())
         return enumerate_elements(pres, window)
     common = found[0] if len(found) == 1 else found[0] & found[1]

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 from collections import namedtuple
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ from malcev import cayley
 from malcev.cayley import (
     build_ball,
     codeterminism_violations,
+    dot_pieces,
     export_dot,
     indegree_violations,
     predecessors,
@@ -18,6 +20,7 @@ from malcev.cayley import (
 from malcev.cli import run
 from malcev.congruence import equality_class
 from malcev.presentation import (
+    INDEXED_KINDS,
     Presentation,
     build_presentation,
     format_word,
@@ -199,7 +202,35 @@ def test_export_dot_matches_reference(n, max_radius):
             got = (ball.root, ball.radius, ball.vertices, ball.edges)
             assert got == tuple(reference), (root, radius)
             assert ball.edge_count == len(reference.edges), (root, radius)
-            assert export_dot(ball) == _export_dot_reference(reference), (root, radius)
+            dot = _export_dot_reference(reference)
+            assert export_dot(ball) == dot, (root, radius)
+            # the pieces JSON writes between its quotes, escaped as built
+            escaped = "".join(dot_pieces(ball, '\\"', "\\n"))
+            assert f'"{escaped}"' == encode_basestring_ascii(dot), (root, radius)
+
+
+def test_json_writes_every_family_token_as_itself():
+    # the precondition of dot_pieces' escaped spelling, at every n <= 50 and
+    # at the largest index the CLI accepts, 249,999
+    tokens = {t for n in range(1, 51) for t in build_presentation(n).generators}
+    tokens.update(f"{kind}249999" for kind in INDEXED_KINDS)
+    for t in tokens:
+        assert encode_basestring_ascii(t) == f'"{t}"', t
+
+
+def test_dot_pieces_are_bounded():
+    # n = 1 at radius 5: the header, the root's line, the other 30,902
+    # vertex lines in pieces of _DOT_LINES, one piece per source, the
+    # closing brace and the last line break
+    ball = build_ball((), 5, build_presentation(1))
+    pieces = dot_pieces(ball)
+    chunks = -(-(len(ball.names) - 1) // cayley._DOT_LINES)
+    assert (len(ball.names), chunks) == (30903, 31)
+    assert len(pieces) == 2 + chunks + ball.sources + 2
+    assert pieces[:2] == ["digraph cayley {", '\n  "1";']
+    assert pieces[-2:] == ["\n}", "\n"]
+    assert all(p.startswith("\n") for p in pieces[1:])
+    assert max(map(len, pieces)) * 20 < len(export_dot(ball))
 
 
 # n = 1 at radius 6 is 235,036 vertices and 247,224 edges

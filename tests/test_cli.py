@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import pytest
@@ -442,15 +443,51 @@ def test_oracle_runs_at_any_window(capsys, window):
 
 
 def test_ball_exports_dot_only_when_asked(monkeypatch, capsys):
-    def boom(ball):
-        raise RuntimeError("export_dot called without --dot")
+    def boom(ball, *spelling):
+        raise RuntimeError("DOT built without --dot")
 
     monkeypatch.setattr(cayley, "export_dot", boom)
+    monkeypatch.setattr(cayley, "dot_pieces", boom)
     assert run(["ball", "-n", "1", "--radius", "2", "--root", "d"]) == 0
     assert out_of(capsys)[0] == "root: d\nradius: 2\nvertices: 70\nedges: 72"
     assert run(["ball", "-n", "1", "--radius", "2", "--format", "json"]) == 0
     result = json.loads(out_of(capsys)[0])["result"]
     assert "dot" not in result and result["dot_path"] is None
+
+
+def test_ball_dot_output_is_export_dot_in_every_form(tmp_path, capsys):
+    # text, JSON and file alike: the DOT's 4,098 pieces at n = 1 and radius
+    # 5, about 2 MB, take 30 joins of about _JOIN_CHARS each
+    dot = cayley.export_dot(cayley.build_ball((), 5, build_presentation(1)))
+    argv = ["ball", "-n", "1", "--radius", "5", "--dot"]
+    assert run(argv + ["-"]) == 0
+    assert capsys.readouterr() == (dot, "")
+    assert run(argv + ["-", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["dot"] == dot
+    target = tmp_path / "ball.dot"
+    for fmt in ("text", "json"):
+        assert run(argv + [str(target), "--format", fmt]) == 0
+        assert target.read_bytes() == dot.encode()
+
+
+def test_ball_json_writes_the_dot_unescaped_in_bounded_joins(monkeypatch):
+    # the pieces are built escaped: the escaper never sees the DOT, and no
+    # write holds more than a twentieth of the document
+    seen = []
+
+    def escape(text):
+        seen.append(len(text))
+        return encode_basestring_ascii(text)
+
+    monkeypatch.setattr(cli, "encode_basestring_ascii", escape)
+    stdout = _Writes()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    argv = ["ball", "-n", "1", "--radius", "5", "--dot", "-", "--format", "json"]
+    assert run(argv) == 0
+    out = stdout.getvalue()
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+    assert max(seen) < 20
+    assert max(stdout.sizes) * 20 < len(out)
 
 
 def test_ball_builds_no_edge_list(monkeypatch, capsys):

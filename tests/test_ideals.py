@@ -903,3 +903,17 @@ def test_common_multiples_of_identity_with_itself_count_against_the_cap(
     cap = congruence.DEFAULT_CAP
     with pytest.raises(CapExceeded, match=f"^closure of 1 exceeds {cap} words"):
         common_multiples(one, one, 7, m1)
+
+
+@pytest.mark.parametrize("window", [10**5, 10**6])
+def test_common_multiples_of_identity_with_itself_refuse_a_huge_window_at_once(
+    m1, window
+):
+    # the count stops at length 7, the first whose total passes the budget:
+    # counting every length up to window 10^5 took 10 s
+    one = el("1", m1)
+    cap = congruence.DEFAULT_CAP
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded, match=f"^closure of 1 exceeds {cap} words"):
+        common_multiples(one, one, window, m1)
+    assert time.perf_counter() - start < 0.05
