@@ -8,12 +8,14 @@ the intersection bases (normal form ending in a left-hand relation word).
 Predecessors are read off the normal form, with no search, and depend only
 on its tail: its last letter, or its last two when they form an L word.
 The codet and indegree suites check each edge by reduction and their total
-by a count.  When every tail's predecessors are the standard ones and pass
-the suite's verdict, the elements and the bases, built from shorter
-elements, are reduced as joined code-point texts (see rewriting).
-Otherwise every element is walked plainly: its predecessors are read off
-it, and each edge is reduced, a batch of elements at a time, and named if
-it fails.
+by a count.  The elements are held as one joined code-point text per length
+(see rewriting).  When every tail's predecessors are the standard ones and
+pass the suite's verdict, each text is reduced whole, and so is each text
+of shorter elements with an R word after every word, the partner words of
+the bases; the edges are counted off the texts' lengths, and no element is
+listed.  Otherwise the texts are split into the elements and every element
+is walked plainly: its predecessors are read off it, and each edge is
+reduced, a batch of elements at a time, and named if it fails.
 
 A ball is held as its vertices' names, each normal form's tokens joined by
 ".": its breadth-first search builds each target's name from its source's,
@@ -27,7 +29,7 @@ from bisect import bisect_left
 from typing import NamedTuple
 
 from .presentation import Presentation, Word
-from .rewriting import _Codec, _normal_forms
+from .rewriting import _Codec, _normal_form_texts
 
 __all__ = [
     "CayleyBall",
@@ -50,8 +52,7 @@ class CayleyBall(NamedTuple):
     The edges are not stored.  Their sources are names[:sources], the
     vertices short of the radius, and every source s with last token t has
     one edge per generator x, to s less t followed by steps[t][i] for x the
-    i-th generator: the name of the boundary step of t (see build_ball).
-    vertices and edges spell the same ball as Words, for tests."""
+    i-th generator: the name of the boundary step of t (see build_ball)."""
 
     root: Word
     radius: int
@@ -63,27 +64,6 @@ class CayleyBall(NamedTuple):
     @property
     def edge_count(self) -> int:
         return self.sources * len(self.generators)
-
-    @property
-    def vertices(self) -> tuple:
-        return tuple(map(_word, self.names))
-
-    @property
-    def edges(self) -> tuple:
-        """Every (source, label Letter, target), sources in BFS order and
-        labels in generator order."""
-        return tuple(
-            (_word(s), x, _word(s[: len(s) - len(t)] + step))
-            for s in self.names[: self.sources]
-            for t in (s.rpartition(".")[2],)
-            for x, step in zip(self.generators, self.steps[t])
-        )
-
-
-def _word(name: str) -> Word:
-    """The normal form a vertex name spells."""
-    return tuple(name.split(".")) if name else ()
-
 
 def build_ball(root: Word, radius: int, pres: Presentation) -> CayleyBall:
     """Breadth-first exploration of the out-ball around the normal form root.
@@ -219,7 +199,7 @@ def dot_pieces(ball: CayleyBall, quote: str = '"', nl: str = "\n") -> list:
     return pieces
 
 
-# elements, or heads of bases, per joined text: bounds what one text holds
+# elements per joined text of the plain walk: bounds what one text holds
 _BATCH = 4096
 
 
@@ -242,11 +222,14 @@ def _predecessor_sweep(pres: Presentation, max_len: int, codec, verdict):
     When every tail's edge words are the tail and then its R partners, and
     no verdict on a tail fails, the edge words are the elements and, at
     each base h + w, h + r for each R partner r of the L word w.  So no
-    element is sliced: each _BATCH of elements, joined, must reduce to
-    itself, and each _BATCH of h + r to the joined h + w.  Otherwise, or
-    when a text disagrees, every element v is walked plainly: its pairs
-    read off v itself, each edge word named if it does not reach v, then
-    v's verdict.  The walk reduces the edge words of each _BATCH of
+    element is listed: the elements are held as one text per length (see
+    rewriting), and each must reduce to itself; and each head text, of a
+    length up to max_len - 2, with r after every word must reduce to the
+    same text with w after every word.  The edges are then counted off the
+    texts' word counts.  Otherwise, or when a text disagrees, the texts are
+    split into the elements and every element v is walked plainly: its
+    pairs read off v itself, each edge word named if it does not reach v,
+    then v's verdict.  The walk reduces the edge words of each _BATCH of
     elements as one joined text, whose words come back in order."""
     partners = {  # L word -> its R partners, read only from max_len 2 on
         a + b: rs
@@ -260,24 +243,35 @@ def _predecessor_sweep(pres: Presentation, max_len: int, codec, verdict):
         for tail in ["", *letters, *partners]
         for pairs in [_predecessors(tail, partners)]
     )
-    spelled = _normal_forms(pres, max_len, codec.encode)
+    texts = _normal_form_texts(codec, max_len)
+    counts = [(len(text) + 1) // (k + 1) for k, text in enumerate(texts)]
     # the bases are the elements shorter than max_len - 1, each followed by
     # each L word: no R word ends in the P letter that begins an L word
-    heads = spelled[: bisect_left(spelled, max_len - 1, key=len)]
-    # (r, w, words): each of words followed by r must reduce to it followed
-    # by w.  They hold every edge word, and the identity, which is none
-    checks = [("", "", spelled)]
-    checks += [(r, w, heads) for w, rs in partners.items() for r in rs]
-    clean = clean and all(
-        codec.reduce_text((r + "\n").join(batch) + r) == (w + "\n").join(batch) + w
-        for r, w, words in checks
-        for start in range(0, len(words), _BATCH)
-        for batch in [words[start : start + _BATCH]]
+    heads = texts[: max(max_len - 1, 0)]
+    clean = (
+        clean
+        and all(codec.reduce_text(text) == text for text in texts)
+        and all(
+            codec.reduce_text(head.replace("\n", r + "\n") + r)
+            == head.replace("\n", w + "\n") + w
+            for w, rs in partners.items()
+            for r in rs
+            for head in heads
+        )
     )
 
     violations = []
-    found = sum(len(words) for *_, words in checks) - 1 if clean else 0
-    for start in () if clean else range(0, len(spelled), _BATCH):  # the plain walk
+    found = 0
+    spelled = []  # the elements, listed only for the plain walk
+    if clean:  # one edge into each element but the identity, one per base and r
+        found = sum(counts) - 1 + sum(counts[: len(heads)]) * sum(
+            map(len, partners.values())
+        )
+    else:
+        spelled = [""]
+        for text in texts[1:]:
+            spelled += text.split("\n")
+    for start in range(0, len(spelled), _BATCH):
         batch = spelled[start : start + _BATCH]
         edges = [_predecessors(v, partners) for v in batch]
         joined = "\n".join(u + x for pairs in edges for u, x in pairs)
@@ -291,8 +285,7 @@ def _predecessor_sweep(pres: Presentation, max_len: int, codec, verdict):
                         f"reaches {codec.name(target)}, not {codec.name(v)}"
                     )
             violations += verdict(v, pairs)
-    # the elements come in element_key order, the shorter ones first
-    expected = len(pres.generators) * bisect_left(spelled, max_len, key=len)
+    expected = len(pres.generators) * sum(counts[:max_len])
     if found != expected:
         violations.append(f"{found} incoming edges found, expected {expected}")
     return violations

@@ -24,6 +24,13 @@ product of two normal forms is a normal form already.  Whether a factor's
 seam products collide depends only on its letter at the seam, so those
 batches are made once per letter, on one-letter factors.  The codet,
 indegree and nf-oracle sweeps reduce their words in the same batches.
+
+The sweeps hold the normal forms in the same spelling, one text per
+length, joined by "\\n" (_normal_form_texts).  Each text is built from the
+one a length shorter by slicing and one str.replace per letter, so no
+normal form is listed: the codet and indegree sweeps reduce the texts
+whole and count their words off their lengths, and the cancellativity
+sweep splits its sides and factors off the same texts.
 """
 
 from __future__ import annotations
@@ -109,32 +116,23 @@ def element_key(w: Word):
 
 def enumerate_elements(pres: Presentation, max_len: int):
     """The normal forms of length <= max_len, one per element, ordered by
-    element_key."""
-    return _normal_forms(pres, max_len, tuple)
-
-
-def _normal_forms(pres: Presentation, max_len: int, spell):
-    """The normal forms of enumerate_elements, in its order, each spelled
-    as spell spells a Word: tuple gives the Words themselves, and a
-    _Codec's encode gives their code-point strings.  Normal forms are the
-    words with no right-side factor, so those of length k are those of
-    length k-1 extended by every letter that forms no right side with their
-    last letter.  Extending in token order keeps each length sorted by
-    element_key, since the generators are distinct."""
+    element_key.  Normal forms are the words with no right-side factor, so
+    those of length k are those of length k-1 extended by every letter that
+    forms no right side with their last letter.  Extending in token order
+    keeps each length sorted by element_key, since the generators are
+    distinct."""
     letters = sorted(pres.generators)
-    spelled = spell(tuple(letters))
-    first = [spelled[i : i + 1] for i in range(len(letters))]
-    # the spelled letters that may follow a spelled word w, keyed by w[-1]:
-    # the letter, or its code point.  Its G^2 pairs are read only from
-    # length 2 on, so it is built only then
+    first = [(g,) for g in letters]
+    # the one-letter words that may follow a word w, keyed by w[-1].  Its
+    # G^2 pairs are read only from length 2 on, so it is built only then
     after = {}
     if max_len >= 2:
         rewrite = pres.rewrite_map
         after = {
-            a[0]: [b for g, b in zip(letters, first) if (x, g) not in rewrite]
-            for x, a in zip(letters, first)
+            x: [b for g, b in zip(letters, first) if (x, g) not in rewrite]
+            for x in letters
         }
-    layer = [spelled[:0]]
+    layer = [()]
     out = layer[:]
     for _ in range(max_len):
         layer = [w + g for w in layer for g in (after[w[-1]] if w else first)]
@@ -239,6 +237,57 @@ class _Codec:
         return self.reduce_text(text, rules).split("\n")
 
 
+def _normal_form_texts(codec: _Codec, max_len: int) -> list:
+    """The normal forms of enumerate_elements spelled by codec, as one text
+    per length k <= max_len: those of length k joined by "\\n", in its
+    order.  That is token order, not code-point order (A10 sorts before
+    A2).  The identity's text is "", and text k holds
+    (len(text) + 1) // (k + 1) words.  A Q letter begins no R word, so
+    every length has a normal form once there is a generator: joined by
+    "\\n", the texts list every normal form once.  With no generator the
+    identity's text is the only one.
+
+    The normal forms of length k that begin with a are a followed by those
+    of length k-1 whose first letter b makes no R word a b.  Text k-1 lists
+    its words in blocks by first letter, in token order, so a's words are
+    text k-1 less the blocks of the banned b, with a put after every line
+    break by one str.replace.  That is O(G + relations) steps per length
+    for G generators, with all per-word work inside str methods."""
+    letters = list(map(codec.code.__getitem__, sorted(codec.code)))
+    texts = [""]
+    if max_len < 1 or not letters:
+        return texts
+    texts.append("\n".join(letters))
+    if max_len < 2:  # the banned pairs are read only from length 2 on
+        return texts
+    banned = {}  # a -> the letters b with a b an R word
+    for right in codec.rewrite:
+        banned.setdefault(right[0], []).append(right[1])
+    counts = dict.fromkeys(letters, 1)  # words of the last text, by first letter
+    for k in range(2, max_len + 1):
+        last, total = texts[-1], sum(counts.values())
+        starts, at = {}, 0  # each block's first word, as an index in last
+        for b in letters:
+            starts[b] = at
+            at += counts[b]
+        pieces, next_counts = [], {}
+        for a in letters:
+            skip = banned.get(a, ())
+            cuts = sorted((starts[b], starts[b] + counts[b]) for b in skip)
+            kept, i = [], 0
+            # words i..j-1 of last, each k code points with its line break
+            for j, end in (*cuts, (total, total)):
+                if j > i:
+                    kept.append(last[i * k : j * k - 1])
+                i = end
+            next_counts[a] = total - sum(counts[b] for b in skip)
+            if kept:
+                pieces.append(a + "\n".join(kept).replace("\n", "\n" + a))
+        texts.append("\n".join(pieces))
+        counts = next_counts
+    return texts
+
+
 def cancellativity_violations(pres: Presentation, max_ab: int, max_c: int):
     """Search for cancellativity failures among elements of bounded length.
 
@@ -277,9 +326,12 @@ def cancellativity_violations(pres: Presentation, max_ab: int, max_c: int):
     """
     codec = _Codec(pres)
     rewrite = codec.rewrite
-    sides = _normal_forms(pres, max_ab, codec.encode)
+    texts = _normal_form_texts(codec, max(max_ab, max_c))
+    factors = "\n".join(texts[: max_c + 1])
+    joined = "\n".join(texts[: max_ab + 1])  # the identity factor's batch
+    del texts  # joined holds the sides: drop their second copy
+    sides = joined.split("\n")
     side_set = set(sides)
-    joined = "\n".join(sides)  # the identity factor's batch: the sides themselves
     sides_r_free = codec.reduce_text(joined) == joined
     # by a seam letter g, the sides x with an R word across x g and the
     # rules of those R words; and the same across g x.  Only factors other
@@ -325,7 +377,7 @@ def cancellativity_violations(pres: Presentation, max_ab: int, max_c: int):
             left_fails.add(g)
 
     violations = []
-    for c in _normal_forms(pres, max_c, codec.encode):
+    for c in factors.split("\n"):
         if sides_r_free and not any(c[i : i + 2] in rewrite for i in range(len(c) - 1)):
             # the identity's products are the sides, found R-free above
             if not c or (c[0] not in right_fails and c[-1] not in left_fails):

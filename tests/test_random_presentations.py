@@ -36,7 +36,11 @@ from test_cayley import (
 )
 from test_congruence import _per_group_partition_agreement, side_words_by_brute_force
 from test_ideals import ideal_by_literal_extensions, ideal_words
-from test_rewriting import plain_cancellativity_sweep, spelled_partners_as_words
+from test_rewriting import (
+    assert_texts_spell_elements,
+    plain_cancellativity_sweep,
+    spelled_partners_as_words,
+)
 
 
 def draws(seed, count, p_letters, q_letters, relations):
@@ -176,6 +180,15 @@ def test_element_count_matches_enumeration(draw):
             assert count_elements(pres, max_len) == len(
                 enumerate_elements(pres, max_len)
             ), (i, max_len)
+
+
+@pytest.mark.parametrize("draw", ["small", "large"])
+def test_normal_form_texts_match_enumeration(draw):
+    # tokens x0, y0, ... take code points in order of first appearance, so
+    # token order and code-point order differ on many draws
+    presentations = SMALL if draw == "small" else LARGE
+    for pres in presentations:
+        assert_texts_spell_elements(pres, 4 if draw == "small" else 3)
 
 
 @pytest.mark.parametrize("draw", ["small", "large"])

@@ -285,13 +285,38 @@ def test_batch_reduction_matches_reduce_word_on_all_short_words(n, max_len):
         assert list(map(codec.decode, keys)) == [reduce_word(w, pres) for w in words]
 
 
-@pytest.mark.parametrize("n, max_len", [(1, 4), (3, 3), (12, 2)])
-def test_spelled_enumeration_matches_words(n, max_len):
-    # one enumerator for both spellings, index for index
-    pres = build_presentation(n)
+def assert_texts_spell_elements(pres, max_len):
+    """_normal_form_texts(codec, max_len), split by length, lists the
+    elements of enumerate_elements spelled by codec, index for index, with
+    its word counts read off the texts' lengths; at each shorter max-len
+    it gives the same texts, cut short."""
     codec = _Codec(pres)
-    spelled = rewriting._normal_forms(pres, max_len, codec.encode)
-    assert list(map(codec.decode, spelled)) == enumerate_elements(pres, max_len)
+    texts = rewriting._normal_form_texts(codec, max_len)
+    assert len(texts) == max_len + 1
+    split = [text.split("\n") for text in texts]
+    spelled = list(map(codec.encode, enumerate_elements(pres, max_len)))
+    assert [w for words in split for w in words] == spelled
+    assert all(len(w) == k for k, words in enumerate(split) for w in words)
+    counts = [(len(text) + 1) // (k + 1) for k, text in enumerate(texts)]
+    assert counts == list(map(len, split))
+    for k in range(max_len):
+        assert rewriting._normal_form_texts(codec, k) == texts[: k + 1], k
+
+
+# each n at the largest max-len that the word budget admits, after the
+# first three.  Token order is not code-point order at any n (A1 sorts
+# before a), nor index order from n = 10 on (A10 sorts before A2)
+@pytest.mark.parametrize(
+    "n, max_len",
+    [(1, 4), (3, 3), (12, 2), (1, 6), (2, 5), (3, 4), (5, 4), (12, 3), (200, 2)]
+    + [(10000, 0), (10000, 1)],
+)
+def test_spelled_enumeration_matches_words(n, max_len):
+    # the sweeps' texts and enumerate_elements' Words: one set of normal
+    # forms in one order
+    if (n, max_len) in {(1, 6), (2, 5), (3, 4), (5, 4), (12, 3), (200, 2)}:
+        assert congruence.count_over_budget(4 + 4 * n, max_len + 1) is not None
+    assert_texts_spell_elements(build_presentation(n), max_len)
 
 
 def spelled_partners_as_words(codec):
@@ -415,10 +440,15 @@ def test_sweep_checks_its_premise(monkeypatch, relations, max_ab, max_c, planted
         return sorted(all_words(pres, max_len), key=element_key)
 
     pres = make_presentation(relations)
-    # the sweep spells its sides and factors as code-point strings
-    monkeypatch.setattr(
-        rewriting, "_normal_forms", lambda pres, k, spell: list(map(spell, words(pres, k)))
-    )
+
+    # the sweep reads its sides and factors off one code-point text per length
+    def texts(codec, max_len):
+        by_length = [[] for _ in range(max_len + 1)]
+        for w in words(pres, max_len):
+            by_length[len(w)].append(codec.encode(w))
+        return ["\n".join(spelled) for spelled in by_length]
+
+    monkeypatch.setattr(rewriting, "_normal_form_texts", texts)
     found = cancellativity_violations(pres, max_ab, max_c)
     assert found == plain_cancellativity_sweep(pres, max_ab, max_c, words)
     assert planted in found
