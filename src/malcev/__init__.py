@@ -40,7 +40,6 @@ _EXPORTS = {
             "IntersectionResult",
             "WindowTooSmall",
             "brute_force_intersection",
-            "common_multiples",
             "intersect_principal",
             "verify_alignment",
         ),

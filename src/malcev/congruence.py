@@ -16,9 +16,9 @@ group fails its search or that count is not the number of shared words.
 The Cayley graph's predecessors are read off normal forms instead.
 closure also builds the brute-force alignment oracle's ideals, each from
 two searches: the class of its root and the words one letter longer that
-the boundary steps reach.  The search-based left divisibility minimises
-that oracle's common multiples and backs its cross-check; production
-callers use the closed form in the rewriting module.
+the boundary steps reach.  The search-based left divisibility keeps the
+minimal elements of that oracle's meets and backs its cross-check;
+production callers use the closed form in the rewriting module.
 """
 
 from __future__ import annotations

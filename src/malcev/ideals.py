@@ -31,27 +31,25 @@ elements is decided by the kind of its returned meet: an empty meet by
 disjoint ideals, a meet of p or q by one membership, and only a
 base-search meet by the antichain of its common multiples.  Each root's
 ideal is built once and held for the run, and the pairs are checked in
-sample order.  The per-pair oracle, brute_force_intersection, expands and
-reduces only the meet's antichain within a window, is minimised with the
-search-based divisibility of the congruence module, and describes any pair
-that fails.
+sample order.  The per-pair oracle, brute_force_intersection, reduces the
+words of the meet's antichain, keeps the minimal ones by the search-based
+divisibility of the congruence module, and describes any pair that fails.
 """
 
 from __future__ import annotations
 
 import random
-from itertools import permutations, product
+from itertools import permutations
 from typing import NamedTuple
 
 from . import congruence
-from .congruence import CapExceeded, left_divides
+from .congruence import left_divides
 from .presentation import (
     DEFAULT_SEED,
     InvariantViolation,
     Presentation,
     PresentationError,
     Word,
-    _free_words,
     format_word,
 )
 from .rewriting import (
@@ -72,7 +70,6 @@ __all__ = [
     "PRINCIPAL",
     "WindowTooSmall",
     "brute_force_intersection",
-    "common_multiples",
     "intersect_principal",
     "minimal_elements",
     "verify_alignment",
@@ -89,7 +86,7 @@ class AlignmentViolation(InvariantViolation, RuntimeError):
 
 
 class WindowTooSmall(ValueError):
-    """The brute-force window cannot contain a minimal common multiple."""
+    """The oracle window is below the element bound max_len + 1."""
 
 
 class IntersectionResult(NamedTuple):
@@ -211,15 +208,6 @@ def _boundary_swaps(pres: Presentation) -> dict:
     return swaps
 
 
-def _over_budget(root) -> CapExceeded:
-    """The error for common multiples over the word budget, worded as
-    congruence.closure words an overrun on root's ideal."""
-    return CapExceeded(
-        f"closure of {format_word(root)} exceeds {congruence.DEFAULT_CAP} "
-        "words, the fixed word budget congruence.DEFAULT_CAP"
-    )
-
-
 class _Ideal:
     """An ideal held as its antichain: its words with no proper prefix in
     it.  The ideal is closed under right extension, so it is exactly the
@@ -305,45 +293,6 @@ def _ideal(root, pres: Presentation, swaps: dict) -> _Ideal:
     return _Ideal(cls + [y for y in longer if y[:-1] not in members])
 
 
-def common_multiples(p: Word, q: Word, window: int, pres: Presentation):
-    """Normal forms of length <= window divisible by both normal forms p and
-    q, sorted by element_key.  Only the subtrees of the meet's antichain are
-    listed and reduced, and the words they hold within the window are
-    counted first against DEFAULT_CAP, read at call time; each subtree's
-    count stops once the budget is spent, so a huge window costs no more
-    than a small one to refuse.  The identity's ideal is every element,
-    counted before any is listed, length by length up to the first that
-    passes the budget.  An overrun names p, or q when p is the identity."""
-    if window < max(len(p), len(q)) + 1:
-        raise WindowTooSmall(
-            f"window {window} cannot reach a minimal common multiple of "
-            f"{format_word(p)} and {format_word(q)}"
-        )
-    swaps = _boundary_swaps(pres)
-    found = [_ideal(root, pres, swaps) for root in (p, q) if root]
-    if not found:  # the identity's ideal is every element
-        cap = congruence.DEFAULT_CAP
-        if _free_words(pres.generators, pres.rewrite_map, window, cap) > cap:
-            raise _over_budget(())
-        return enumerate_elements(pres, window)
-    common = found[0] if len(found) == 1 else found[0] & found[1]
-    budget = congruence.DEFAULT_CAP
-    for a in common.antichain:
-        level = 1
-        for _ in range(window - len(a) + 1):
-            budget -= level
-            level *= len(pres.generators)
-            if budget < 0:
-                raise _over_budget(p or q)
-    words = (
-        a + x
-        for a in common.antichain
-        for k in range(window - len(a) + 1)
-        for x in product(pres.generators, repeat=k)
-    )
-    return sorted({reduce_word(w, pres) for w in words}, key=element_key)
-
-
 def minimal_elements(elements, pres: Presentation):
     """Subset not properly left-divisible by any other member.
 
@@ -357,11 +306,26 @@ def minimal_elements(elements, pres: Presentation):
     return minimal
 
 
-def brute_force_intersection(p: Word, q: Word, window: int, pres: Presentation):
-    """Minimal common multiples of p and q within the window; oracle for
-    intersect_principal.  By the lemma in _ideal each of them has length at
-    most max(|p|, |q|) + 1, so every admitted window gives the same ones."""
-    return minimal_elements(common_multiples(p, q, window, pres), pres)
+def brute_force_intersection(p: Word, q: Word, pres: Presentation):
+    """Minimal common multiples of normal forms p and q, sorted by
+    element_key; oracle for intersect_principal.  A pair with the identity
+    is decided by definition: 1M and qM meet in qM, whose only generator is
+    q, and the identity alone generates 1M.
+
+    Otherwise they are the minimal elements among the normal forms of the
+    words of the antichain of pM and qM's meet.  Take a minimal element m of
+    the meet and any word of m's class: that word is in the meet, and a
+    proper prefix of it in the meet would be a proper divisor of m, as
+    relations preserve length, so the word is in the antichain.  Conversely,
+    each word of the meet begins with a word of the antichain, whose element
+    then divides it, so an element minimal among the antichain's normal
+    forms is minimal in the meet.  An ideal over DEFAULT_CAP raises
+    CapExceeded naming its root."""
+    if not p or not q:
+        return [p or q]
+    swaps = _boundary_swaps(pres)
+    common = _ideal(p, pres, swaps) & _ideal(q, pres, swaps)
+    return minimal_elements((reduce_word(a, pres) for a in common.antichain), pres)
 
 
 def _is_meet(gens, gen_ideals, common) -> bool:
@@ -423,8 +387,7 @@ def _oracle_mismatches(sample, pres: Presentation, partners):
     Every other pair is decided by _holds.  Each root's ideal is built the
     first time a check reads it and held for the run: an ideal is only its
     antichain and the prefixes of its words.  A failing pair is described
-    by brute_force_intersection at the pair's own window, max(|p|, |q|) + 1,
-    which gives the minimal common multiples of every larger window too.
+    by brute_force_intersection.
     """
     swaps = _boundary_swaps(pres)
     ideals = {}
@@ -446,7 +409,7 @@ def _oracle_mismatches(sample, pres: Presentation, partners):
         else:
             holds = gens == (p or q,)
         if not holds:
-            minimal = brute_force_intersection(p, q, max(len(p), len(q)) + 1, pres)
+            minimal = brute_force_intersection(p, q, pres)
             wrong.append(
                 f"({format_word(p)}, {format_word(q)}): fast generators "
                 f"{[format_word(g) for g in sorted(gens, key=element_key)]} vs "
@@ -529,24 +492,19 @@ def verify_alignment(
     length <= max_len, then validate a seeded sample of pairs against the
     brute-force oracle.  Problems are reported, not raised.
 
-    Only pairs of distinct elements that share a one-letter Q extension are
-    intersected, in enumeration order with p outer and q inner.  No other
-    pair can add to the report: _meet returns either the divisible side,
-    one generator, or the shared Q extensions, and it raises only when those
-    exceed the bound.  A pair with no shared extension therefore has at most
-    one generator and cannot raise, and every element divides itself, so
-    the largest generator count starts at 1.  pair_count stays the number
-    of ordered pairs.  A swept pair is u a, u b: two distinct normal forms
-    of one length, and relations preserve length, so neither divides the
-    other, and the sweep takes _meet's base-search branch, _bases, directly.
-
-    The partners of p = u a are u + (b,) for each letter b that the letter
-    table pairs with a, sharing u followed by the pair's tails, as _shared
-    has it.  They follow p's enumeration order, since they differ only in
-    the last letter.  Each is an element: a letter that shares an
-    extension is a P letter, and a P letter never ends an R word.  Only the
-    identity is swept at max_len 0, and it shares nothing, so the table is
-    not built there.
+    Only the pairs u a, u b are intersected, for u of length < max_len and
+    each letter pair (a, b) that the letter table gives two or more tails,
+    heavy below, in enumeration order with p outer.  No other pair can add
+    to the report: _meet returns the divisible side, one generator, or the
+    shared Q extensions, u followed by the tails of the pair's last letters
+    as _shared has it, and raises only when those exceed the bound, which is
+    at least 1.  Every element divides itself, so the largest generator
+    count starts at 1; pair_count stays the number of ordered pairs.  A
+    letter that shares an extension is a P letter, which never ends an R
+    word, so u a and u b are normal forms, distinct and of one length.
+    Relations preserve length, so neither divides the other, and the sweep
+    calls _meet's base-search branch, _bases, directly.  The table is not
+    built at max_len 0, where only the identity is swept.
 
     No per-pair result is stored.  The sample is drawn before the sweep.
     The oracle reads the same table, builds once each ideal that a pair's
@@ -567,13 +525,18 @@ def verify_alignment(
         for idx in rng.sample(range(total), k)
     ]
     partners = _letter_partners(pres.relations) if max_len else {}
+    heavy = [
+        (a, b, tails)
+        for a, bs in partners.items()
+        for b, tails in bs.items()
+        if len(tails) >= 2
+    ]
     max_generators = 1  # every element divides itself
     non_principal = []
     mismatches = []
-    for p in nfs[1:]:  # the identity shares no Q extension
-        u = p[:-1]
-        for b, tails in partners.get(p[-1], {}).items():
-            q = u + (b,)
+    for u in nfs[: count_elements(pres, max_len - 1)] if heavy else ():
+        for a, b, tails in heavy:
+            p, q = u + (a,), u + (b,)
             try:
                 gens = _bases(p, q, {u + t for t in tails}, pres.n)
             except AlignmentViolation as exc:

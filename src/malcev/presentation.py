@@ -220,14 +220,12 @@ def validate_generic(relations) -> Presentation:
     return Presentation(None, tuple(dict.fromkeys(letters)), rels)
 
 
-def _free_words(generators, pairs, max_len: int, stop=None) -> int:
+def _free_words(generators, pairs, max_len: int) -> int:
     """Number of words of length <= max_len over generators with no factor
     in pairs, distinct two-letter words.  Those of length k that end in y
     are those of length k-1, less those that end in a letter x with (x, y)
     in pairs, so the count takes O(max_len (G + pairs)) steps for G
-    generators and lists no word.  Given stop, counting ends at the first
-    length whose total passes stop: the result is then over stop, as the
-    whole count is, but may be less than it."""
+    generators and lists no word."""
     before = {}  # y -> the letters x with (x, y) in pairs
     for x, y in pairs:
         before.setdefault(y, []).append(x)
@@ -241,8 +239,6 @@ def _free_words(generators, pairs, max_len: int, stop=None) -> int:
             }
             layer = sum(ending.values())
         free += layer
-        if stop is not None and free > stop:
-            break
     return free
 
 

@@ -123,15 +123,16 @@ def enumerate_elements(pres: Presentation, max_len: int):
     distinct."""
     letters = sorted(pres.generators)
     first = [(g,) for g in letters]
-    # the one-letter words that may follow a word w, keyed by w[-1].  Its
-    # G^2 pairs are read only from length 2 on, so it is built only then
+    # the one-letter words that may follow a word w, keyed by w[-1]: every
+    # letter but those that form an R word with it, each removed from a copy
+    # of first.  It is read only from length 2 on, so it is built only then
     after = {}
     if max_len >= 2:
-        rewrite = pres.rewrite_map
-        after = {
-            x: [b for g, b in zip(letters, first) if (x, g) not in rewrite]
-            for x in letters
-        }
+        after = dict.fromkeys(letters, first)
+        for x, g in pres.rewrite_map:
+            kept = after[x][:]
+            kept.remove((g,))
+            after[x] = kept
     layer = [()]
     out = layer[:]
     for _ in range(max_len):
@@ -331,7 +332,6 @@ def cancellativity_violations(pres: Presentation, max_ab: int, max_c: int):
     joined = "\n".join(texts[: max_ab + 1])  # the identity factor's batch
     del texts  # joined holds the sides: drop their second copy
     sides = joined.split("\n")
-    side_set = set(sides)
     sides_r_free = codec.reduce_text(joined) == joined
     # by a seam letter g, the sides x with an R word across x g and the
     # rules of those R words; and the same across g x.  Only factors other
@@ -361,19 +361,23 @@ def cancellativity_violations(pres: Presentation, max_ab: int, max_c: int):
                 left_rules.setdefault(p, []).append(rule)
 
     # the seam letters whose products collide, each decided on its
-    # one-letter factor
+    # one-letter factor; the set of sides is built only when a seam product
+    # keeps its seam letter, which no product of M_n does
     right_fails, left_fails = set(), set()
+    side_set = None
     for g, seam in right_seam.items():
         keys = codec.reduce_joined((g + "\n").join(seam) + g, right_rules[g])
-        if len(set(keys)) != len(keys) or not side_set.isdisjoint(
-            [key[:-1] for key in keys if key.endswith(g)]
-        ):
+        rests = [key[:-1] for key in keys if key.endswith(g)]
+        if rests and side_set is None:
+            side_set = set(sides)
+        if len(set(keys)) != len(keys) or rests and not side_set.isdisjoint(rests):
             right_fails.add(g)
     for g, seam in left_seam.items():
         keys = codec.reduce_joined(g + ("\n" + g).join(seam), left_rules[g])
-        if len(set(keys)) != len(keys) or not side_set.isdisjoint(
-            [key[1:] for key in keys if key.startswith(g)]
-        ):
+        rests = [key[1:] for key in keys if key.startswith(g)]
+        if rests and side_set is None:
+            side_set = set(sides)
+        if len(set(keys)) != len(keys) or rests and not side_set.isdisjoint(rests):
             left_fails.add(g)
 
     violations = []

@@ -1,12 +1,11 @@
 import random
-import time
 import tracemalloc
 from collections import Counter
 from itertools import permutations, product
 
 import pytest
 
-from malcev import congruence, ideals
+from malcev import congruence, ideals, rewriting
 from malcev.cayley import predecessors
 from malcev.congruence import CapExceeded, left_divides
 from malcev.ideals import (
@@ -18,7 +17,6 @@ from malcev.ideals import (
     AlignmentViolation,
     WindowTooSmall,
     brute_force_intersection,
-    common_multiples,
     intersect_principal,
     minimal_elements,
     verify_alignment,
@@ -32,6 +30,7 @@ from malcev.presentation import (
     validate_generic,
 )
 from malcev.rewriting import (
+    count_elements,
     element_key,
     enumerate_elements,
     is_intersection_base,
@@ -95,6 +94,17 @@ def ideal_words(root, window, pres):
         for extra in range(window - len(a) + 1)
         for x in product(pres.generators, repeat=extra)
     )
+
+
+def literal_common_multiples(p, q, window, pres):
+    """Reference: the elements of length <= window that both p and q
+    divide, by the closed-form divisibility, which reads no ideal."""
+    return [
+        e
+        for e in enumerate_elements(pres, window)
+        if rewriting.left_divides(p, e, pres) is not None
+        and rewriting.left_divides(q, e, pres) is not None
+    ]
 
 
 def extension_letter_partners(pres, ext):
@@ -194,32 +204,42 @@ def test_report_names_a_generator_count_over_the_bound(m1):
 
 
 def test_brute_force_matches_fast_path(m1, m2):
-    got = brute_force_intersection(el("A1", m1), el("d", m1), 4, m1)
+    got = brute_force_intersection(el("A1", m1), el("d", m1), m1)
     assert [format_word(g) for g in got] == ["A1 D1", "d a"]
 
-    got = brute_force_intersection(el("A1", m2), el("d", m2), 4, m2)
+    got = brute_force_intersection(el("A1", m2), el("d", m2), m2)
     assert [format_word(g) for g in got] == ["d a"]
 
-    assert brute_force_intersection(el("d", m1), el("d", m1), 2, m1) == [el("d", m1)]
-    assert brute_force_intersection(el("a", m1), el("b", m1), 5, m1) == []
+    assert brute_force_intersection(el("d", m1), el("d", m1), m1) == [el("d", m1)]
+    assert brute_force_intersection(el("a", m1), el("b", m1), m1) == []
 
 
-def test_common_multiples_match_divisibility(m1):
-    d = el("d", m1)
-    common = common_multiples(d, d, 3, m1)
-    expected = [
-        e
-        for e in enumerate_elements(m1, 3)
-        if left_divides(d, e, m1) is not None
-    ]
-    assert common == expected
+@pytest.mark.parametrize("window", [2, 3])
+def test_brute_force_is_the_minimal_literal_common_multiples(m1, window):
+    # every ordered pair of length <= 1, the identity included; no common
+    # multiple of the larger window adds a generator
+    elements = enumerate_elements(m1, 1)
+    for p, q in product(elements, repeat=2):
+        expected = minimal_elements(literal_common_multiples(p, q, window, m1), m1)
+        assert brute_force_intersection(p, q, m1) == expected, (p, q)
+
+
+def test_brute_force_with_identity_builds_no_ideal(m3, monkeypatch):
+    # 1M and qM meet in qM, whose only generator is q, decided by definition
+    monkeypatch.setattr(
+        ideals, "_ideal", lambda root, *args: pytest.fail(f"ideal of {root}")
+    )
+    one, q = el("1", m3), el("d a", m3)
+    assert brute_force_intersection(one, q, m3) == [q]
+    assert brute_force_intersection(q, one, m3) == [q]
+    assert brute_force_intersection(one, one, m3) == [one]
 
 
 def test_generator_predecessors_are_not_common_multiples(m1):
     # minimality seen on the graph: no proper divisor of a generator lies in
     # both ideals
     p, q = el("A1", m1), el("d", m1)
-    common = set(common_multiples(p, q, 4, m1))
+    common = set(literal_common_multiples(p, q, 4, m1))
     for g in intersect_principal(p, q, m1).generators:
         assert g in common
         for source, _ in predecessors(g, m1):
@@ -227,8 +247,6 @@ def test_generator_predecessors_are_not_common_multiples(m1):
 
 
 def test_window_too_small(m1):
-    with pytest.raises(WindowTooSmall):
-        common_multiples(el("d", m1), el("d", m1), 1, m1)
     with pytest.raises(WindowTooSmall):
         verify_alignment(m1, max_len=2, samples=5, window=2)
 
@@ -274,8 +292,8 @@ def test_exhaustive_sweep_matches_per_pair_oracle(m1):
                 names = tuple(map(format_word, gens))
                 non_principal.append((format_word(p), format_word(q), names))
             # minimal generators that divide every common multiple
-            common = common_multiples(p, q, 3, m1)
-            if gens != brute_force_intersection(p, q, 3, m1) or (
+            common = literal_common_multiples(p, q, 3, m1)
+            if gens != brute_force_intersection(p, q, m1) or (
                 minimal_elements(common + gens, m1) != gens
             ):
                 mismatches.append(f"({format_word(p)}, {format_word(q)})")
@@ -399,6 +417,75 @@ def test_shared_extension_sweep_matches_all_pairs(request, n, max_len):
         assert len(report.mismatches) == (0, 2, 14, 82)[max_len]
 
 
+def _per_element_sweep(pres, max_len, window):
+    """Reference sweep: every nonempty element p, each with every partner
+    u + (b,), for u = p[:-1] and each letter b that the letter table pairs
+    with p[-1], through _bases.  With no oracle sample, verify_alignment
+    reports the sweep alone."""
+    nfs = enumerate_elements(pres, max_len)
+    partners = ideals._letter_partners(pres.relations)
+    max_generators = 1
+    non_principal = []
+    mismatches = []
+    for p in nfs[1:]:
+        u = p[:-1]
+        for b, tails in partners.get(p[-1], {}).items():
+            q = u + (b,)
+            try:
+                gens = ideals._bases(p, q, {u + t for t in tails}, pres.n)
+            except AlignmentViolation as exc:
+                mismatches.append(f"({format_word(p)}, {format_word(q)}): {exc}")
+                continue
+            max_generators = max(max_generators, len(gens))
+            if len(gens) >= 2:
+                names = tuple(format_word(g) for g in sorted(gens, key=element_key))
+                non_principal.append((format_word(p), format_word(q), names))
+    return AlignmentReport(
+        n=pres.n,
+        max_len=max_len,
+        pair_count=len(nfs) ** 2,
+        max_generators=max_generators,
+        non_principal=tuple(non_principal),
+        sampled=0,
+        window=window,
+        seed=DEFAULT_SEED,
+        mismatches=tuple(mismatches),
+        expected_non_principal=ideals._non_principal_count(pres, max_len),
+    )
+
+
+@pytest.mark.parametrize(
+    "n, max_len", [(1, 3), (2, 3), (3, 2), (12, 2), ("skew", 3), ("fork", 3)]
+)
+def test_sweep_intersects_only_the_letter_pairs_with_two_tails(
+    monkeypatch, n, max_len
+):
+    # a letter pair with one tail gives one generator, never raises and adds
+    # nothing to the report, so the sweep calls _bases once for each u of
+    # length < max_len and each letter pair with two or more tails: none in
+    # the family at n >= 2, nor in "fork", whose letter pairs share one L
+    # word each; "skew" raises on every pair it sweeps
+    if n in ("skew", "fork"):
+        relations = _skew_relations() if n == "skew" else _FORK
+        pres = labelled_2(validate_generic(relations))
+    else:
+        pres = build_presentation(n)
+    reference = _per_element_sweep(pres, max_len, max_len + 1)
+    table = ideals._letter_partners(pres.relations)
+    heavy = sum(len(tails) >= 2 for bs in table.values() for tails in bs.values())
+    calls = []
+    real = ideals._bases
+
+    def counting(p, q, shared, n):
+        calls.append((p, q))
+        return real(p, q, shared, n)
+
+    monkeypatch.setattr(ideals, "_bases", counting)
+    assert verify_alignment(pres, max_len, 0, max_len + 1) == reference
+    assert len(calls) == heavy * count_elements(pres, max_len - 1)
+    assert heavy == (2 if n in (1, "skew") else 0)
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_shared_extension_sweep_matches_all_pairs_under_a_fault(
     request, monkeypatch, n
@@ -500,62 +587,22 @@ def test_ideal_matches_the_closure_of_every_literal_extension_at_window_7(m1):
         assert ideal_words(root, 7, m1) == expected, root
 
 
-def test_common_multiples_count_the_words_they_list_against_the_cap(
-    m1, monkeypatch
-):
-    # the meet of the ideals of d and A1 has four antichain words of length
-    # 2, whose subtrees hold 4 * 73 = 292 words within window 4; the budget
-    # is read at call time, and an overrun names p
-    d, a1 = el("d", m1), el("A1", m1)
-    expected = common_multiples(d, a1, 4, m1)
-    monkeypatch.setattr(congruence, "DEFAULT_CAP", 292)
-    assert common_multiples(d, a1, 4, m1) == expected
-    monkeypatch.setattr(congruence, "DEFAULT_CAP", 291)
-    with pytest.raises(CapExceeded, match="^closure of d exceeds 291 words"):
-        common_multiples(d, a1, 4, m1)
-    with pytest.raises(CapExceeded, match="^closure of A1 exceeds 291 words"):
-        common_multiples(a1, d, 4, m1)
-
-
-def test_common_multiples_over_the_cap_list_no_word(m1, monkeypatch):
-    # about 4.9 billion words within window 12: counted, not listed
-    built = []
-    real = ideals.product
-
-    def counting(*args, **kwargs):
-        built.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(ideals, "product", counting)
-    cap = congruence.DEFAULT_CAP
-    with pytest.raises(CapExceeded, match=f"^closure of d exceeds {cap} words"):
-        common_multiples(el("d", m1), el("A1", m1), 12, m1)
-    assert built == []
-
-
-def test_common_multiples_refuse_a_huge_window_at_once(m1):
-    # each subtree's count stops once the budget is spent, so 8^999,998 is
-    # never computed
-    cap = congruence.DEFAULT_CAP
-    start = time.perf_counter()
-    with pytest.raises(CapExceeded, match=f"^closure of d exceeds {cap} words"):
-        common_multiples(el("d", m1), el("A1", m1), 10**6, m1)
-    assert time.perf_counter() - start < 0.5
-
-
 def test_an_ideal_over_the_cap_across_the_boundary_names_its_root(monkeypatch):
     # x y1 has the 19 other P·Q words over x, p1..p4 and y1..y4 as R
-    # partners, so within window 3 the ideal of x holds its 91 literal
-    # extensions and 160 words reached across the boundary, that begin with
-    # a p letter; counting those is what overruns
+    # partners, so the closure of the boundary steps of x holds those 20
+    # words, 16 of them reached across the boundary, that begin with a p
+    # letter; a budget of 20 holds it, one of 19 overruns, and the overrun
+    # names the root, not the first boundary step
     letters = ("x", "p1", "p2", "p3", "p4")
     rights = [(a, f"y{i}") for a in letters for i in range(1, 5)][1:]
     pres = validate_generic([(("x", "y1"), right) for right in rights])
     root = ("x",)
-    assert len(ideal_by_literal_extensions(root, 3, pres)) == 251
-    monkeypatch.setattr(congruence, "DEFAULT_CAP", 100)
-    with pytest.raises(CapExceeded, match="^closure of x exceeds 100 words"):
-        common_multiples(root, root, 3, pres)
+    assert len(ideal(root, pres).antichain) == 17
+    monkeypatch.setattr(congruence, "DEFAULT_CAP", 20)
+    assert brute_force_intersection(root, root, pres) == [root]
+    monkeypatch.setattr(congruence, "DEFAULT_CAP", 19)
+    with pytest.raises(CapExceeded, match="^closure of x exceeds 19 words"):
+        brute_force_intersection(root, root, pres)
 
 
 @pytest.mark.parametrize("n, max_len", [(1, 3), (2, 2), (12, 2)])
@@ -670,7 +717,7 @@ def test_oracle_reports_exactly_the_wrong_meets_of_each_kind(
             continue
         shared = ideals._shared(p, q, partners)
         gens = sorted(faulty(p, q, shared, m1)[1], key=element_key)
-        minimal = oracle[p, q] = brute_force_intersection(p, q, 4, m1)
+        minimal = oracle[p, q] = brute_force_intersection(p, q, m1)
         if gens != minimal:
             expected.append(
                 f"({format_word(p)}, {format_word(q)}): fast generators "
@@ -684,7 +731,7 @@ def test_oracle_reports_exactly_the_wrong_meets_of_each_kind(
             ideals, "_ideal", lambda root, *args: pytest.fail(f"ideal of {root}")
         )
         monkeypatch.setattr(
-            ideals, "brute_force_intersection", lambda p, q, w, pres: oracle[p, q]
+            ideals, "brute_force_intersection", lambda p, q, pres: oracle[p, q]
         )
     assert ideals._oracle_mismatches(sample, m1, partners) == expected
     assert 0 < len(expected) <= len(planted)
@@ -862,58 +909,3 @@ def test_foreign_presentation_trips_alignment_check():
     q = el("A1", fake)
     with pytest.raises(AlignmentViolation):
         intersect_principal(p, q, fake)
-
-
-def test_common_multiples_with_identity(m3):
-    # the identity's ideal holds every word of the window (1,118,481 at n=3,
-    # window 5, over the closure cap), so the meet is the other ideal
-    one, q = el("1", m3), el("d a", m3)
-    expected = sorted(
-        {
-            left_normal_form(q + w, m3)
-            for extra in range(4)
-            for w in product(m3.generators, repeat=extra)
-        },
-        key=element_key,
-    )
-    assert common_multiples(one, q, 5, m3) == expected
-    assert common_multiples(q, one, 5, m3) == expected
-
-
-def test_common_multiples_of_identity_with_itself(m1):
-    one = el("1", m1)
-    assert common_multiples(one, one, 3, m1) == enumerate_elements(m1, 3)
-
-
-def test_common_multiples_of_identity_with_itself_count_against_the_cap(
-    m1, monkeypatch
-):
-    # the identity's ideal is every element: 534 within window 3 at n = 1,
-    # counted before any is listed, against the budget read at call time
-    one = el("1", m1)
-    expected = enumerate_elements(m1, 3)
-    assert len(expected) == 534
-    monkeypatch.setattr(congruence, "DEFAULT_CAP", 534)
-    assert common_multiples(one, one, 3, m1) == expected
-    monkeypatch.setattr(congruence, "DEFAULT_CAP", 533)
-    with pytest.raises(CapExceeded, match="^closure of 1 exceeds 533 words"):
-        common_multiples(one, one, 3, m1)
-    # 1,787,580 elements within window 7, refused at the default budget
-    monkeypatch.undo()
-    cap = congruence.DEFAULT_CAP
-    with pytest.raises(CapExceeded, match=f"^closure of 1 exceeds {cap} words"):
-        common_multiples(one, one, 7, m1)
-
-
-@pytest.mark.parametrize("window", [10**5, 10**6])
-def test_common_multiples_of_identity_with_itself_refuse_a_huge_window_at_once(
-    m1, window
-):
-    # the count stops at length 7, the first whose total passes the budget:
-    # counting every length up to window 10^5 took 10 s
-    one = el("1", m1)
-    cap = congruence.DEFAULT_CAP
-    start = time.perf_counter()
-    with pytest.raises(CapExceeded, match=f"^closure of 1 exceeds {cap} words"):
-        common_multiples(one, one, window, m1)
-    assert time.perf_counter() - start < 0.05

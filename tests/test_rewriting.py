@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -237,6 +238,20 @@ def test_token_order_differs_from_index_order_at_n12():
 def test_no_cancellation_failures_small(m1, m2):
     assert cancellativity_violations(m1, 2, 1) == []
     assert cancellativity_violations(m2, 2, 1) == []
+
+
+def test_cancellation_sweep_holds_no_set_of_the_sides(m1):
+    # no seam product of M_n keeps its seam letter, so the sweep never puts
+    # its 30,903 sides in a set: 4.33 MiB traced at n = 1, max-len 5 on
+    # Python 3.11, against 6.33 MiB with the set
+    tracemalloc.start()
+    try:
+        found = cancellativity_violations(m1, 5, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert found == []
+    assert peak < 5.3 * 2**20, f"{peak / 2**20:.2f} MiB"
 
 
 def test_cancellation_sweep_detects_planted_failure():
