@@ -30,10 +30,12 @@ each antichain that lie in the other ideal.  Each sampled pair of nonempty
 elements is decided by the kind of its returned meet: an empty meet by
 disjoint ideals, a meet of p or q by one membership, and only a
 base-search meet by the antichain of its common multiples.  Each root's
-ideal is built once and held for the run, and the pairs are checked in
-sample order.  The per-pair oracle, brute_force_intersection, reduces the
-words of the meet's antichain, keeps the minimal ones by the search-based
-divisibility of the congruence module, and describes any pair that fails.
+ideal is built once and held for the run.  The pairs are checked by
+ascending position, so grouped by their first element, and a sample of
+every pair is not drawn at all.  The per-pair oracle,
+brute_force_intersection, reduces the words of the meet's antichain, keeps
+the minimal ones by the search-based divisibility of the congruence
+module, and describes any pair that fails.
 """
 
 from __future__ import annotations
@@ -123,7 +125,8 @@ def intersect_principal(p: Word, q: Word, pres: Presentation) -> IntersectionRes
             (left, right) for left, right in pres.relations
             if left[0] in ends or right[0] in ends
         )
-    provenance, gens = _meet(p, q, _shared(p, q, partners), pres)
+    shared = _shared(q, p[:-1], _row(p, partners))
+    provenance, gens = _meet(p, q, shared, pres)
     kind = (EMPTY, PRINCIPAL, GENERATORS)[len(gens)]
     return IntersectionResult(kind, tuple(sorted(gens, key=element_key)), provenance)
 
@@ -162,16 +165,23 @@ def _letter_partners(relations) -> dict:
     return {a: dict(sorted(bs.items())) for a, bs in sorted(partners.items())}
 
 
-def _shared(p, q, partners) -> set:
-    """The Q extensions that normal forms p and q share, by the prefix
-    lemma: p[:-1] followed by the letter table's tails for p[-1] and q[-1]
-    when p and q are nonempty with the same prefix, else none.  The table
-    pairs no letter with itself, so p shares none with itself; it divides
-    itself, and _meet returns it first."""
-    if not p or not q or p[:-1] != q[:-1]:
-        return set()
-    u = p[:-1]
-    return {u + t for t in partners.get(p[-1], {}).get(q[-1], ())}
+def _row(p, partners) -> dict:
+    """The letter table's entry for the last letter of a normal form p:
+    b -> the tails that p[-1] and b share, none for the identity."""
+    return partners.get(p[-1], {}) if p else {}
+
+
+def _shared(q, prefix, row):
+    """The Q extensions that normal form q shares with a normal form p, by
+    the prefix lemma, given p's prefix p[:-1] and row, _row(p): prefix
+    followed by the row's tails for q[-1] when q is nonempty with the same
+    prefix, else none (an empty tuple).  The table pairs no letter with
+    itself, so p shares none with itself; it divides itself, and _meet
+    returns it first."""
+    tails = row.get(q[-1]) if q else None
+    if tails is None or q[:-1] != prefix:
+        return ()
+    return {prefix + t for t in tails}
 
 
 def _meet(p, q, shared, pres: Presentation):
@@ -375,19 +385,22 @@ def _holds(p, q, gens, ideal) -> bool:
     return _is_meet(gens, [ideal(g) for g in gens], ideal(p) & ideal(q))
 
 
-def _oracle_mismatches(sample, pres: Presentation, partners):
-    """Check the meet of each sampled pair against the brute-force oracle,
-    in sample order, and describe each pair that fails.
+def _oracle_mismatches(positions, nfs, pres: Presentation, partners) -> dict:
+    """Check the meet of the pair (nfs[i], nfs[j]) at each position
+    i * len(nfs) + j against the brute-force oracle, and describe each pair
+    that fails: position -> description, in the order of positions.
 
-    Shared Q extensions come from the letter table partners, the one the
-    sweep reads.  A pair with the identity is decided by definition: it
-    holds exactly when its generators are the other element alone, or the
-    identity alone for the pair of identities.  So is a pair of nonempty
-    elements whose generators include the identity, which divides neither.
-    Every other pair is decided by _holds.  Each root's ideal is built the
-    first time a check reads it and held for the run: an ideal is only its
-    antichain and the prefixes of its words.  A failing pair is described
-    by brute_force_intersection.
+    Ascending positions come grouped by their first element p, whose
+    prefix and row of the letter table partners, the one the sweep reads,
+    are read once for the run of positions that share it.  A pair with the
+    identity is decided by definition: it holds exactly when its generators
+    are the other element alone, or the identity alone for the pair of
+    identities.  So is a pair of nonempty elements whose generators include
+    the identity, which divides neither.  Every other pair is decided by
+    _holds.  Each root's ideal is built the first time a check
+    reads it and held for the run: an ideal is only its antichain and the
+    prefixes of its words.  A failing pair is described by
+    brute_force_intersection.
     """
     swaps = _boundary_swaps(pres)
     ideals = {}
@@ -398,10 +411,18 @@ def _oracle_mismatches(sample, pres: Presentation, partners):
             found = ideals[root] = _ideal(root, pres, swaps)
         return found
 
-    wrong = []
-    for p, q in sample:
+    count = len(nfs)
+    wrong = {}
+    base = end = 0
+    for pos in positions:
+        if not base <= pos < end:
+            base = pos - pos % count
+            end = base + count
+            p = nfs[base // count]
+            prefix, row = p[:-1], _row(p, partners)
+        q = nfs[pos - base]
         try:
-            _, gens = _meet(p, q, _shared(p, q, partners), pres)
+            _, gens = _meet(p, q, _shared(q, prefix, row), pres)
         except AlignmentViolation:
             continue  # only partners raise, and the sweep reported those
         if p and q and () not in gens:
@@ -410,7 +431,7 @@ def _oracle_mismatches(sample, pres: Presentation, partners):
             holds = gens == (p or q,)
         if not holds:
             minimal = brute_force_intersection(p, q, pres)
-            wrong.append(
+            wrong[pos] = (
                 f"({format_word(p)}, {format_word(q)}): fast generators "
                 f"{[format_word(g) for g in sorted(gens, key=element_key)]} vs "
                 f"oracle {[format_word(m) for m in minimal]}"
@@ -497,33 +518,39 @@ def verify_alignment(
     heavy below, in enumeration order with p outer.  No other pair can add
     to the report: _meet returns the divisible side, one generator, or the
     shared Q extensions, u followed by the tails of the pair's last letters
-    as _shared has it, and raises only when those exceed the bound, which is
-    at least 1.  Every element divides itself, so the largest generator
-    count starts at 1; pair_count stays the number of ordered pairs.  A
-    letter that shares an extension is a P letter, which never ends an R
-    word, so u a and u b are normal forms, distinct and of one length.
-    Relations preserve length, so neither divides the other, and the sweep
-    calls _meet's base-search branch, _bases, directly.  The table is not
-    built at max_len 0, where only the identity is swept.
+    as _shared has it, and raises only when those exceed the bound,
+    which is at least 1.  Every element divides itself, so the largest
+    generator count starts at 1; pair_count stays the number of ordered
+    pairs.  A letter that shares an extension is a P letter, which never
+    ends an R word, so u a and u b are normal forms, distinct and of one
+    length.  Relations preserve length, so neither divides the other, and
+    the sweep calls _meet's base-search branch, _bases, directly.  The
+    table is not built at max_len 0, where only the identity is swept.
 
-    No per-pair result is stored.  The sample is drawn before the sweep.
-    The oracle reads the same table, builds once each ideal that a pair's
-    check reads, and checks the pairs in sample order.  No ideal depends on
-    the window (see _ideal), so the window is only checked against max_len
-    and reported.
+    No per-pair result is stored.  The oracle reads the same table and
+    checks k = min(samples, pair_count) pairs, each at its position
+    i * len(nfs) + j, in ascending order.  When k is the pair count the
+    positions are every one, and no sample is drawn; otherwise the seeded
+    draw is sorted.  Failures are reported in the order of the seeded
+    draw, which is redrawn for them.  A k over DEFAULT_CAP, read at call
+    time, raises ValueError before any element is listed or index drawn.
+    No ideal depends on the window (see _ideal), so the window is only
+    checked against max_len and reported.
     """
     if pres.n is None:
         raise PresentationError("alignment verification needs the indexed family")
     if window < max_len + 1:
         raise WindowTooSmall(f"window {window} below element bound {max_len} + 1")
+    cap = congruence.DEFAULT_CAP
+    if samples > cap:  # only then can the sample overrun: count the pairs
+        k = min(samples, count_elements(pres, max_len) ** 2)
+        if k > cap:
+            raise ValueError(
+                f"an oracle sample of {k} pairs is over the budget of {cap} pairs"
+            )
     nfs = enumerate_elements(pres, max_len)
     total = len(nfs) ** 2
-    rng = random.Random(seed)
     k = min(samples, total)
-    sample = [
-        (nfs[idx // len(nfs)], nfs[idx % len(nfs)])
-        for idx in rng.sample(range(total), k)
-    ]
     partners = _letter_partners(pres.relations) if max_len else {}
     heavy = [
         (a, b, tails)
@@ -548,7 +575,14 @@ def verify_alignment(
             if count >= 2:
                 names = tuple(map(format_word, sorted(gens, key=element_key)))
                 non_principal.append((format_word(p), format_word(q), names))
-    mismatches += _oracle_mismatches(sample, pres, partners)
+
+    def draw():
+        return random.Random(seed).sample(range(total), k)
+
+    positions = range(total) if k == total else sorted(draw())
+    failed = _oracle_mismatches(positions, nfs, pres, partners)
+    if failed:  # reported in the order of the seeded draw
+        mismatches += [failed[i] for i in draw() if i in failed]
     return AlignmentReport(
         n=pres.n,
         max_len=max_len,

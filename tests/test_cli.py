@@ -416,6 +416,24 @@ def test_over_budget_refused_before_the_presentation(monkeypatch, capsys, argv, 
     assert elapsed < 0.5
 
 
+def test_oversized_oracle_sample_exits_2(capsys):
+    # 235,036 elements of length <= 6 at n = 1 make 5.5 * 10^10 pairs; a
+    # sample of 10^8 of them is refused before the elements are listed
+    argv = ["verify", "-n", "1", "--suite", "alignment", "--max-len", "6"]
+    start = time.perf_counter()
+    assert run(argv + ["--samples", "100000000"]) == 2
+    elapsed = time.perf_counter() - start
+    assert out_of(capsys) == (
+        "",
+        "error: an oracle sample of 100000000 pairs is over the budget of "
+        "1000000 pairs\n",
+    )
+    assert elapsed < 0.5
+    argv[-1] = "4"
+    assert run(argv + ["--samples", "1000001"]) == 2
+    assert "sample of 1000001 pairs" in out_of(capsys)[1]
+
+
 @pytest.mark.parametrize("window", ["8", "20000"])
 def test_oracle_runs_at_any_window(capsys, window):
     # no ideal depends on the window, so windows far past max-len + 1 run
@@ -905,6 +923,40 @@ def test_golden_json_output(argv, digest, capsys):
     captured = capsys.readouterr()
     assert captured.err == ""
     assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
+
+
+# sha256 of the stdout of two alignment runs with divisibility planted to
+# fail, so that hundreds of pairs mismatch, in text and as JSON: every pair
+# at n = 1, max-len 2, and a seeded sample of 300 of them, whose mismatches
+# come in the order of the draw
+PLANTED_ALIGNMENT = [
+    (
+        ["verify", "-n", "1", "--suite", "alignment", "--max-len", "2"]
+        + ["--samples", "4900"],
+        "915d3a64630e7ea72a9b4d15c7f5cd08db4160e32b5017ffbc174e799283d09c",
+        "88f3732ceec8ada68937edc86b89c783ebe32809674222cb7ec20ed471ed06dc",
+    ),
+    (
+        ["verify", "-n", "1", "--suite", "alignment", "--max-len", "2"]
+        + ["--window", "5", "--samples", "300", "--seed", "3"],
+        "058a4349fb23a9cfad0a4399534264e74310177c0d693393f2e23fc703e6e5d5",
+        "2e2df6dcc87710765d812e0fb4ee7df801c3b57ef3efd441a008a4f1c1ba8db3",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, text_digest, json_digest", PLANTED_ALIGNMENT, ids=["exhaustive", "sampled"]
+)
+def test_golden_alignment_output_under_a_planted_fault(
+    argv, text_digest, json_digest, monkeypatch, capsys
+):
+    monkeypatch.setattr(ideals, "_left_divides_nf", lambda p, q, pres: None)
+    for extra, digest in (([], text_digest), (["--format", "json"], json_digest)):
+        assert run(argv + extra) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
 
 
 def test_golden_text_obstruct(capsys):

@@ -685,13 +685,13 @@ _FAULTS = ["none", "p", "q", "extra"]
 def test_oracle_reports_exactly_the_wrong_meets_of_each_kind(
     m1, monkeypatch, pairs, fault
 ):
-    # on the exhaustive n = 1, window 4 sample, 400 seeded pairs get no
-    # generators, (p,), (q,) or one generator too many; the oracle reports
-    # exactly those whose generators differ from the brute-force minimal
-    # common multiples, in sample order, whichever check decides the pair.
-    # The 139 pairs that hold the identity, shuffled, are all planted: each
-    # is decided by definition, and only (1, 1) and a meet of the other
-    # element alone hold
+    # on every pair at n = 1, max-len 2, in ascending position order, 400
+    # seeded pairs get no generators, (p,), (q,) or one generator too many;
+    # the oracle reports exactly those whose generators differ from the
+    # brute-force minimal common multiples, in the order of the positions
+    # given, whichever check decides the pair.  The 139 pairs that hold the
+    # identity, shuffled, are all planted: each is decided by definition,
+    # and only (1, 1) and a meet of the other element alone hold
     nfs = enumerate_elements(m1, 2)
     sample = list(product(nfs, repeat=2))
     if pairs == "all":
@@ -715,7 +715,7 @@ def test_oracle_reports_exactly_the_wrong_meets_of_each_kind(
     for p, q in sample:
         if (p, q) not in planted:
             continue
-        shared = ideals._shared(p, q, partners)
+        shared = ideals._shared(q, p[:-1], ideals._row(p, partners))
         gens = sorted(faulty(p, q, shared, m1)[1], key=element_key)
         minimal = oracle[p, q] = brute_force_intersection(p, q, m1)
         if gens != minimal:
@@ -733,7 +733,12 @@ def test_oracle_reports_exactly_the_wrong_meets_of_each_kind(
         monkeypatch.setattr(
             ideals, "brute_force_intersection", lambda p, q, pres: oracle[p, q]
         )
-    assert ideals._oracle_mismatches(sample, m1, partners) == expected
+    index = {w: i for i, w in enumerate(nfs)}
+    positions = [index[p] * len(nfs) + index[q] for p, q in sample]
+    if pairs == "all":
+        assert positions == sorted(positions)
+    found = ideals._oracle_mismatches(positions, nfs, m1, partners)
+    assert list(found.values()) == expected
     assert 0 < len(expected) <= len(planted)
     if pairs == "all":
         assert fault == "extra" or len(expected) < len(planted)
@@ -768,19 +773,95 @@ def test_oracle_does_not_depend_on_the_rewriting_code(m1, monkeypatch):
 
 def test_oracle_reports_mismatches_in_sample_order(m1, monkeypatch):
     # with no divisibility every meet is the shared extensions, so many
-    # sampled meets are wrong; the ideals are shared across the sample, and
-    # the mismatches come back as a pair-by-pair check reports them
+    # sampled meets are wrong; the ideals and each first element's row of
+    # the letter table are shared across the sorted positions, and the
+    # mismatches, read back in sample order, come back as a pair-by-pair
+    # check reports them
     monkeypatch.setattr(ideals, "_left_divides_nf", lambda p, q, pres: None)
     nfs = enumerate_elements(m1, 2)
     rng = random.Random(11)
-    sample = [(rng.choice(nfs), rng.choice(nfs)) for _ in range(300)]
+    index = {w: i for i, w in enumerate(nfs)}
+    sample = [
+        index[rng.choice(nfs)] * len(nfs) + index[rng.choice(nfs)] for _ in range(300)
+    ]
     partners = ideals._letter_partners(m1.relations)
-    found = ideals._oracle_mismatches(sample, m1, partners)
+    found = ideals._oracle_mismatches(sorted(set(sample)), nfs, m1, partners)
     one_by_one = [
-        m for pair in sample for m in ideals._oracle_mismatches([pair], m1, partners)
+        m
+        for pos in sample
+        for m in ideals._oracle_mismatches([pos], nfs, m1, partners).values()
     ]
     assert len(found) >= 10
-    assert found == one_by_one
+    assert [found[pos] for pos in sample if pos in found] == one_by_one
+
+
+def test_exhaustive_clean_run_draws_no_sample(m1, monkeypatch):
+    # a sample of every pair checks the pairs in position order; the seeded
+    # draw would only order the failures, and a clean run has none
+    def drawn(*args, **kwargs):
+        pytest.fail("a sample was drawn")
+
+    monkeypatch.setattr(random.Random, "sample", drawn)
+    for samples in (4900, 10**9):
+        report = verify_alignment(m1, 2, samples, 4)
+        assert report.ok and report.sampled == 4900
+
+
+@pytest.mark.parametrize("samples", [300, 4900], ids=["sampled", "exhaustive"])
+def test_oracle_checks_each_pair_once_in_position_order(m1, monkeypatch, samples):
+    # the pairs reach _meet once each, by ascending position i * 70 + j, so
+    # grouped by their first element, whose row of the letter table is read
+    # once
+    nfs = enumerate_elements(m1, 2)
+    positions = range(4900)
+    if samples < 4900:
+        positions = sorted(random.Random(3).sample(positions, samples))
+    expected = [(nfs[i // 70], nfs[i % 70]) for i in positions]
+    calls, rows = [], Counter()
+    real_meet, real_row = ideals._meet, ideals._row
+
+    def meet(p, q, shared, pres):
+        calls.append((p, q))
+        return real_meet(p, q, shared, pres)
+
+    def row(p, partners):
+        rows[p] += 1
+        return real_row(p, partners)
+
+    monkeypatch.setattr(ideals, "_meet", meet)
+    monkeypatch.setattr(ideals, "_row", row)
+    assert verify_alignment(m1, 2, samples, 5, seed=3).ok
+    assert calls == expected
+    assert list(rows) == list(dict.fromkeys(p for p, _ in expected))
+    assert set(rows.values()) == {1}
+
+
+def test_oversized_oracle_sample_refused_before_listing(m1, monkeypatch):
+    # at max-len 3 a sample of DEFAULT_CAP + 1 would ask for all 534^2 =
+    # 285,156 pairs; at max-len 4 it asks for 1,000,001 of 16.5 million,
+    # and is refused before any element is listed or index drawn
+    def unreached(*args, **kwargs):
+        pytest.fail("elements listed or a sample drawn")
+
+    monkeypatch.setattr(ideals, "enumerate_elements", unreached)
+    monkeypatch.setattr(random.Random, "sample", unreached)
+    cap = congruence.DEFAULT_CAP
+    message = f"^an oracle sample of {cap + 1} pairs is over the budget of {cap} pairs$"
+    with pytest.raises(ValueError, match=message):
+        verify_alignment(m1, 4, cap + 1, 5)
+    with pytest.raises(ValueError, match="sample of 1000000000 pairs"):
+        verify_alignment(m1, 6, 10**9, 7)
+
+
+def test_oracle_sample_budget_read_at_call_time(m1, monkeypatch):
+    # a sample of every pair at max-len 2 fits a budget of 4,900 and
+    # overruns one of 4,899; more samples than pairs ask for every pair
+    monkeypatch.setattr(congruence, "DEFAULT_CAP", 4900)
+    assert verify_alignment(m1, 2, 10**9, 4).sampled == 4900
+    monkeypatch.setattr(congruence, "DEFAULT_CAP", 4899)
+    with pytest.raises(ValueError, match="^an oracle sample of 4900 pairs is over"):
+        verify_alignment(m1, 2, 4900, 4)
+    assert verify_alignment(m1, 2, 4899, 4).ok
 
 
 def test_oracle_reports_a_self_pair_with_a_wrong_meet(m1, monkeypatch):
