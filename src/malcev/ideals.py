@@ -36,6 +36,20 @@ every pair is not drawn at all.  The per-pair oracle,
 brute_force_intersection, reduces the words of the meet's antichain, keeps
 the minimal ones by the search-based divisibility of the congruence
 module, and describes any pair that fails.
+
+A check of every pair visits only the pairs that meet, listed twice and
+independently.  The oracle lists them off the antichains alone: two
+ideals meet exactly when a word of one antichain is a prefix of a word of
+the other (_Ideal.isdisjoint), so each antichain word is indexed by its
+root, and each prefix of a root's antichain words names the roots that
+meet it.  The fast side lists the pairs that _meet gives any generator in
+closed form: each element with each of its left divisors, which by the
+boundary argument of rewriting._left_divides_nf are its prefixes and, for
+each L word in it, the word before it followed by the first letter of an
+R partner (rewriting._left_divisors), and the pairs u a, u b of the
+letter table.  Each pair of the union is checked as a sampled pair is,
+and a pair in one listing only is reported.  Every other pair gets no
+generators from _meet and has disjoint ideals, so it holds unvisited.
 """
 
 from __future__ import annotations
@@ -56,6 +70,7 @@ from .presentation import (
 )
 from .rewriting import (
     _left_divides_nf,
+    _left_divisors,
     count_elements,
     element_key,
     enumerate_elements,
@@ -385,7 +400,83 @@ def _holds(p, q, gens, ideal) -> bool:
     return _is_meet(gens, [ideal(g) for g in gens], ideal(p) & ideal(q))
 
 
-def _oracle_mismatches(positions, nfs, pres: Presentation, partners) -> dict:
+def _mismatch(p, q, gens, pres: Presentation) -> str:
+    """The description of a pair (p, q) whose fast generators gens fail,
+    against the minimal common multiples of brute_force_intersection."""
+    minimal = brute_force_intersection(p, q, pres)
+    return (
+        f"({format_word(p)}, {format_word(q)}): fast generators "
+        f"{[format_word(g) for g in sorted(gens, key=element_key)]} vs "
+        f"oracle {[format_word(m) for m in minimal]}"
+    )
+
+
+def _fast_meeting(nfs, pres: Presentation, partners, stop: int) -> set:
+    """Positions i * len(nfs) + j of the pairs (nfs[i], nfs[j]) that _meet
+    gives any generator, listed in closed form without calling it: each
+    element m with each of its left divisors d (rewriting._left_divisors),
+    as (d, m) and (m, d), and the pairs (u a, u b) for each letter a and
+    each b of its row of the letter table partners.  _meet returns the
+    divisible side when one element divides the other, and otherwise the
+    extensions they share, which _shared gives only to pairs u a, u b with
+    b in a's row.  Listing stops once it holds more than stop positions."""
+    count = len(nfs)
+    index = {m: i for i, m in enumerate(nfs)}
+    found = set()
+    for j, m in enumerate(nfs):
+        for d in _left_divisors(m, pres):
+            i = index[d]
+            found.add(i * count + j)
+            found.add(j * count + i)
+        if m and m[-1] in partners:  # m = u a: its pairs (u a, u b)
+            prefix = m[:-1]
+            found.update(
+                j * count + index[prefix + (b,)]
+                for b in partners[m[-1]]
+                if prefix + (b,) in index
+            )
+        if len(found) > stop:
+            break
+    return found
+
+
+def _oracle_meeting(nfs, pres: Presentation, ideals: dict) -> set:
+    """Positions i * len(nfs) + j of the pairs whose ideals meet, read off
+    the antichains alone, no pair visited.  The identity, nfs[0], meets
+    every element by definition.  Two other ideals meet exactly when a word
+    of one antichain is a prefix of a word of the other (_Ideal.isdisjoint),
+    so each antichain word is indexed by its root, and each prefix of a
+    root's antichain words names the roots that meet it.  The ideal of each
+    nonempty element is built once and put in ideals, root -> ideal."""
+    swaps = _boundary_swaps(pres)
+    count = len(nfs)
+    owners = {}  # antichain word -> indices of the roots whose antichain holds it
+    for i, root in enumerate(nfs[1:], 1):
+        ideals[root] = _ideal(root, pres, swaps)
+        for a in ideals[root].antichain:
+            owners.setdefault(a, []).append(i)
+    found = set(range(count))
+    found.update(range(0, count * count, count))
+    for j, root in enumerate(nfs[1:], 1):
+        mates = {i for w in ideals[root].prefixes for i in owners.get(w, ())}
+        found.update(i * count + j for i in mates)
+        found.update(j * count + i for i in mates)
+    return found
+
+
+def _listed(p, q, pres: Presentation, partners) -> tuple:
+    """The generators that the listing of _fast_meeting gives the pair
+    (p, q): the divisible side, else the extensions they share."""
+    if p in _left_divisors(q, pres):
+        return (q,)
+    if q in _left_divisors(p, pres):
+        return (p,)
+    return tuple(_shared(q, p[:-1], _row(p, partners)))
+
+
+def _oracle_mismatches(
+    positions, nfs, pres: Presentation, partners, ideals=None
+) -> dict:
     """Check the meet of the pair (nfs[i], nfs[j]) at each position
     i * len(nfs) + j against the brute-force oracle, and describe each pair
     that fails: position -> description, in the order of positions.
@@ -397,13 +488,13 @@ def _oracle_mismatches(positions, nfs, pres: Presentation, partners) -> dict:
     are the other element alone, or the identity alone for the pair of
     identities.  So is a pair of nonempty elements whose generators include
     the identity, which divides neither.  Every other pair is decided by
-    _holds.  Each root's ideal is built the first time a check
-    reads it and held for the run: an ideal is only its antichain and the
-    prefixes of its words.  A failing pair is described by
-    brute_force_intersection.
+    _holds.  Each root's ideal is built the first time a check reads it,
+    unless ideals, root -> ideal, already holds it, and is held for the run:
+    an ideal is only its antichain and the prefixes of its words.  A
+    failing pair is described by brute_force_intersection.
     """
     swaps = _boundary_swaps(pres)
-    ideals = {}
+    ideals = {} if ideals is None else ideals
 
     def ideal(root):
         found = ideals.get(root)
@@ -430,12 +521,7 @@ def _oracle_mismatches(positions, nfs, pres: Presentation, partners) -> dict:
         else:
             holds = gens == (p or q,)
         if not holds:
-            minimal = brute_force_intersection(p, q, pres)
-            wrong[pos] = (
-                f"({format_word(p)}, {format_word(q)}): fast generators "
-                f"{[format_word(g) for g in sorted(gens, key=element_key)]} vs "
-                f"oracle {[format_word(m) for m in minimal]}"
-            )
+            wrong[pos] = _mismatch(p, q, gens, pres)
     return wrong
 
 
@@ -528,26 +614,34 @@ def verify_alignment(
     table is not built at max_len 0, where only the identity is swept.
 
     No per-pair result is stored.  The oracle reads the same table and
-    checks k = min(samples, pair_count) pairs, each at its position
-    i * len(nfs) + j, in ascending order.  When k is the pair count the
-    positions are every one, and no sample is drawn; otherwise the seeded
-    draw is sorted.  Failures are reported in the order of the seeded
-    draw, which is redrawn for them.  A k over DEFAULT_CAP, read at call
-    time, raises ValueError before any element is listed or index drawn.
-    No ideal depends on the window (see _ideal), so the window is only
-    checked against max_len and reported.
+    accounts for k = min(samples, pair_count) pairs, each at its position
+    i * len(nfs) + j, checked in ascending order.  Below the pair count
+    the positions are the seeded draw, sorted, and a k over DEFAULT_CAP,
+    read at call time, raises ValueError before any element is listed or
+    index drawn.  At the pair count no sample is drawn.  The pairs that
+    meet are listed twice: by the fast side in closed form (_fast_meeting)
+    and by the oracle off the ideals' antichains (_oracle_meeting), which
+    builds each nonempty element's ideal once for the check to read.  Only
+    the pairs of the union are checked, so their number is what counts
+    against DEFAULT_CAP: over it, ValueError, raised as soon as the fast
+    listing passes it, before any ideal is built, or else once the union
+    is formed.  A pair in one listing only is reported, with the generators
+    that listing gives it (_listed).  Every other pair holds: _meet gives it
+    no generator, as the fast listing is exactly the pairs that it gives
+    any, and its ideals are disjoint, as the oracle's is exactly the pairs
+    whose ideals meet.  Failures are reported in the order of the seeded
+    draw, which is redrawn for them.  No ideal depends on the window (see
+    _ideal), so the window is only checked against max_len and reported.
     """
     if pres.n is None:
         raise PresentationError("alignment verification needs the indexed family")
     if window < max_len + 1:
         raise WindowTooSmall(f"window {window} below element bound {max_len} + 1")
     cap = congruence.DEFAULT_CAP
-    if samples > cap:  # only then can the sample overrun: count the pairs
-        k = min(samples, count_elements(pres, max_len) ** 2)
-        if k > cap:
-            raise ValueError(
-                f"an oracle sample of {k} pairs is over the budget of {cap} pairs"
-            )
+    if samples > cap and samples < count_elements(pres, max_len) ** 2:
+        raise ValueError(
+            f"an oracle sample of {samples} pairs is over the budget of {cap} pairs"
+        )
     nfs = enumerate_elements(pres, max_len)
     total = len(nfs) ** 2
     k = min(samples, total)
@@ -579,8 +673,25 @@ def verify_alignment(
     def draw():
         return random.Random(seed).sample(range(total), k)
 
-    positions = range(total) if k == total else sorted(draw())
-    failed = _oracle_mismatches(positions, nfs, pres, partners)
+    ideals = {}
+    if k == total:  # every pair: those that meet, by either listing
+        fast = _fast_meeting(nfs, pres, partners, cap)
+        oracle = _oracle_meeting(nfs, pres, ideals) if len(fast) <= cap else set()
+        meeting = fast | oracle
+        if len(meeting) > cap:
+            raise ValueError(
+                f"an oracle check of every pair is over the budget of {cap} "
+                "meeting pairs"
+            )
+        positions = sorted(meeting)
+    else:
+        positions = sorted(draw())
+    failed = _oracle_mismatches(positions, nfs, pres, partners, ideals)
+    if k == total:  # a pair in one listing only fails, checked or not
+        count = len(nfs)
+        for pos in fast.symmetric_difference(oracle).difference(failed):
+            p, q = nfs[pos // count], nfs[pos % count]
+            failed[pos] = _mismatch(p, q, _listed(p, q, pres, partners), pres)
     if failed:  # reported in the order of the seeded draw
         mismatches += [failed[i] for i in draw() if i in failed]
     return AlignmentReport(

@@ -103,6 +103,20 @@ def _left_divides_nf(p: Word, q: Word, pres: Presentation) -> Optional[Word]:
     return None
 
 
+def _left_divisors(m: Word, pres: Presentation):
+    """Every left divisor of a normal form m, as normal forms, in closed
+    form: each prefix m[:k], and m[:k-1] followed by the first letter of
+    each R partner of an L word at m[k-1:k+1].  By _left_divides_nf's
+    boundary argument these are exactly the p of each length k with a
+    witness: m[:k] == p, or p[:-1] == m[:k-1] and p[-1] begins an R
+    partner of m[k-1:k+1].  Such a p ends in a P letter, which never ends
+    an R word, so it is a normal form.  A divisor may be listed twice."""
+    yield from (m[:k] for k in range(len(m) + 1))
+    for k in range(1, len(m)):
+        for right in pres.partners.get(m[k - 1 : k + 1], ()):
+            yield m[: k - 1] + right[:1]
+
+
 def is_intersection_base(w: Word, pres: Presentation) -> bool:
     """True when the normal form w ends in a left-hand relation word; these
     are exactly the elements with in-degree at least two in the Cayley graph."""

@@ -434,6 +434,25 @@ def test_oversized_oracle_sample_exits_2(capsys):
     assert "sample of 1000001 pairs" in out_of(capsys)[1]
 
 
+def test_every_pair_is_budgeted_on_the_pairs_that_meet(capsys, monkeypatch):
+    # the 3,097,600 pairs at n = 2, max-len 3 are all checked: 13,758 of
+    # them meet.  At n = 1, max-len 2, 372 of the 4,900 pairs meet, over a
+    # budget of 371, read at call time
+    argv = ["verify", "-n", "2", "--suite", "alignment", "--max-len", "3"]
+    assert run(argv + ["--samples", "3097600"]) == 0
+    out, err = out_of(capsys)
+    assert "\noracle: 3097600 sampled pairs, window 6, seed 1729\n" in out
+    assert out.endswith("\nviolations: 0") and err == ""
+    monkeypatch.setattr(congruence, "DEFAULT_CAP", 371)
+    argv = ["verify", "-n", "1", "--suite", "alignment", "--max-len", "2"]
+    assert run(argv + ["--samples", "4900"]) == 2
+    assert out_of(capsys) == (
+        "",
+        "error: an oracle check of every pair is over the budget of 371 "
+        "meeting pairs\n",
+    )
+
+
 @pytest.mark.parametrize("window", ["8", "20000"])
 def test_oracle_runs_at_any_window(capsys, window):
     # no ideal depends on the window, so windows far past max-len + 1 run

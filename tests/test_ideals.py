@@ -763,12 +763,19 @@ def test_ideal_over_a_cap_read_at_call_time_names_its_root(m1, monkeypatch):
 
 def test_oracle_does_not_depend_on_the_rewriting_code(m1, monkeypatch):
     # ideals are antichains of raw words, never reduced, so a planted fault
-    # in reduce_word reaches neither an ideal nor the verdict of a clean sweep
+    # in reduce_word reaches neither an ideal nor the verdict of a clean
+    # sweep; the oracle's listing of the pairs that meet reads only those
+    # antichains, so faults in reduce_word and the closed-form divisibility
+    # leave it unchanged
     root = el("d", m1)
     clean = ideal_words(root, 4, m1)
+    nfs = enumerate_elements(m1, 2)
+    meeting = ideals._oracle_meeting(nfs, m1, {})
     monkeypatch.setattr(ideals, "reduce_word", lambda w, pres: w[::-1])
     assert ideal_words(root, 4, m1) == clean
     assert verify_alignment(m1, 2, 4900, 4).ok
+    monkeypatch.setattr(ideals, "_left_divides_nf", lambda p, q, pres: None)
+    assert ideals._oracle_meeting(nfs, m1, {}) == meeting
 
 
 def test_oracle_reports_mismatches_in_sample_order(m1, monkeypatch):
@@ -811,11 +818,19 @@ def test_exhaustive_clean_run_draws_no_sample(m1, monkeypatch):
 def test_oracle_checks_each_pair_once_in_position_order(m1, monkeypatch, samples):
     # the pairs reach _meet once each, by ascending position i * 70 + j, so
     # grouped by their first element, whose row of the letter table is read
-    # once
+    # once; a check of every pair calls _meet only on the 372 pairs that
+    # meet, each element with itself among them
     nfs = enumerate_elements(m1, 2)
-    positions = range(4900)
     if samples < 4900:
-        positions = sorted(random.Random(3).sample(positions, samples))
+        positions = sorted(random.Random(3).sample(range(4900), samples))
+    else:
+        positions = [
+            i * 70 + j
+            for i, p in enumerate(nfs)
+            for j, q in enumerate(nfs)
+            if intersect_principal(p, q, m1).kind != EMPTY
+        ]
+        assert len(positions) == 372
     expected = [(nfs[i // 70], nfs[i % 70]) for i in positions]
     calls, rows = [], Counter()
     real_meet, real_row = ideals._meet, ideals._row
@@ -836,6 +851,97 @@ def test_oracle_checks_each_pair_once_in_position_order(m1, monkeypatch, samples
     assert set(rows.values()) == {1}
 
 
+@pytest.mark.parametrize("n, max_len", [(1, 3), (2, 2), (3, 2)])
+def test_left_divisors_in_closed_form(n, max_len, monkeypatch):
+    # the listed left divisors of every element are exactly the elements
+    # that divide it, by the closed form and by the search over classes,
+    # whose classes are memoised here
+    pres = build_presentation(n)
+    nfs = enumerate_elements(pres, max_len)
+    classes = {}
+    search = congruence.equality_class
+
+    def memoised(w, pres):
+        if w not in classes:
+            classes[w] = search(w, pres)
+        return classes[w]
+
+    monkeypatch.setattr(congruence, "equality_class", memoised)
+    for m in nfs:
+        listed = set(rewriting._left_divisors(m, pres))
+        assert listed == {
+            p for p in nfs if rewriting._left_divides_nf(p, m, pres) is not None
+        }
+        assert listed == {p for p in nfs if left_divides(p, m, pres) is not None}
+
+
+@pytest.mark.parametrize("n, max_len", [(1, 2), (2, 2)])
+def test_meeting_sets_are_the_pairs_that_meet(n, max_len, monkeypatch):
+    # checked pair by pair: the fast listing holds exactly the pairs that
+    # _meet gives a generator, and the oracle's exactly those whose minimal
+    # common multiples are not empty; brute_force_intersection reads the
+    # ideals the oracle's listing built
+    pres = build_presentation(n)
+    nfs = enumerate_elements(pres, max_len)
+    count = len(nfs)
+    partners = ideals._letter_partners(pres.relations)
+    fast = ideals._fast_meeting(nfs, pres, partners, count**2)
+    held = {}
+    oracle = ideals._oracle_meeting(nfs, pres, held)
+    monkeypatch.setattr(ideals, "_ideal", lambda root, pres, swaps: held[root])
+    meets, common = set(), set()
+    for i, p in enumerate(nfs):
+        row = ideals._row(p, partners)
+        for j, q in enumerate(nfs):
+            if ideals._meet(p, q, ideals._shared(q, p[:-1], row), pres)[1]:
+                meets.add(i * count + j)
+            if brute_force_intersection(p, q, pres):
+                common.add(i * count + j)
+    assert fast == meets
+    assert oracle == common
+    assert len(common) == {1: 372, 2: 872}[n]
+
+
+@pytest.mark.parametrize(
+    "plant, flagged",
+    [
+        (
+            "drop",  # d, a divisor of d a, dropped
+            [
+                "(d a, d): fast generators [] vs oracle ['d a']",
+                "(d, d a): fast generators [] vs oracle ['d a']",
+            ],
+        ),
+        (
+            "add",  # c, whose ideal misses that of d a, listed as a divisor
+            [
+                "(c, d a): fast generators ['d a'] vs oracle []",
+                "(d a, c): fast generators ['d a'] vs oracle []",
+            ],
+        ),
+    ],
+)
+def test_oracle_reports_a_fault_in_the_fast_listing(m1, monkeypatch, plant, flagged):
+    # a pair in one meeting listing only fails, though _meet decides it
+    # right, and is reported in the standard form, with the generators the
+    # listing gives it
+    m, d, c = el("d a", m1), el("d", m1), el("c", m1)
+    real = rewriting._left_divisors
+
+    def planted(w, pres):
+        listed = list(real(w, pres))
+        if w != m:
+            return listed
+        if plant == "drop":
+            return [x for x in listed if x != d]
+        return listed + [c]
+
+    monkeypatch.setattr(ideals, "_left_divisors", planted)
+    report = verify_alignment(m1, 2, 4900, 4)
+    assert sorted(report.mismatches) == flagged
+    assert not report.ok
+
+
 def test_oversized_oracle_sample_refused_before_listing(m1, monkeypatch):
     # at max-len 3 a sample of DEFAULT_CAP + 1 would ask for all 534^2 =
     # 285,156 pairs; at max-len 4 it asks for 1,000,001 of 16.5 million,
@@ -854,14 +960,28 @@ def test_oversized_oracle_sample_refused_before_listing(m1, monkeypatch):
 
 
 def test_oracle_sample_budget_read_at_call_time(m1, monkeypatch):
-    # a sample of every pair at max-len 2 fits a budget of 4,900 and
-    # overruns one of 4,899; more samples than pairs ask for every pair
-    monkeypatch.setattr(congruence, "DEFAULT_CAP", 4900)
-    assert verify_alignment(m1, 2, 10**9, 4).sampled == 4900
-    monkeypatch.setattr(congruence, "DEFAULT_CAP", 4899)
-    with pytest.raises(ValueError, match="^an oracle sample of 4900 pairs is over"):
+    # a check of every pair at max-len 2 is budgeted on its 372 meeting
+    # pairs: it fits a budget of 372 and overruns one of 371, refused while
+    # the pairs are listed, before any ideal is built; more samples than
+    # pairs ask for every pair.  A sample of 4,899 of the 4,900 pairs fits a
+    # budget of 4,899 and overruns one of 4,898
+    monkeypatch.setattr(congruence, "DEFAULT_CAP", 372)
+    for samples in (4900, 10**9):
+        report = verify_alignment(m1, 2, samples, 4)
+        assert report.ok and report.sampled == 4900
+    monkeypatch.setattr(congruence, "DEFAULT_CAP", 371)
+    monkeypatch.setattr(
+        ideals, "_ideal", lambda root, *args: pytest.fail(f"ideal of {root}")
+    )
+    message = "^an oracle check of every pair is over the budget of 371 meeting pairs$"
+    with pytest.raises(ValueError, match=message):
         verify_alignment(m1, 2, 4900, 4)
+    monkeypatch.undo()
+    monkeypatch.setattr(congruence, "DEFAULT_CAP", 4899)
     assert verify_alignment(m1, 2, 4899, 4).ok
+    monkeypatch.setattr(congruence, "DEFAULT_CAP", 4898)
+    with pytest.raises(ValueError, match="^an oracle sample of 4899 pairs is over"):
+        verify_alignment(m1, 2, 4899, 4)
 
 
 def test_oracle_reports_a_self_pair_with_a_wrong_meet(m1, monkeypatch):
