@@ -49,7 +49,11 @@ each L word in it, the word before it followed by the first letter of an
 R partner (rewriting._left_divisors), and the pairs u a, u b of the
 letter table.  Each pair of the union is checked as a sampled pair is,
 and a pair in one listing only is reported.  Every other pair gets no
-generators from _meet and has disjoint ideals, so it holds unvisited.
+generators from _meet and has disjoint ideals, so it holds unvisited:
+proved, not checked.  The proof rests on rewriting._left_divisors
+listing exactly the divisors that _left_divides_nf, which _meet runs,
+finds; a fault that breaks that agreement on a pair that does not meet
+is caught only by a sample that draws the pair.
 """
 
 from __future__ import annotations
@@ -629,9 +633,17 @@ def verify_alignment(
     that listing gives it (_listed).  Every other pair holds: _meet gives it
     no generator, as the fast listing is exactly the pairs that it gives
     any, and its ideals are disjoint, as the oracle's is exactly the pairs
-    whose ideals meet.  Failures are reported in the order of the seeded
-    draw, which is redrawn for them.  No ideal depends on the window (see
-    _ideal), so the window is only checked against max_len and reported.
+    whose ideals meet.  So those pairs are proved, not checked, and the
+    proof rests on _left_divisors listing exactly what _left_divides_nf,
+    which _meet runs, finds: a fault that makes _left_divides_nf find a
+    divisor the closed form does not list, on a pair that does not meet,
+    reaches neither listing and is caught only by a sample that draws the
+    pair.  Failures are reported in the order of the seeded draw, which is
+    redrawn for them, except in a check of every pair of more than
+    DEFAULT_CAP pairs, where that draw would list every position: there
+    they are reported by ascending position.  No ideal depends on the
+    window (see _ideal), so the window is only checked against max_len and
+    reported.
     """
     if pres.n is None:
         raise PresentationError("alignment verification needs the indexed family")
@@ -692,8 +704,9 @@ def verify_alignment(
         for pos in fast.symmetric_difference(oracle).difference(failed):
             p, q = nfs[pos // count], nfs[pos % count]
             failed[pos] = _mismatch(p, q, _listed(p, q, pres, partners), pres)
-    if failed:  # reported in the order of the seeded draw
-        mismatches += [failed[i] for i in draw() if i in failed]
+    if failed:  # by the seeded draw, unless it would list over cap positions
+        order = draw() if k < total or total <= cap else sorted(failed)
+        mismatches += [failed[i] for i in order if i in failed]
     return AlignmentReport(
         n=pres.n,
         max_len=max_len,

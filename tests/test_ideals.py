@@ -942,6 +942,50 @@ def test_oracle_reports_a_fault_in_the_fast_listing(m1, monkeypatch, plant, flag
     assert not report.ok
 
 
+def test_oracle_misses_a_false_divisor_off_both_listings(m1, monkeypatch):
+    # a check of every pair proves the pairs outside the two listings rather
+    # than checking them, so a fault where _left_divides_nf finds c dividing
+    # d a, a pair whose ideals are disjoint and which the closed-form
+    # divisors do not list, reaches neither listing and passes; a sample
+    # that draws the pair catches it
+    c, m = el("c", m1), el("d a", m1)
+    real = rewriting._left_divides_nf
+
+    def planted(p, q, pres):
+        return () if (p, q) == (c, m) else real(p, q, pres)
+
+    monkeypatch.setattr(ideals, "_left_divides_nf", planted)
+    assert verify_alignment(m1, 2, 4900, 4).ok
+    assert sorted(verify_alignment(m1, 2, 4899, 4).mismatches) == [
+        "(c, d a): fast generators ['d a'] vs oracle []",
+        "(d a, c): fast generators ['d a'] vs oracle []",
+    ]
+
+
+def test_oracle_reports_by_position_every_pair_over_the_budget(m1, monkeypatch):
+    # a check of every pair over DEFAULT_CAP pairs, whose meeting pairs fit
+    # it, reports its failures by ascending position, with no draw of every
+    # position; at or under the budget they keep the seeded draw's order
+    monkeypatch.setattr(ideals, "_left_divides_nf", lambda p, q, pres: None)
+    drawn = verify_alignment(m1, 2, 4900, 4).mismatches
+    monkeypatch.setattr(congruence, "DEFAULT_CAP", 372)
+
+    def unreached(*args, **kwargs):
+        pytest.fail("a sample was drawn")
+
+    monkeypatch.setattr(random.Random, "sample", unreached)
+    report = verify_alignment(m1, 2, 4900, 4)
+    index = {format_word(w): i for i, w in enumerate(enumerate_elements(m1, 2))}
+    positions = [
+        index[p] * 70 + index[q]
+        for p, q in (f[1 : f.index(")")].split(", ") for f in report.mismatches)
+    ]
+    assert len(drawn) >= 100
+    assert sorted(report.mismatches) == sorted(drawn)
+    assert list(report.mismatches) != list(drawn)
+    assert positions == sorted(positions)
+
+
 def test_oversized_oracle_sample_refused_before_listing(m1, monkeypatch):
     # at max-len 3 a sample of DEFAULT_CAP + 1 would ask for all 534^2 =
     # 285,156 pairs; at max-len 4 it asks for 1,000,001 of 16.5 million,
