@@ -622,7 +622,12 @@ def verify_alignment(
     i * len(nfs) + j, checked in ascending order.  Below the pair count
     the positions are the seeded draw, sorted, and a k over DEFAULT_CAP,
     read at call time, raises ValueError before any element is listed or
-    index drawn.  At the pair count no sample is drawn.  The pairs that
+    index drawn.  At the pair count no sample is drawn.  Each element m
+    meets its |m| + 1 prefixes, as (prefix, m) and (m, prefix), so the
+    pairs that meet number at least N + 2 (the sum over k < max_len of
+    N - count_elements(pres, k)) for N elements, counted before anything
+    is listed; a check of every pair with that floor over DEFAULT_CAP
+    raises, at once, the ValueError of a union over it.  The pairs that
     meet are listed twice: by the fast side in closed form (_fast_meeting)
     and by the oracle off the ideals' antichains (_oracle_meeting), which
     builds each nonempty element's ideal once for the check to read.  Only
@@ -650,10 +655,18 @@ def verify_alignment(
     if window < max_len + 1:
         raise WindowTooSmall(f"window {window} below element bound {max_len} + 1")
     cap = congruence.DEFAULT_CAP
-    if samples > cap and samples < count_elements(pres, max_len) ** 2:
-        raise ValueError(
-            f"an oracle sample of {samples} pairs is over the budget of {cap} pairs"
-        )
+    over = f"an oracle check of every pair is over the budget of {cap} meeting pairs"
+    if samples > cap:
+        count = count_elements(pres, max_len)
+        if samples < count**2:
+            raise ValueError(
+                f"an oracle sample of {samples} pairs is over the budget of {cap} pairs"
+            )
+        # every pair: each element m meets its |m| + 1 prefixes, as
+        # (prefix, m) and (m, prefix): the union holds count + 2 * longer
+        longer = sum(count - count_elements(pres, k) for k in range(max_len))
+        if count + 2 * longer > cap:
+            raise ValueError(over)
     nfs = enumerate_elements(pres, max_len)
     total = len(nfs) ** 2
     k = min(samples, total)
@@ -691,10 +704,7 @@ def verify_alignment(
         oracle = _oracle_meeting(nfs, pres, ideals) if len(fast) <= cap else set()
         meeting = fast | oracle
         if len(meeting) > cap:
-            raise ValueError(
-                f"an oracle check of every pair is over the budget of {cap} "
-                "meeting pairs"
-            )
+            raise ValueError(over)
         positions = sorted(meeting)
     else:
         positions = sorted(draw())

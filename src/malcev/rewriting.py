@@ -22,15 +22,21 @@ occurrence spans the separator.  Only the products whose seam, the pair
 where a side meets its factor, is an R word go into a batch: any other
 product of two normal forms is a normal form already.  Whether a factor's
 seam products collide depends only on its letter at the seam, so those
-batches are made once per letter, on one-letter factors.  The codet,
-indegree and nf-oracle sweeps reduce their words in the same batches.
+batches are made once per letter, on one-letter factors.  Their sides are
+built, not searched for: the sides that end in the P letter p of an R word
+p g are every side one letter shorter followed by p, since a P letter never
+ends an R word, and those that begin with the Q letter q of an R word g q
+are q followed by every shorter side, since a Q letter never begins one.
+The codet, indegree and nf-oracle sweeps reduce their words in the same
+batches.
 
 The sweeps hold the normal forms in the same spelling, one text per
 length, joined by "\\n" (_normal_form_texts).  Each text is built from the
 one a length shorter by slicing and one str.replace per letter, so no
 normal form is listed: the codet and indegree sweeps reduce the texts
 whole and count their words off their lengths, and the cancellativity
-sweep splits its sides and factors off the same texts.
+sweep builds its seam batches from the texts one letter shorter than its
+sides, splitting its sides into a list only to name a failure.
 """
 
 from __future__ import annotations
@@ -158,8 +164,8 @@ def enumerate_elements(pres: Presentation, max_len: int):
 def count_elements(pres: Presentation, max_len: int) -> int:
     """len(enumerate_elements(pres, max_len)), without building the normal
     forms: they are the words with no R word among their factors, counted
-    from the relations in O(max_len (G + relations)) steps for G
-    generators.  A negative max_len counts the identity alone, as
+    by _free_words from the numbers of generators and relations alone, in
+    O(max_len) steps.  A negative max_len counts the identity alone, as
     enumerate_elements lists it."""
     return _free_words(pres.generators, pres.rewrite_map, max(max_len, 0))
 
@@ -326,82 +332,79 @@ def cancellativity_violations(pres: Presentation, max_ab: int, max_c: int):
     of them collide exactly when their one-letter versions do; nf(x c) ends
     in c exactly when nf(x c[0]) ends in c[0], and then the rest is the
     same.  So the right test is decided once per letter g, on the
-    one-letter factor g, and read for every factor that begins with g: the
-    seam products of g, the sides x with an R word across x g, are reduced
-    in one joined string by the only rules whose R word ends in g.  The left
-    test is the mirror image, read for every factor that ends in g, by the
-    rules beginning with g.  Every letter is a factor when max_c >= 1.
+    one-letter factor g, and read for every factor that begins with g; the
+    left test is the mirror image, read for every factor that ends in g.
+    Every letter is a factor when max_c >= 1.
+
+    The seam sides are built, not searched for.  The sides x with an R word
+    p g across x g are those that end in p, and they are exactly y p for
+    every side y one letter shorter, in the same order: p is a P letter,
+    which never ends an R word, so y p is a normal form, and it sorts as y
+    does.  So g's right batch is, for each R word p g in rewrite order,
+    every shorter side followed by p g, built by one str.replace on the
+    shorter sides' text, and reduced by the rules of those R words alone.
+    The left batch is the mirror image: g q followed by every shorter side,
+    for each R word g q, as q, a Q letter, never begins an R word.  With
+    sides of length 0 alone no side ends in a letter, and no seam batch is
+    made.
 
     The premise is checked, not assumed: the identity factor's batch reduces
     every side, and if any side changes, every factor takes the full batch
     of its products, by every rule; so does a factor that contains an R
     word.  A factor whose seam letters fail is walked pair by pair over the
     full batch, to name the colliding elements.  Sides and factors are
-    swept as code-point strings and decoded only to be named.
+    swept as code-point strings, split into a list only for the walk, and
+    decoded only to be named.
     """
     codec = _Codec(pres)
     rewrite = codec.rewrite
     texts = _normal_form_texts(codec, max(max_ab, max_c))
     factors = "\n".join(texts[: max_c + 1])
     joined = "\n".join(texts[: max_ab + 1])  # the identity factor's batch
+    shorter = "\n".join(texts[:max_ab])  # the sides one letter shorter
     del texts  # joined holds the sides: drop their second copy
-    sides = joined.split("\n")
     sides_r_free = codec.reduce_text(joined) == joined
-    # by a seam letter g, the sides x with an R word across x g and the
-    # rules of those R words; and the same across g x.  Only factors other
-    # than the identity, against R-free sides, read them
-    right_seam, left_seam = {}, {}
+    # the rules by the last letter of their R word, a right seam letter, and
+    # by its first, a left one; only factors other than the identity, against
+    # R-free sides of length 1 or more, read them
     right_rules, left_rules = {}, {}
-    if max_c and sides_r_free:
-        # the sides by last letter, where it begins an R word, and by first
-        # letter, where it ends one; sides[0] is the identity
-        ending = {right[0]: [] for right in rewrite}
-        starting = {right[1]: [] for right in rewrite}
-        end_at, start_at = ending.get, starting.get
-        for s in sides[1:]:
-            at = end_at(s[-1])
-            if at is not None:
-                at.append(s)
-            at = start_at(s[0])
-            if at is not None:
-                at.append(s)
+    if max_ab and max_c and sides_r_free:
         for rule in rewrite.items():
-            p, q = rule[0]
-            if ending[p]:
-                right_seam.setdefault(q, []).extend(ending[p])
-                right_rules.setdefault(q, []).append(rule)
-            if starting[q]:
-                left_seam.setdefault(p, []).extend(starting[q])
-                left_rules.setdefault(p, []).append(rule)
+            right_rules.setdefault(rule[0][1], []).append(rule)
+            left_rules.setdefault(rule[0][0], []).append(rule)
 
     # the seam letters whose products collide, each decided on its
     # one-letter factor; the set of sides is built only when a seam product
     # keeps its seam letter, which no product of M_n does
     right_fails, left_fails = set(), set()
     side_set = None
-    for g, seam in right_seam.items():
-        keys = codec.reduce_joined((g + "\n").join(seam) + g, right_rules[g])
+    for g, rules in right_rules.items():
+        batch = "\n".join(shorter.replace("\n", r + "\n") + r for r, _ in rules)
+        keys = codec.reduce_joined(batch, rules)
         rests = [key[:-1] for key in keys if key.endswith(g)]
         if rests and side_set is None:
-            side_set = set(sides)
+            side_set = set(joined.split("\n"))
         if len(set(keys)) != len(keys) or rests and not side_set.isdisjoint(rests):
             right_fails.add(g)
-    for g, seam in left_seam.items():
-        keys = codec.reduce_joined(g + ("\n" + g).join(seam), left_rules[g])
+    for g, rules in left_rules.items():
+        batch = "\n".join(r + shorter.replace("\n", "\n" + r) for r, _ in rules)
+        keys = codec.reduce_joined(batch, rules)
         rests = [key[1:] for key in keys if key.startswith(g)]
         if rests and side_set is None:
-            side_set = set(sides)
+            side_set = set(joined.split("\n"))
         if len(set(keys)) != len(keys) or rests and not side_set.isdisjoint(rests):
             left_fails.add(g)
 
     violations = []
+    sides = None
     for c in factors.split("\n"):
         if sides_r_free and not any(c[i : i + 2] in rewrite for i in range(len(c) - 1)):
             # the identity's products are the sides, found R-free above
             if not c or (c[0] not in right_fails and c[-1] not in left_fails):
                 continue
-        right_keys = codec.reduce_joined((c + "\n").join(sides) + c)
-        left_keys = codec.reduce_joined(c + ("\n" + c).join(sides))
+        sides = sides or joined.split("\n")
+        right_keys = codec.reduce_joined(joined.replace("\n", c + "\n") + c)
+        left_keys = codec.reduce_joined(c + joined.replace("\n", "\n" + c))
         seen_right = {}
         seen_left = {}
         for x, right_key, left_key in zip(sides, right_keys, left_keys):

@@ -1028,6 +1028,58 @@ def test_oracle_sample_budget_read_at_call_time(m1, monkeypatch):
         verify_alignment(m1, 2, 4899, 4)
 
 
+def test_every_pair_over_the_budget_refused_before_listing(m1, monkeypatch):
+    # every one of the 235,036^2 pairs at max-len 6: its elements meet their
+    # prefixes in over 10^6 pairs, counted from the element counts alone, so
+    # it is refused before any element, position or sample is listed
+    def unreached(*args, **kwargs):
+        pytest.fail("elements, positions or a sample listed")
+
+    monkeypatch.setattr(ideals, "enumerate_elements", unreached)
+    monkeypatch.setattr(ideals, "_fast_meeting", unreached)
+    monkeypatch.setattr(random.Random, "sample", unreached)
+    cap = congruence.DEFAULT_CAP
+    message = f"^an oracle check of every pair is over the budget of {cap} meeting pairs$"
+    with pytest.raises(ValueError, match=message):
+        verify_alignment(m1, 6, 235036**2, 7)
+
+
+class Listed(Exception):
+    """Raised in place of listing the elements."""
+
+
+@pytest.mark.parametrize("n, max_len", [(1, 2), (1, 3), (2, 2), (2, 3), (3, 2)])
+def test_meeting_floor_is_within_the_fast_listing(monkeypatch, n, max_len):
+    # each element m meets its |m| + 1 prefixes as (prefix, m) and
+    # (m, prefix): those positions are distinct and all in the fast listing,
+    # so a check of every pair is refused early exactly when they alone
+    # overrun the budget
+    pres = build_presentation(n)
+    nfs = enumerate_elements(pres, max_len)
+    count = len(nfs)
+    index = {m: i for i, m in enumerate(nfs)}
+    prefixes = set()
+    for j, m in enumerate(nfs):
+        for k in range(len(m) + 1):
+            prefixes.add(index[m[:k]] * count + j)
+            prefixes.add(j * count + index[m[:k]])
+    floor = sum(2 * len(m) + 1 for m in nfs)
+    assert len(prefixes) == floor
+    partners = ideals._letter_partners(pres.relations)
+    assert prefixes <= ideals._fast_meeting(nfs, pres, partners, count**2)
+
+    def listed(*args):
+        raise Listed
+
+    monkeypatch.setattr(ideals, "enumerate_elements", listed)
+    monkeypatch.setattr(congruence, "DEFAULT_CAP", floor - 1)
+    with pytest.raises(ValueError, match="every pair is over the budget"):
+        verify_alignment(pres, max_len, count**2, max_len + 1)
+    monkeypatch.setattr(congruence, "DEFAULT_CAP", floor)
+    with pytest.raises(Listed):
+        verify_alignment(pres, max_len, count**2, max_len + 1)
+
+
 def test_oracle_reports_a_self_pair_with_a_wrong_meet(m1, monkeypatch):
     # a pair (p, p) shares no extension, so with no divisibility its meet is
     # empty and the oracle reports it; only a pair of distinct partners can

@@ -39,6 +39,8 @@ from test_ideals import ideal_by_literal_extensions, ideal_words
 from test_rewriting import (
     assert_texts_spell_elements,
     plain_cancellativity_sweep,
+    recorded_seam_batches,
+    seam_batches_by_brute_force,
     spelled_partners_as_words,
 )
 
@@ -137,6 +139,14 @@ def test_cancellativity_sweep_matches_every_product(draw):
     for i, pres in enumerate(presentations):
         found = cancellativity_violations(pres, max_ab, max_c)
         assert found == plain_cancellativity_sweep(pres, max_ab, max_c), i
+
+
+def test_seam_batches_are_the_sides_across_each_r_word(monkeypatch):
+    # on every small draw, cancellative or not, the seam batches built from
+    # the shorter sides are those picked from every side by its seam letter
+    for i, pres in enumerate(SMALL):
+        expected = seam_batches_by_brute_force(pres, 3)
+        assert recorded_seam_batches(monkeypatch, pres, 3, 2) == expected, i
 
 
 @pytest.mark.parametrize("draw", ["small", "large"])
